@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "apps/registry.h"
-#include "apps/workload.h"
+#include "fuzz/program_gen.h"
 #include "monitor/monitor.h"
 #include "solver/solver.h"
 #include "statsym/engine.h"
@@ -138,25 +138,39 @@ void BM_SolverCountingRepair(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverCountingRepair);
 
+// Arg 0 = polymorph, 1 = thttpd, 2 = a generated fault-free program (the
+// serve-fleet case that runs all 10,000 collection attempts).
+apps::AppSpec concrete_app(std::int64_t which) {
+  if (which == 2) {
+    fuzz::GenOptions g;
+    g.fault_probability = 0.0;
+    return fuzz::generate_program(11, g).app;
+  }
+  return apps::make_app(which == 0 ? "polymorph" : "thttpd");
+}
+
+// Both run benchmarks share one decoded program across iterations, as log
+// collection does across attempts.
 void BM_ConcreteRun(benchmark::State& state) {
-  const apps::AppSpec app =
-      apps::make_app(state.range(0) == 0 ? "polymorph" : "thttpd");
+  const apps::AppSpec app = concrete_app(state.range(0));
+  const interp::Program program(app.module);
   Rng rng(7);
   for (auto _ : state) {
     Rng r = rng.split();
-    interp::Interpreter it(app.module, app.workload(r));
+    interp::Interpreter it(program, app.workload(r));
     benchmark::DoNotOptimize(it.run().steps);
   }
 }
-BENCHMARK(BM_ConcreteRun)->Arg(0)->Arg(1);
+BENCHMARK(BM_ConcreteRun)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_MonitoredRun(benchmark::State& state) {
   const apps::AppSpec app = apps::make_polymorph();
+  const interp::Program program(app.module);
   const double rate = static_cast<double>(state.range(0)) / 100.0;
   Rng rng(7);
   for (auto _ : state) {
     Rng r = rng.split();
-    auto run = monitor::run_monitored(app.module, app.workload(r),
+    auto run = monitor::run_monitored(program, app.workload(r),
                                       {.sampling_rate = rate}, rng.split(), 0);
     benchmark::DoNotOptimize(run.log.records.size());
   }

@@ -7,33 +7,4 @@ bool run_is_faulty(const ir::Module& m, const interp::RuntimeInput& input) {
   return it.run().outcome == interp::RunOutcome::kFault;
 }
 
-std::vector<monitor::RunLog> collect_app_logs(const AppSpec& app,
-                                              monitor::MonitorOptions mon,
-                                              std::size_t n_correct,
-                                              std::size_t n_faulty,
-                                              std::uint64_t seed,
-                                              std::size_t max_attempts) {
-  std::vector<monitor::RunLog> logs;
-  Rng rng(seed);
-  std::size_t correct = 0;
-  std::size_t faulty = 0;
-  std::int32_t run_id = 0;
-  for (std::size_t i = 0;
-       i < max_attempts && (correct < n_correct || faulty < n_faulty); ++i) {
-    Rng input_rng = rng.split();
-    auto run = monitor::run_monitored(app.module, app.workload(input_rng),
-                                      mon, rng.split(), run_id);
-    if (run.log.faulty && faulty < n_faulty) {
-      logs.push_back(std::move(run.log));
-      ++faulty;
-      ++run_id;
-    } else if (!run.log.faulty && correct < n_correct) {
-      logs.push_back(std::move(run.log));
-      ++correct;
-      ++run_id;
-    }
-  }
-  return logs;
-}
-
 }  // namespace statsym::apps

@@ -2,20 +2,11 @@
 #pragma once
 
 #include "apps/registry.h"
-#include "monitor/monitor.h"
+#include "interp/interpreter.h"
 
 namespace statsym::apps {
 
 // Runs the module once (no monitoring) and reports whether it faulted.
 bool run_is_faulty(const ir::Module& m, const interp::RuntimeInput& input);
-
-// Collects sampled logs for an application: runs its workload generator
-// until `n_correct` + `n_faulty` logs are gathered (or the attempt cap).
-std::vector<monitor::RunLog> collect_app_logs(const AppSpec& app,
-                                              monitor::MonitorOptions mon,
-                                              std::size_t n_correct,
-                                              std::size_t n_faulty,
-                                              std::uint64_t seed,
-                                              std::size_t max_attempts = 20000);
 
 }  // namespace statsym::apps

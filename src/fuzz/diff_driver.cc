@@ -61,12 +61,14 @@ symexec::ExecOptions concretized_exec_options() {
 }
 
 // One oracle-(a) comparison. Returns a non-empty description on divergence.
-std::string compare_engines(const ir::Module& m,
+// `code` is the module decoded once and shared by every input.
+std::string compare_engines(const interp::Program& code,
                             const interp::RuntimeInput& input) {
-  interp::Interpreter it(m, input);
+  interp::Interpreter it(code, input);
   const interp::RunResult concrete = it.run();
 
-  symexec::SymExecutor ex(m, concretize(input), concretized_exec_options());
+  symexec::SymExecutor ex(code.module(), concretize(input),
+                          concretized_exec_options());
   const symexec::ExecResult symbolic = ex.run();
 
   const std::int64_t len =
@@ -112,8 +114,9 @@ std::string compare_engines(const ir::Module& m,
 // Ground-truth check: the interpreter outcome on `input` must match the
 // planted predicate len >= T. Non-empty description on violation.
 std::string check_ground_truth(const GeneratedProgram& prog,
+                               const interp::Program& code,
                                const interp::RuntimeInput& input) {
-  interp::Interpreter it(prog.app.module, input);
+  interp::Interpreter it(code, input);
   const interp::RunResult r = it.run();
   const auto len = static_cast<std::int64_t>(input.argv[1].size());
   const bool should_fault =
@@ -447,12 +450,7 @@ interp::FaultKind finding_fault(analysis::FindingKind k) {
 class FactsObserver : public interp::InterpListener {
  public:
   FactsObserver(const ir::Module& m, const analysis::ProgramFacts& facts)
-      : facts_(facts) {
-    for (ir::FuncId f = 0;
-         f < static_cast<ir::FuncId>(m.functions().size()); ++f) {
-      ids_[m.function(f).name] = f;
-    }
-  }
+      : m_(m), facts_(facts) {}
 
   void on_enter(const interp::Interpreter&, const ir::Function&,
                 std::span<const interp::Value>) override {}
@@ -463,7 +461,7 @@ class FactsObserver : public interp::InterpListener {
   void on_block(const interp::Interpreter&, const ir::Function& fn,
                 ir::BlockId block) override {
     if (!violation_.empty()) return;
-    const ir::FuncId f = ids_.at(fn.name);
+    const ir::FuncId f = id_of(fn);
     if (!facts_.block_reachable(f, block)) {
       violation_ = fn.name + "() block " + std::to_string(block) +
                    " executed but statically unreachable";
@@ -473,7 +471,7 @@ class FactsObserver : public interp::InterpListener {
   void on_branch(const interp::Interpreter&, const ir::Function& fn,
                  ir::BlockId block, bool taken) override {
     if (!violation_.empty()) return;
-    const ir::FuncId f = ids_.at(fn.name);
+    const ir::FuncId f = id_of(fn);
     const analysis::BranchFact bf = facts_.branch(f, block);
     if ((bf == analysis::BranchFact::kAlwaysTrue && !taken) ||
         (bf == analysis::BranchFact::kAlwaysFalse && taken)) {
@@ -486,8 +484,13 @@ class FactsObserver : public interp::InterpListener {
   const std::string& violation() const { return violation_; }
 
  private:
+  // Listener callbacks pass elements of m_.functions(): the id is the offset.
+  ir::FuncId id_of(const ir::Function& fn) const {
+    return static_cast<ir::FuncId>(&fn - m_.functions().data());
+  }
+
+  const ir::Module& m_;
   const analysis::ProgramFacts& facts_;
-  std::map<std::string, ir::FuncId> ids_;
   std::string violation_;
 };
 
@@ -509,9 +512,10 @@ std::string check_static_facts(const GeneratedProgram& prog,
     }
   }
 
+  const interp::Program code(module);
   for (const auto& input : inputs) {
     FactsObserver obs(module, facts);
-    interp::Interpreter it(module, input);
+    interp::Interpreter it(code, input);
     it.set_listener(&obs);
     it.run();
     if (!obs.violation().empty()) {
@@ -717,17 +721,19 @@ ProgramVerdict run_program_seed(std::size_t index, std::uint64_t program_seed,
   } else {
     inputs.push_back(payload_input(prog.capacity - 1));
   }
+  const interp::Program code(prog.app.module);
   for (const auto& input : inputs) {
-    std::string err = check_ground_truth(prog, input);
-    if (err.empty()) err = compare_engines(prog.app.module, input);
+    std::string err = check_ground_truth(prog, code, input);
+    if (err.empty()) err = compare_engines(code, input);
     if (!err.empty()) {
       // The failure is tied to this concrete input: a shrunk module must
       // keep misbehaving on it.
       auto still_fails = [&prog, &input](const ir::Module& m) {
         GeneratedProgram p = prog;  // same ground truth, rewritten module
         p.app.module = m;
-        return !check_ground_truth(p, input).empty() ||
-               !compare_engines(m, input).empty();
+        const interp::Program shrunk(p.app.module);
+        return !check_ground_truth(p, shrunk, input).empty() ||
+               !compare_engines(shrunk, input).empty();
       };
       fail_program(v, prog, Oracle::kDifferential, err, still_fails, opts);
       return v;

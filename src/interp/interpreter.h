@@ -13,12 +13,14 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "interp/memory.h"
+#include "interp/program.h"
 #include "ir/module.h"
 
 namespace statsym::interp {
@@ -112,8 +114,12 @@ struct InterpOptions {
 
 class Interpreter {
  public:
+  // Runs `m`, decoding it privately. Callers that run one module many times
+  // should decode a Program once and use the constructor below.
   Interpreter(const ir::Module& m, RuntimeInput input,
               InterpOptions opts = {});
+  // Runs a shared decoded program; `p` must outlive the Interpreter.
+  Interpreter(const Program& p, RuntimeInput input, InterpOptions opts = {});
 
   void set_listener(InterpListener* l) { listener_ = l; }
   void set_extern_model(ExternModel em) { extern_model_ = std::move(em); }
@@ -122,43 +128,61 @@ class Interpreter {
   RunResult run();
 
   // --- introspection (valid during listener callbacks and after run) ------
-  const ir::Module& module() const { return m_; }
+  const ir::Module& module() const { return p_.module(); }
   const Memory& memory() const { return mem_; }
 
-  // Value of a module global by name.
-  Value global_value(const std::string& name) const;
+  // All global slots, in module order (slot i is Module::global(i)).
+  std::span<const Value> globals() const { return globals_; }
 
   // Length of the C string a ref points at (0 for null/ints — callers use
   // this to log "len(x)" for string-typed variables).
   std::int64_t string_length(const Value& v) const;
 
  private:
+  // One activation. Registers and the on_enter parameter snapshot live in
+  // the shared regs_/params_ stacks, starting at the recorded bases.
   struct Frame {
     ir::FuncId func{ir::kNoFunc};
-    ir::BlockId block{0};
-    std::int32_t idx{0};
-    std::vector<Value> regs;
-    ir::Reg ret_dst{ir::kNoReg};  // caller register receiving the result
-    std::vector<Value> params;    // snapshot for on_leave
+    std::int32_t ret_pc{0};         // caller pc to resume at
+    ir::Reg ret_dst{ir::kNoReg};    // caller register receiving the result
+    std::size_t regs_base{0};
+    std::size_t params_base{0};
+    std::int32_t num_params{0};
   };
 
-  // Steps one instruction of the top frame. Returns false when execution
-  // must stop (fault recorded in result_).
-  bool step();
+  void init();  // globals, argv and env objects (shared by constructors)
+  template <bool kListen>
+  void execute();
 
-  void fault(FaultKind kind, std::string detail);
-  void enter_function(ir::FuncId id, std::vector<Value> args, ir::Reg ret_dst);
+  // Records a fault at `pc` of the top frame.
+  void fault(std::int32_t pc, FaultKind kind, std::string detail);
+  std::string object_label(ObjId obj) const;
+  // Pushes a frame for `callee` whose arguments are read from the caller
+  // registers at `caller_regs` (null for main).
+  template <bool kListen>
+  void enter_function(ir::FuncId callee, const ir::Reg* args,
+                      std::int32_t nargs, std::size_t caller_regs,
+                      std::int32_t ret_pc, ir::Reg ret_dst);
   // Pops the top frame delivering `ret` to the caller; handles main return.
-  void leave_function(std::optional<Value> ret);
+  // Returns the caller's resume pc (meaningless once done_).
+  template <bool kListen>
+  std::int32_t leave_function(std::optional<Value> ret);
+  std::span<const Value> frame_params(const Frame& f) const {
+    return {params_.data() + f.params_base,
+            static_cast<std::size_t>(f.num_params)};
+  }
 
-  const ir::Module& m_;
+  std::unique_ptr<const Program> owned_;  // set when decoded privately
+  const Program& p_;
   RuntimeInput input_;
   InterpOptions opts_;
   Memory mem_;
   std::vector<Value> globals_;
   std::vector<ObjId> argv_objs_;
-  std::map<std::string, ObjId> env_objs_;
-  std::vector<Frame> stack_;
+  std::vector<Value> env_values_;  // per Program::env_names() slot
+  std::vector<Frame> frames_;
+  std::vector<Value> regs_;
+  std::vector<Value> params_;  // only filled while a listener is attached
   InterpListener* listener_{nullptr};
   ExternModel extern_model_;
   RunResult result_;

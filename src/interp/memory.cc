@@ -1,72 +1,50 @@
 #include "interp/memory.h"
 
 #include <cassert>
+#include <cstring>
 
 namespace statsym::interp {
 
-ObjId Memory::alloc(std::int64_t size, std::string label) {
+ObjId Memory::alloc(std::int64_t size, ObjLabel label) {
   assert(size > 0);
-  Object o;
-  o.bytes.assign(static_cast<std::size_t>(size), 0);
-  o.label = std::move(label);
-  total_bytes_ += o.bytes.size();
-  objects_.push_back(std::move(o));
+  const auto base = static_cast<std::int64_t>(bytes_.size());
+  bytes_.resize(bytes_.size() + static_cast<std::size_t>(size), 0);
+  objects_.push_back(Object{base, size, label});
   return static_cast<ObjId>(objects_.size() - 1);
 }
 
-ObjId Memory::alloc_string(const std::string& s, std::string label) {
-  const ObjId id =
-      alloc(static_cast<std::int64_t>(s.size()) + 1, std::move(label));
+ObjId Memory::alloc_string(const std::string& s, ObjLabel label) {
+  const ObjId id = alloc(static_cast<std::int64_t>(s.size()) + 1, label);
   fill(id, s);
   return id;
 }
 
-std::int64_t Memory::size(ObjId id) const {
-  assert(valid(id));
-  return static_cast<std::int64_t>(objects_[id].bytes.size());
-}
-
-const std::string& Memory::label(ObjId id) const {
-  assert(valid(id));
-  return objects_[id].label;
-}
-
-std::uint8_t Memory::read(ObjId id, std::int64_t addr) const {
-  assert(in_bounds(id, addr));
-  return objects_[id].bytes[static_cast<std::size_t>(addr)];
-}
-
-void Memory::write(ObjId id, std::int64_t addr, std::uint8_t byte) {
-  assert(in_bounds(id, addr));
-  objects_[id].bytes[static_cast<std::size_t>(addr)] = byte;
-}
-
 std::string Memory::c_string(ObjId id, std::int64_t off) const {
   assert(valid(id));
-  std::string out;
-  for (std::int64_t a = off; a < size(id); ++a) {
-    const std::uint8_t b = read(id, a);
-    if (b == 0) break;
-    out.push_back(static_cast<char>(b));
-  }
-  return out;
+  const std::int64_t n = c_strlen(id, off);
+  if (n <= 0) return {};
+  const auto* p = bytes_.data() + objects_[id].base + off;
+  return std::string(reinterpret_cast<const char*>(p),
+                     static_cast<std::size_t>(n));
 }
 
 std::int64_t Memory::c_strlen(ObjId id, std::int64_t off) const {
-  assert(valid(id));
-  std::int64_t n = 0;
-  for (std::int64_t a = off; a < size(id); ++a, ++n) {
-    if (read(id, a) == 0) break;
-  }
-  return n;
+  assert(valid(id) && off >= 0);
+  const Object& o = objects_[id];
+  if (off >= o.size) return 0;
+  const auto* p = bytes_.data() + o.base + off;
+  const auto len = static_cast<std::size_t>(o.size - off);
+  const void* nul = std::memchr(p, 0, len);
+  return nul == nullptr
+             ? static_cast<std::int64_t>(len)
+             : static_cast<const std::uint8_t*>(nul) - p;
 }
 
 void Memory::fill(ObjId id, const std::string& s) {
   assert(valid(id));
   assert(static_cast<std::int64_t>(s.size()) <= size(id));
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    write(id, static_cast<std::int64_t>(i), static_cast<std::uint8_t>(s[i]));
-  }
+  if (s.empty()) return;
+  std::memcpy(bytes_.data() + objects_[id].base, s.data(), s.size());
 }
 
 }  // namespace statsym::interp

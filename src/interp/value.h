@@ -13,14 +13,16 @@ inline constexpr ObjId kNullObj = -1;
 struct Value {
   enum class Kind : std::uint8_t { kInt, kRef };
 
+  // Field order packs the struct into 24 bytes (registers are copied on
+  // nearly every interpreted instruction).
   Kind kind{Kind::kInt};
-  std::int64_t i{0};   // integer payload (Kind::kInt)
   ObjId obj{kNullObj};  // object id (Kind::kRef)
+  std::int64_t i{0};    // integer payload (Kind::kInt)
   std::int64_t off{0};  // offset within the object (Kind::kRef)
 
-  static Value make_int(std::int64_t v) { return {Kind::kInt, v, kNullObj, 0}; }
+  static Value make_int(std::int64_t v) { return {Kind::kInt, kNullObj, v, 0}; }
   static Value make_ref(ObjId o, std::int64_t off = 0) {
-    return {Kind::kRef, 0, o, off};
+    return {Kind::kRef, o, 0, off};
   }
   static Value null_ref() { return make_ref(kNullObj); }
 

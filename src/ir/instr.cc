@@ -1,7 +1,5 @@
 #include "ir/instr.h"
 
-#include <cassert>
-
 namespace statsym::ir {
 
 const char* opcode_name(Opcode op) {
@@ -70,41 +68,6 @@ bool is_comparison(BinOp op) {
     default:
       return false;
   }
-}
-
-std::int64_t eval_binop(BinOp op, std::int64_t a, std::int64_t b) {
-  // Wrap-around two's-complement semantics via unsigned arithmetic; signed
-  // overflow in C++ would be UB.
-  const auto ua = static_cast<std::uint64_t>(a);
-  const auto ub = static_cast<std::uint64_t>(b);
-  switch (op) {
-    case BinOp::kAdd: return static_cast<std::int64_t>(ua + ub);
-    case BinOp::kSub: return static_cast<std::int64_t>(ua - ub);
-    case BinOp::kMul: return static_cast<std::int64_t>(ua * ub);
-    case BinOp::kDiv:
-      assert(b != 0);
-      // INT64_MIN / -1 also overflows; define it as INT64_MIN (wrap).
-      if (a == INT64_MIN && b == -1) return INT64_MIN;
-      return a / b;
-    case BinOp::kRem:
-      assert(b != 0);
-      if (a == INT64_MIN && b == -1) return 0;
-      return a % b;
-    case BinOp::kAnd: return static_cast<std::int64_t>(ua & ub);
-    case BinOp::kOr: return static_cast<std::int64_t>(ua | ub);
-    case BinOp::kXor: return static_cast<std::int64_t>(ua ^ ub);
-    case BinOp::kShl: return static_cast<std::int64_t>(ua << (ub & 63));
-    case BinOp::kShr: return static_cast<std::int64_t>(ua >> (ub & 63));
-    case BinOp::kEq: return a == b;
-    case BinOp::kNe: return a != b;
-    case BinOp::kLt: return a < b;
-    case BinOp::kLe: return a <= b;
-    case BinOp::kGt: return a > b;
-    case BinOp::kGe: return a >= b;
-    case BinOp::kLAnd: return (a != 0) && (b != 0);
-    case BinOp::kLOr: return (a != 0) || (b != 0);
-  }
-  return 0;
 }
 
 }  // namespace statsym::ir

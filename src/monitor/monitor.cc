@@ -1,9 +1,11 @@
 #include "monitor/monitor.h"
 
+#include <cassert>
+
 namespace statsym::monitor {
 
 Monitor::Monitor(const ir::Module& m, MonitorOptions opts, Rng rng)
-    : m_(m), opts_(opts), rng_(rng) {}
+    : m_(m), opts_(std::move(opts)), rng_(rng) {}
 
 void Monitor::on_enter(const interp::Interpreter& interp,
                        const ir::Function& fn,
@@ -31,13 +33,17 @@ void Monitor::record(const interp::Interpreter& interp,
   ++log_.records_considered;
   if (!rng_.chance(opts_.sampling_rate)) return;
 
-  const ir::FuncId fid = m_.find_function(fn.name);
+  // `fn` is always an element of m_.functions(), so its id is its offset.
+  const auto fid = static_cast<ir::FuncId>(&fn - m_.functions().data());
+  assert(fid >= 0 && static_cast<std::size_t>(fid) < m_.functions().size());
   LogRecord rec;
   rec.loc = leave ? leave_loc(fid) : enter_loc(fid);
+  rec.vars.reserve((opts_.log_globals ? m_.globals().size() : 0) +
+                   (opts_.log_params ? params.size() : 0) + (leave ? 1 : 0));
 
   auto sample_value = [&](const std::string& name, VarKind kind,
                           const interp::Value& v) {
-    VarSample s;
+    VarSample& s = rec.vars.emplace_back();
     s.name = name;
     s.kind = kind;
     if (v.is_ref()) {
@@ -47,12 +53,13 @@ void Monitor::record(const interp::Interpreter& interp,
     } else {
       s.value = static_cast<double>(v.i);
     }
-    rec.vars.push_back(std::move(s));
   };
 
   if (opts_.log_globals) {
-    for (const auto& g : m_.globals()) {
-      sample_value(g.name, VarKind::kGlobal, interp.global_value(g.name));
+    const auto& globals = m_.globals();
+    const std::span<const interp::Value> values = interp.globals();
+    for (std::size_t i = 0; i < globals.size(); ++i) {
+      sample_value(globals[i].name, VarKind::kGlobal, values[i]);
     }
   }
   if (opts_.log_params) {
@@ -73,15 +80,22 @@ RunLog Monitor::finish(std::int32_t run_id, const interp::RunResult& result) {
   return std::move(log_);
 }
 
-MonitoredRun run_monitored(const ir::Module& m, interp::RuntimeInput input,
-                           MonitorOptions opts, Rng rng, std::int32_t run_id) {
-  interp::Interpreter it(m, std::move(input));
-  Monitor mon(m, opts, rng);
+MonitoredRun run_monitored(const interp::Program& p,
+                           interp::RuntimeInput input, MonitorOptions opts,
+                           Rng rng, std::int32_t run_id) {
+  interp::Interpreter it(p, std::move(input));
+  Monitor mon(p.module(), std::move(opts), rng);
   it.set_listener(&mon);
   MonitoredRun out;
   out.result = it.run();
   out.log = mon.finish(run_id, out.result);
   return out;
+}
+
+MonitoredRun run_monitored(const ir::Module& m, interp::RuntimeInput input,
+                           MonitorOptions opts, Rng rng, std::int32_t run_id) {
+  return run_monitored(interp::Program(m), std::move(input), std::move(opts),
+                       rng, run_id);
 }
 
 }  // namespace statsym::monitor

@@ -54,13 +54,18 @@ class Monitor : public interp::InterpListener {
   RunLog log_;
 };
 
-// Convenience driver: runs the module once under the monitor and returns the
-// (log, result) pair. `rng` seeds the sampling decisions only.
+// Convenience driver: runs the program once under the monitor and returns
+// the (log, result) pair. `rng` seeds the sampling decisions only. Callers
+// that run a module many times pass one shared decoded Program; the Module
+// overload decodes it for this run alone.
 struct MonitoredRun {
   RunLog log;
   interp::RunResult result;
 };
 
+MonitoredRun run_monitored(const interp::Program& p,
+                           interp::RuntimeInput input, MonitorOptions opts,
+                           Rng rng, std::int32_t run_id);
 MonitoredRun run_monitored(const ir::Module& m, interp::RuntimeInput input,
                            MonitorOptions opts, Rng rng, std::int32_t run_id);
 

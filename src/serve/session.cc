@@ -43,12 +43,40 @@ ServeSession::ServeSession(ServeOptions opts)
       resolver_([](const std::string& name) { return apps::make_app(name); }) {
 }
 
-solver::SharedQueryCache& ServeSession::cache_for(const solver::Fp128& fp) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = store_[fp];
-  if (!slot) slot = std::make_unique<solver::SharedQueryCache>();
-  return *slot;
+ServeSession::Slot& ServeSession::slot_locked(const solver::Fp128& fp) {
+  Slot& slot = store_[fp];
+  if (!slot.cache) slot.cache = std::make_unique<solver::SharedQueryCache>();
+  return slot;
 }
+
+// A request's claim on its program's cache. Two in-flight requests for one
+// program share the slot; the last one out erases it if the runs left the
+// cache empty (nothing to warm a later request with, nothing to save).
+class ServeSession::CacheLease {
+ public:
+  CacheLease(ServeSession& s, const solver::Fp128& fp) : s_(s), fp_(fp) {
+    std::lock_guard<std::mutex> lock(s_.mu_);
+    Slot& slot = s_.slot_locked(fp_);
+    ++slot.users;
+    cache_ = slot.cache.get();
+  }
+  ~CacheLease() {
+    std::lock_guard<std::mutex> lock(s_.mu_);
+    auto it = s_.store_.find(fp_);
+    if (--it->second.users == 0 && it->second.cache->size() == 0) {
+      s_.store_.erase(it);
+    }
+  }
+  CacheLease(const CacheLease&) = delete;
+  CacheLease& operator=(const CacheLease&) = delete;
+
+  solver::SharedQueryCache& cache() const { return *cache_; }
+
+ private:
+  ServeSession& s_;
+  solver::Fp128 fp_;
+  solver::SharedQueryCache* cache_{nullptr};
+};
 
 void ServeSession::bump(const std::string& counter, std::uint64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -158,7 +186,8 @@ std::string ServeSession::handle_run(const Frame& frame) {
   const bool want_metrics = body_value(frame.body, "metrics") == "1";
 
   const apps::AppSpec app = resolver_(std::string(*app_name));
-  solver::SharedQueryCache& cache = cache_for(program_fingerprint(app.module));
+  const CacheLease lease(*this, program_fingerprint(app.module));
+  solver::SharedQueryCache& cache = lease.cache();
 
   // Mirror statsym_cli's engine_options() defaults exactly — that identity
   // is what the served-vs-oneshot equivalence test pins down.
@@ -239,7 +268,7 @@ std::string ServeSession::handle_stats(const Frame& frame) {
   std::vector<std::string> body;
   body.push_back("programs|" + u64s(store_.size()));
   std::uint64_t entries = 0;
-  for (const auto& [fp, cache] : store_) entries += cache->size();
+  for (const auto& [fp, slot] : store_) entries += slot.cache->size();
   body.push_back("cache-entries|" + u64s(entries));
   for (const auto& [name, value] : metrics_.counters()) {
     body.push_back("counter|" + name + "|" + u64s(value));
@@ -269,8 +298,11 @@ std::string ServeSession::store_text() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<solver::StoreBlockRef> blocks;
   blocks.reserve(store_.size());
-  for (const auto& [fp, cache] : store_) {
-    blocks.push_back(solver::StoreBlockRef{fp, cache.get()});
+  for (const auto& [fp, slot] : store_) {
+    // A slot still in use by a request can be empty for now; it has
+    // nothing to save.
+    if (slot.cache->size() == 0) continue;
+    blocks.push_back(solver::StoreBlockRef{fp, slot.cache.get()});
   }
   return solver::serialize_store(blocks);
 }
@@ -278,12 +310,16 @@ std::string ServeSession::store_text() const {
 bool ServeSession::load_store_from_text(const std::string& text,
                                         std::string* error) {
   solver::CacheStoreStats stats;
+  std::lock_guard<std::mutex> lock(mu_);
   const bool ok = solver::load_store_text(
       text, [this](const solver::Fp128& fp) -> solver::SharedQueryCache& {
-        return cache_for(fp);
+        return *slot_locked(fp).cache;
       },
       &stats, error);
-  std::lock_guard<std::mutex> lock(mu_);
+  // Blocks whose every entry was rejected leave no empty program behind.
+  std::erase_if(store_, [](const auto& kv) {
+    return kv.second.users == 0 && kv.second.cache->size() == 0;
+  });
   metrics_.add("serve.store_bytes", stats.bytes);
   metrics_.add("serve.store_entries_loaded", stats.entries_loaded);
   metrics_.add("serve.store_entries_rejected", stats.entries_rejected);

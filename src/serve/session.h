@@ -4,7 +4,11 @@
 // SharedQueryCache per analysed program, keyed by the program's 128-bit
 // structural fingerprint, living across requests (and — through the disk
 // store in solver/cache_store.h — across processes). handle() executes one
-// parsed request frame and returns the serialized reply.
+// parsed request frame and returns the serialized reply. Only programs
+// whose cache holds entries are kept: a fault-free program never reaches
+// the solver, and its empty cache is dropped when the last request using
+// it finishes, so session memory grows with solver work, not with the
+// number of distinct programs seen.
 //
 // Determinism contract: a served `run` request is byte-identical (verdict,
 // solver-stat sums, metrics modulo *.seconds gauges, trace) to the
@@ -86,7 +90,16 @@ class ServeSession {
   std::size_t num_programs() const;
 
  private:
-  solver::SharedQueryCache& cache_for(const solver::Fp128& fp);
+  // One store slot: the program's cache and the in-flight requests using
+  // it. A slot whose cache is empty is erased once it has no users.
+  struct Slot {
+    std::unique_ptr<solver::SharedQueryCache> cache;
+    std::size_t users{0};
+  };
+  class CacheLease;
+
+  // Store slot for `fp`, created empty on first use. Caller holds mu_.
+  Slot& slot_locked(const solver::Fp128& fp);
   std::string handle_run(const Frame& frame);
   std::string handle_stats(const Frame& frame);
   std::string handle_save(const Frame& frame);
@@ -96,7 +109,7 @@ class ServeSession {
   AppResolver resolver_;
   mutable std::mutex mu_;  // guards store_, metrics_, shutdown_
   // Fp128 has operator<; std::map keeps store serialization order stable.
-  std::map<solver::Fp128, std::unique_ptr<solver::SharedQueryCache>> store_;
+  std::map<solver::Fp128, Slot> store_;
   obs::MetricsRegistry metrics_;
   bool shutdown_{false};
 };

@@ -172,20 +172,44 @@ void StatSymEngine::collect_logs(const WorkloadGen& gen) {
                       [this](monitor::LogShard&& s) { fold_shard(std::move(s)); });
   }
 
+  // The module is decoded once; every attempt on every worker runs the
+  // same read-only program.
+  const interp::Program program(m_);
+
   // Every attempt owns a private RNG stream derived from (seed, attempt),
   // so the input it generates and the sampling decisions its monitor makes
   // do not depend on which worker runs it or in what order.
-  auto run_attempt = [&](std::size_t attempt) {
+  //
+  // Over-target attempts: once a class is full, an attempt whose run lands
+  // in it cannot be admitted, so its log is never needed. While a class is
+  // full the attempt first runs unmonitored (the monitor only observes, so
+  // the outcome is the same) and is re-run monitored — same input, same
+  // sampling stream — only when its outcome falls in a class still open.
+  // `gen` is called exactly once per attempt either way. Returns no log
+  // for an attempt that cannot be admitted.
+  auto run_attempt = [&](std::size_t attempt, bool correct_open,
+                         bool faulty_open) -> std::optional<monitor::RunLog> {
     Rng rng(derive_seed(opts_.seed, attempt));
     Rng input_rng = rng.split();
     interp::RuntimeInput input = gen(input_rng);
-    return monitor::run_monitored(m_, std::move(input), opts_.monitor,
-                                  rng.split(), /*run_id=*/0);
+    if (!correct_open || !faulty_open) {
+      interp::Interpreter plain(program, input);
+      const bool faulty =
+          plain.run().outcome == interp::RunOutcome::kFault;
+      if (!(faulty ? faulty_open : correct_open)) return std::nullopt;
+    }
+    return monitor::run_monitored(program, std::move(input), opts_.monitor,
+                                  rng.split(), /*run_id=*/0)
+        .log;
   };
+  auto correct_open = [&] { return correct < opts_.target_correct_logs; };
+  auto faulty_open = [&] { return faulty < opts_.target_faulty_logs; };
   // Keep only as many logs per class as the target asks for — the paper
   // randomly samples 100 correct + 100 faulty logs from a large pool. The
   // run id is stamped at admission so it counts kept logs, as before.
-  auto admit = [&](monitor::RunLog&& log) {
+  auto admit = [&](std::optional<monitor::RunLog>&& attempt_log) {
+    if (!attempt_log.has_value()) return;
+    monitor::RunLog& log = *attempt_log;
     const bool is_faulty = log.faulty;
     const bool take = is_faulty ? faulty < opts_.target_faulty_logs
                                 : correct < opts_.target_correct_logs;
@@ -203,22 +227,22 @@ void StatSymEngine::collect_logs(const WorkloadGen& gen) {
     }
     ++(is_faulty ? faulty : correct);
   };
-  auto targets_met = [&] {
-    return correct >= opts_.target_correct_logs &&
-           faulty >= opts_.target_faulty_logs;
-  };
+  auto targets_met = [&] { return !correct_open() && !faulty_open(); };
 
   const std::size_t nthreads = effective_threads(opts_.num_threads);
   if (nthreads <= 1) {
     for (std::size_t attempt = 0;
          attempt < opts_.max_workload_runs && !targets_met(); ++attempt) {
-      admit(std::move(run_attempt(attempt).log));
+      admit(run_attempt(attempt, correct_open(), faulty_open()));
     }
   } else {
     // Waves of independent attempts fan out across the pool and merge in
     // attempt order, so the admitted set is bit-identical to the sequential
     // build. A wave may overshoot the point where the sequential loop would
-    // have stopped — that is wasted work, never a semantic difference.
+    // have stopped — that is wasted work, never a semantic difference. The
+    // over-target rule reads the class counts at wave start: a class full
+    // then stays full, and attempts in a class that fills mid-wave are
+    // monitored and then refused at merge, as the sequential loop would.
     ThreadPool pool(nthreads);
     const std::size_t wave = nthreads * 8;
     std::size_t next_attempt = 0;
@@ -226,9 +250,11 @@ void StatSymEngine::collect_logs(const WorkloadGen& gen) {
       const std::size_t n =
           std::min(wave, opts_.max_workload_runs - next_attempt);
       const std::size_t base = next_attempt;
-      std::vector<monitor::RunLog> batch(n);
+      const bool c_open = correct_open();
+      const bool f_open = faulty_open();
+      std::vector<std::optional<monitor::RunLog>> batch(n);
       pool.parallel_for(n, [&](std::size_t i) {
-        batch[i] = std::move(run_attempt(base + i).log);
+        batch[i] = run_attempt(base + i, c_open, f_open);
       });
       for (std::size_t i = 0; i < n && !targets_met(); ++i) {
         admit(std::move(batch[i]));

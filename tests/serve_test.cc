@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/builder.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -224,6 +225,66 @@ TEST(ServeSession, ShutdownFlagSticks) {
   EXPECT_FALSE(s.shutdown_requested());
   EXPECT_TRUE(handle(s, make_frame("x", {"cmd|shutdown"})).ok);
   EXPECT_TRUE(s.shutdown_requested());
+}
+
+// --- store memory: empty per-program caches are not kept -------------------
+
+// A program with no fault: collection never finds a faulty run, the engine
+// stops before Phase 3, and the program's solver cache stays empty.
+apps::AppSpec fault_free_app() {
+  ir::ModuleBuilder mb("clean");
+  auto f = mb.func("main", {});
+  f.ret(f.ci(0));
+  apps::AppSpec app;
+  app.name = "clean";
+  app.module = mb.build();
+  app.workload = [](Rng&) { return interp::RuntimeInput{}; };
+  return app;
+}
+
+void resolve_clean(ServeSession& s) {
+  s.set_resolver([](const std::string& name) {
+    return name == "clean" ? fault_free_app() : apps::make_app(name);
+  });
+}
+
+TEST(ServeSession, FaultFreeProgramsLeaveNoCacheBehind) {
+  ServeSession s{ServeOptions{}};
+  resolve_clean(s);
+  for (const char* id : {"c1", "c2", "c3"}) {
+    const Reply r = handle(s, make_frame(id, {"cmd|run", "app|clean"}));
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(body_value(r.body, "verdict"), "not-found");
+  }
+  EXPECT_EQ(s.num_programs(), 0u);
+  EXPECT_EQ(s.store_text(), ServeSession{ServeOptions{}}.store_text());
+
+  // A program that reaches the solver keeps its (non-empty) cache.
+  ASSERT_TRUE(handle(s, make_frame("f", {"cmd|run", "app|fig2", "seed|7"})).ok);
+  const Reply stats = handle(s, make_frame("s", {"cmd|stats"}));
+  EXPECT_EQ(body_value(stats.body, "programs"), "1");
+  EXPECT_EQ(s.num_programs(), 1u);
+}
+
+TEST(ServeSession, ConcurrentRequestsForOneProgramShareThenDropItsCache) {
+  // Several in-flight requests for the same fault-free program share one
+  // store slot; the last to finish drops it. The fig2 slot survives.
+  ServeSession s{ServeOptions{}};
+  resolve_clean(s);
+  std::string text;
+  for (int i = 0; i < 6; ++i) {
+    text += "statsym-serve|1|c" + std::to_string(i) +
+            "|2\ncmd|run\napp|clean\nendreq\n";
+    if (i % 3 == 0) {
+      text += "statsym-serve|1|f" + std::to_string(i) +
+              "|3\ncmd|run\napp|fig2\nseed|7\nendreq\n";
+    }
+  }
+  std::istringstream in(text);
+  std::ostringstream out;
+  EXPECT_EQ(serve_stream(in, out, s, /*jobs=*/4), 8u);
+  EXPECT_EQ(out.str().find("|error|"), std::string::npos);
+  EXPECT_EQ(s.num_programs(), 1u);
 }
 
 // --- server loop ----------------------------------------------------------
