@@ -1,0 +1,214 @@
+// Equivalence contract of the symbolic engines: every deterministic
+// observable of an analysis — verdict, fault kind and function, the witness
+// input, candidate and path counts, instructions, per-lane concolic counts,
+// every SolverStats counter, the executor's fork and clone-byte accounting
+// and the metrics counters — is pinned by digests recorded before the
+// expression pool became single-owner and shared across a concolic lane's
+// follow runs. The deterministic trace JSONL of two paper apps is pinned the
+// same way.
+//
+// The digests fold 150 generated fault-planted programs (chains and segments
+// up to 8, as the concolic-fleet benchmark builds them) and the five paper
+// apps, each under the concolic, guided and pure engines. Budgets are
+// instruction caps, never wall-clock limits, so every run stops at the same
+// point on any machine.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "apps/registry.h"
+#include "concolic/concolic.h"
+#include "fuzz/program_gen.h"
+#include "statsym/engine.h"
+#include "support/rng.h"
+
+namespace statsym::core {
+namespace {
+
+// FNV-1a over a stream of strings.
+struct Digest {
+  std::uint64_t h{0xcbf29ce484222325ULL};
+  void add(const std::string& s) {
+    for (const unsigned char c : s) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+    h ^= 0xff;
+    h *= 0x100000001b3ULL;
+  }
+};
+
+void render(std::ostream& os, const solver::SolverStats& s) {
+  os << " q" << s.queries << " sat" << s.sat << " unsat" << s.unsat
+     << " unk" << s.unknown << " ch" << s.cache_hits << " mr"
+     << s.model_reuse_hits << " sh" << s.shared_cache_hits << " sl"
+     << s.slices << " ms" << s.multi_slice_queries << " so" << s.solves
+     << " sn" << s.search_nodes << " pr" << s.propagation_rounds << " sp"
+     << s.static_prunes;
+}
+
+std::string render(const EngineResult& r) {
+  std::ostringstream os;
+  os << "found=" << r.found;
+  if (r.vuln.has_value()) {
+    const symexec::VulnPath& v = *r.vuln;
+    os << " kind=" << interp::fault_kind_name(v.kind) << " fn=" << v.function
+       << " detail=" << v.detail << " valid=" << v.model_valid
+       << " trace=" << v.trace.size() << " cs=" << v.constraints.size()
+       << " input=" << concolic::input_key(v.input);
+  }
+  os << " logs=" << r.num_correct_logs << "/" << r.num_faulty_logs
+     << " cands=" << r.construction.candidates.size()
+     << " tried=" << r.candidates_tried << " win=" << r.winning_candidate
+     << " cancelled=" << r.candidates_cancelled
+     << " pruned=" << r.candidates_pruned << " paths=" << r.paths_explored
+     << " instrs=" << r.instructions
+     << " engine=" << engine_kind_name(r.winning_engine);
+  render(os, r.solver_stats);
+  const symexec::ExecStats& e = r.last_exec_stats;
+  os << " ex:" << e.instructions << "/" << e.forks << "/" << e.paths_completed
+     << "/" << e.paths_ok << "/" << e.paths_infeasible << "/"
+     << e.faults_found << "/" << e.suspensions << "/" << e.wakes << "/"
+     << e.peak_live_states << "/" << e.peak_memory_bytes << "/"
+     << e.paths_explored << "/" << e.clone_bytes << "/"
+     << e.eager_clone_bytes;
+  for (const EngineLaneResult& l : r.lanes) {
+    os << " lane:" << engine_kind_name(l.kind) << "/" << l.priority << "/"
+       << l.found << "/" << symexec::termination_name(l.termination) << "/"
+       << l.paths_explored << "/" << l.instructions << "/" << l.concolic_runs;
+    render(os, l.solver_stats);
+  }
+  for (const auto& [name, v] : r.metrics.counters()) {
+    os << " " << name << "=" << v;
+  }
+  return os.str();
+}
+
+// Instruction caps only: the per-candidate and lane wall-clock limits are
+// far above what any of these runs needs, so none of them can bind.
+EngineOptions digest_opts(std::uint64_t seed, EngineKind kind) {
+  EngineOptions o;
+  o.monitor.sampling_rate = 0.3;
+  o.target_correct_logs = 40;
+  o.target_faulty_logs = 40;
+  o.candidate_timeout_seconds = 600.0;
+  o.exec.max_memory_bytes = 256ull << 20;
+  o.exec.max_instructions = 2'000'000;
+  o.num_threads = 1;
+  o.engines = {kind};
+  o.seed = seed;
+  return o;
+}
+
+fuzz::GenOptions fleet_gen() {
+  fuzz::GenOptions g;
+  g.max_chain = 8;
+  g.max_segments = 8;
+  g.fault_probability = 1.0;
+  return g;
+}
+
+std::uint64_t fleet_digest(EngineKind kind, std::size_t programs) {
+  Digest d;
+  for (std::size_t i = 0; i < programs; ++i) {
+    const std::uint64_t s = derive_seed(0xd16e57, i);
+    const fuzz::GeneratedProgram p = fuzz::generate_program(s, fleet_gen());
+    StatSymEngine engine(p.app.module, p.app.sym_spec,
+                         digest_opts(derive_seed(s, 1), kind));
+    engine.collect_logs(p.app.workload);
+    d.add(std::to_string(i) + ": " + render(engine.run()));
+  }
+  return d.h;
+}
+
+constexpr std::size_t kPrograms = 150;
+
+TEST(EngineDigest, GeneratedFleetConcolic) {
+  EXPECT_EQ(fleet_digest(EngineKind::kConcolic, kPrograms),
+            0xda8879c8eb9df4ebULL);
+}
+
+TEST(EngineDigest, GeneratedFleetGuided) {
+  EXPECT_EQ(fleet_digest(EngineKind::kGuided, kPrograms),
+            0xc2c5b14a2a35e0a0ULL);
+}
+
+TEST(EngineDigest, GeneratedFleetPure) {
+  EXPECT_EQ(fleet_digest(EngineKind::kPure, kPrograms),
+            0x11f0861c8aa3495aULL);
+}
+
+std::uint64_t app_digest(const std::string& name, EngineKind kind) {
+  const apps::AppSpec app = apps::make_app(name);
+  StatSymEngine engine(app.module, app.sym_spec, digest_opts(7, kind));
+  engine.collect_logs(app.workload);
+  Digest d;
+  d.add(render(engine.run()));
+  return d.h;
+}
+
+struct AppCase {
+  const char* app;
+  EngineKind kind;
+  std::uint64_t digest;
+};
+
+TEST(EngineDigest, PaperApps) {
+  const AppCase cases[] = {
+      {"fig2", EngineKind::kConcolic, 0xdb3fce960d4eb9a8ULL},
+      {"fig2", EngineKind::kGuided, 0xaf846c5aa98f1280ULL},
+      {"fig2", EngineKind::kPure, 0xd6771d57919e5519ULL},
+      {"polymorph", EngineKind::kConcolic, 0xa53aa6d3482e28ecULL},
+      {"polymorph", EngineKind::kGuided, 0xa57c20045f19a033ULL},
+      {"polymorph", EngineKind::kPure, 0x188dcd67d39c7889ULL},
+      {"ctree", EngineKind::kConcolic, 0xe7bda0c22a1da5c9ULL},
+      {"ctree", EngineKind::kGuided, 0x67bfd0dc78c13732ULL},
+      {"ctree", EngineKind::kPure, 0xbeedff93c96fca10ULL},
+      {"grep", EngineKind::kConcolic, 0xfdbd39b68ded5201ULL},
+      {"grep", EngineKind::kGuided, 0x8576d6de13f8fe0cULL},
+      {"grep", EngineKind::kPure, 0x05cbbc040e86b04dULL},
+      {"thttpd", EngineKind::kConcolic, 0x2523d74afb1213c5ULL},
+      {"thttpd", EngineKind::kGuided, 0x8117357d164e7444ULL},
+      {"thttpd", EngineKind::kPure, 0xe9e60a3929ae0bccULL},
+  };
+  for (const AppCase& c : cases) {
+    EXPECT_EQ(app_digest(c.app, c.kind), c.digest)
+        << c.app << " under " << engine_kind_name(c.kind);
+  }
+}
+
+// The deterministic JSONL (no wall stamps) of a two-thread engine race, so
+// the lane threads that still run concurrently are on this digest too. The
+// concolic lane at priority 0 is always counted, so its per-run executor and
+// negation events are in the stream whichever lane finishes first.
+std::uint64_t trace_digest(const std::string& name) {
+  const apps::AppSpec app = apps::make_app(name);
+  EngineOptions o = digest_opts(7, EngineKind::kGuided);
+  o.engines = {EngineKind::kConcolic, EngineKind::kGuided, EngineKind::kPure};
+  o.num_threads = 2;
+  obs::Tracer tracer;
+  StatSymEngine engine(app.module, app.sym_spec, o);
+  engine.set_tracer(&tracer);
+  engine.collect_logs(app.workload);
+  engine.run();
+  EXPECT_EQ(tracer.buffer().dropped(), 0u);
+  const std::string jsonl = tracer.to_jsonl();
+  EXPECT_NE(jsonl.find("concolic-run"), std::string::npos);
+  Digest d;
+  d.add(jsonl);
+  return d.h;
+}
+
+TEST(EngineDigest, Fig2Trace) {
+  EXPECT_EQ(trace_digest("fig2"), 0x33e92c651af8b3c8ULL);
+}
+
+TEST(EngineDigest, PolymorphTrace) {
+  EXPECT_EQ(trace_digest("polymorph"), 0x63a1982c9a4acee3ULL);
+}
+
+}  // namespace
+}  // namespace statsym::core
