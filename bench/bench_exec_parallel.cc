@@ -1,22 +1,15 @@
-// Work-stealing intra-run exploration: determinism and copy-on-write gates.
+// Copy-on-write fork cost of the symbolic executor.
 //
-//   bench_exec_parallel [--quick] [--json FILE] [--jobs N[,N...]]
+//   bench_exec_parallel [--quick] [--json FILE]
 //
-// For each app, runs the symbolic executor with a fixed exploration batch
-// at every requested worker count and enforces the two gates of the
-// parallel-executor design (DESIGN.md §13):
-//
-//   1. Verdict equality — termination, paths, forks, instructions, the
-//      witness (fault kind/function/input) and the invariant solver
-//      counters must be identical at every --exec-jobs value.
-//   2. COW effectiveness — bytes actually copied per fork (clone_bytes)
-//      must be strictly below what eagerly deep-copying the parent would
-//      have cost (eager_clone_bytes).
-//
-// Wall-clock and steal counts are reported for the record but never gated
-// (they are the schedule-dependent part). Exits nonzero when a gate fails,
-// so CI can run it directly; --json writes the sweep for the bench
-// trajectory (BENCH_exec_parallel.json).
+// For each app, runs the symbolic executor (DFS, instruction-capped) and
+// enforces the copy-on-write gate of DESIGN.md §13: bytes actually copied
+// per fork (clone_bytes) must be strictly below what eagerly deep-copying
+// the parent would have cost (eager_clone_bytes). Both counts are functions
+// of the explored paths, so the gate is deterministic. Wall-clock is
+// reported for the record but never gated. Exits nonzero when the gate
+// fails, so CI can run it directly; --json writes the per-app results for
+// the bench trajectory (BENCH_exec_parallel.json).
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -29,171 +22,79 @@ using namespace statsym;
 
 namespace {
 
-struct JobsRun {
-  std::size_t jobs{0};
+struct AppRun {
+  std::string app;
   double wall_seconds{0.0};
   symexec::ExecResult result;
-  symexec::SchedStats sched;
-};
-
-struct AppReport {
-  std::string app;
-  std::uint32_t batch{8};
-  std::vector<JobsRun> runs;
-  bool verdicts_equal{true};
   bool cow_reduces{true};
 };
 
-symexec::ExecOptions exec_options(std::size_t jobs, std::uint32_t batch,
-                                  std::uint64_t max_instructions) {
+AppRun run_app(const std::string& name, std::uint64_t max_instructions) {
+  const apps::AppSpec app = apps::make_app(name);
   symexec::ExecOptions o;
   o.searcher = symexec::SearcherKind::kDFS;
   o.max_memory_bytes = 256ull << 20;
   o.max_seconds = 300.0;
   o.max_instructions = max_instructions;
-  o.jobs = jobs;
-  o.batch = batch;
-  return o;
-}
-
-JobsRun run_once(const apps::AppSpec& app, std::size_t jobs,
-                 std::uint32_t batch, std::uint64_t max_instructions) {
-  JobsRun r;
-  r.jobs = jobs;
+  AppRun r;
+  r.app = name;
   Stopwatch sw;
-  symexec::SymExecutor ex(app.module, app.sym_spec,
-                          exec_options(jobs, batch, max_instructions));
+  symexec::SymExecutor ex(app.module, app.sym_spec, o);
   r.result = ex.run();
-  r.sched = ex.sched_stats();
   r.wall_seconds = sw.elapsed_seconds();
+  // The gate is meaningful only when the run actually forked.
+  const auto& st = r.result.stats;
+  r.cow_reduces = st.forks > 0 && st.clone_bytes > 0 &&
+                  st.clone_bytes < st.eager_clone_bytes;
   return r;
 }
 
-bool same_verdict(const symexec::ExecResult& a, const symexec::ExecResult& b) {
-  if (a.termination != b.termination) return false;
-  const auto& sa = a.stats;
-  const auto& sb = b.stats;
-  if (sa.instructions != sb.instructions || sa.forks != sb.forks ||
-      sa.paths_explored != sb.paths_explored ||
-      sa.paths_completed != sb.paths_completed ||
-      sa.faults_found != sb.faults_found ||
-      sa.clone_bytes != sb.clone_bytes ||
-      sa.eager_clone_bytes != sb.eager_clone_bytes) {
-    return false;
+void print_runs(const std::vector<AppRun>& runs) {
+  TextTable t({"app", "time(s)", "paths", "forks", "clone KB", "eager KB",
+               "copied", "verdict"});
+  for (const AppRun& r : runs) {
+    const auto& st = r.result.stats;
+    const double ratio =
+        st.eager_clone_bytes > 0
+            ? static_cast<double>(st.clone_bytes) /
+                  static_cast<double>(st.eager_clone_bytes)
+            : 0.0;
+    t.add_row({r.app, bench::seconds(r.wall_seconds),
+               std::to_string(st.paths_explored), std::to_string(st.forks),
+               std::to_string(st.clone_bytes >> 10),
+               std::to_string(st.eager_clone_bytes >> 10),
+               fmt_double(ratio * 100.0, 1) + "%" +
+                   (r.cow_reduces ? "" : " NOT REDUCED"),
+               symexec::termination_name(r.result.termination)});
   }
-  const auto& qa = a.solver_stats;
-  const auto& qb = b.solver_stats;
-  if (qa.queries != qb.queries || qa.sat != qb.sat || qa.unsat != qb.unsat ||
-      qa.slices != qb.slices ||
-      qa.solves + qa.shared_cache_hits != qb.solves + qb.shared_cache_hits) {
-    return false;
-  }
-  if (a.vuln.has_value() != b.vuln.has_value()) return false;
-  if (a.vuln.has_value()) {
-    if (a.vuln->kind != b.vuln->kind || a.vuln->function != b.vuln->function ||
-        a.vuln->detail != b.vuln->detail ||
-        a.vuln->input.argv != b.vuln->input.argv ||
-        a.vuln->input.env != b.vuln->input.env) {
-      return false;
-    }
-  }
-  return true;
+  std::printf("%s", t.render().c_str());
 }
 
-AppReport sweep_app(const std::string& name,
-                    const std::vector<std::size_t>& jobs_list,
-                    std::uint64_t max_instructions) {
-  const apps::AppSpec app = apps::make_app(name);
-  AppReport rep;
-  rep.app = name;
-  for (const std::size_t jobs : jobs_list) {
-    rep.runs.push_back(run_once(app, jobs, rep.batch, max_instructions));
-  }
-  const JobsRun& base = rep.runs.front();
-  for (std::size_t i = 1; i < rep.runs.size(); ++i) {
-    if (!same_verdict(base.result, rep.runs[i].result)) {
-      rep.verdicts_equal = false;
-    }
-  }
-  // The COW gate is meaningful only when the run actually forked.
-  const auto& st = base.result.stats;
-  rep.cow_reduces =
-      st.forks > 0 && st.clone_bytes > 0 && st.clone_bytes < st.eager_clone_bytes;
-  return rep;
-}
-
-void print_report(const AppReport& rep) {
-  TextTable t({"jobs", "time(s)", "paths", "forks", "steals", "clone KB",
-               "eager KB", "verdict"});
-  for (const JobsRun& r : rep.runs) {
-    t.add_row({std::to_string(r.jobs), bench::seconds(r.wall_seconds),
-           std::to_string(r.result.stats.paths_explored),
-           std::to_string(r.result.stats.forks),
-           std::to_string(r.sched.steals),
-           std::to_string(r.result.stats.clone_bytes >> 10),
-           std::to_string(r.result.stats.eager_clone_bytes >> 10),
-           symexec::termination_name(r.result.termination)});
-  }
-  std::printf("%s (batch %u):\n%s", rep.app.c_str(), rep.batch,
-              t.render().c_str());
-  const auto& st = rep.runs.front().result.stats;
-  const double ratio =
-      st.eager_clone_bytes > 0
-          ? static_cast<double>(st.clone_bytes) /
-                static_cast<double>(st.eager_clone_bytes)
-          : 0.0;
-  std::printf("  verdicts identical across jobs: %s\n",
-              rep.verdicts_equal ? "yes" : "NO");
-  std::printf("  cow copies %.1f%% of an eager clone: %s\n", ratio * 100.0,
-              rep.cow_reduces ? "reduced" : "NOT REDUCED");
-}
-
-void write_json(const std::vector<AppReport>& reports,
-                const std::string& path) {
+void write_json(const std::vector<AppRun>& runs, const std::string& path) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
   os << "{\n  \"bench\": \"exec_parallel\",\n  \"apps\": [\n";
-  for (std::size_t a = 0; a < reports.size(); ++a) {
-    const AppReport& rep = reports[a];
-    os << "    {\"app\": \"" << rep.app << "\", \"batch\": " << rep.batch
-       << ", \"verdicts_equal\": " << (rep.verdicts_equal ? "true" : "false")
-       << ", \"cow_reduces\": " << (rep.cow_reduces ? "true" : "false")
-       << ", \"runs\": [\n";
-    for (std::size_t r = 0; r < rep.runs.size(); ++r) {
-      const JobsRun& run = rep.runs[r];
-      const auto& st = run.result.stats;
-      os << "      {\"jobs\": " << run.jobs
-         << ", \"wall_seconds\": " << fmt_double(run.wall_seconds, 4)
-         << ", \"termination\": \""
-         << symexec::termination_name(run.result.termination) << "\""
-         << ", \"found\": "
-         << (run.result.vuln.has_value() ? "true" : "false")
-         << ", \"paths_explored\": " << st.paths_explored
-         << ", \"forks\": " << st.forks
-         << ", \"instructions\": " << st.instructions
-         << ", \"clone_bytes\": " << st.clone_bytes
-         << ", \"eager_clone_bytes\": " << st.eager_clone_bytes
-         << ", \"rounds\": " << run.sched.rounds
-         << ", \"tasks\": " << run.sched.tasks
-         << ", \"steals\": " << run.sched.steals
-         << ", \"workers\": " << run.sched.workers << "}"
-         << (r + 1 < rep.runs.size() ? "," : "") << "\n";
-    }
-    os << "    ]}" << (a + 1 < reports.size() ? "," : "") << "\n";
+  for (std::size_t a = 0; a < runs.size(); ++a) {
+    const AppRun& r = runs[a];
+    const auto& st = r.result.stats;
+    os << "    {\"app\": \"" << r.app << "\""
+       << ", \"cow_reduces\": " << (r.cow_reduces ? "true" : "false")
+       << ", \"wall_seconds\": " << fmt_double(r.wall_seconds, 4)
+       << ", \"termination\": \""
+       << symexec::termination_name(r.result.termination) << "\""
+       << ", \"found\": " << (r.result.vuln.has_value() ? "true" : "false")
+       << ", \"paths_explored\": " << st.paths_explored
+       << ", \"forks\": " << st.forks
+       << ", \"instructions\": " << st.instructions
+       << ", \"clone_bytes\": " << st.clone_bytes
+       << ", \"eager_clone_bytes\": " << st.eager_clone_bytes << "}"
+       << (a + 1 < runs.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
-  std::printf("wrote sweep JSON to %s\n", path.c_str());
-}
-
-std::vector<std::size_t> parse_jobs_list(const char* arg) {
-  std::vector<std::size_t> out;
-  for (const std::string& tok : split(arg, ',')) {
-    out.push_back(static_cast<std::size_t>(std::stoul(tok)));
-  }
-  return out;
+  std::printf("wrote JSON to %s\n", path.c_str());
 }
 
 }  // namespace
@@ -201,26 +102,20 @@ std::vector<std::size_t> parse_jobs_list(const char* arg) {
 int main(int argc, char** argv) {
   bool quick = false;
   std::string json_path;
-  std::vector<std::size_t> jobs_list{1, 2, 4, 8};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs_list = parse_jobs_list(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: bench_exec_parallel [--quick] [--json FILE] "
-                   "[--jobs N[,N...]]\n");
+                   "usage: bench_exec_parallel [--quick] [--json FILE]\n");
       return 2;
     }
   }
 
-  bench::print_header(
-      "Work-stealing executor: verdict equality across --exec-jobs + "
-      "copy-on-write fork cost",
-      "DESIGN.md §13 determinism contract");
+  bench::print_header("Symbolic executor: copy-on-write fork cost",
+                      "DESIGN.md §13 copy-on-write fork state");
 
   struct Case {
     const char* app;
@@ -231,20 +126,19 @@ int main(int argc, char** argv) {
     cases.push_back({"ctree", 1'500'000});
     cases.push_back({"grep", 1'500'000});
   }
-  if (quick && jobs_list.size() > 2) jobs_list = {1, 4};
 
-  std::vector<AppReport> reports;
+  std::vector<AppRun> runs;
   bool ok = true;
   for (const Case& c : cases) {
-    reports.push_back(sweep_app(c.app, jobs_list, c.max_instructions));
-    print_report(reports.back());
-    ok = ok && reports.back().verdicts_equal && reports.back().cow_reduces;
+    runs.push_back(run_app(c.app, c.max_instructions));
+    ok = ok && runs.back().cow_reduces;
   }
-  if (!json_path.empty()) write_json(reports, json_path);
+  print_runs(runs);
+  if (!json_path.empty()) write_json(runs, json_path);
   if (!ok) {
     std::fprintf(stderr, "bench_exec_parallel: GATE FAILURE (see above)\n");
     return 1;
   }
-  std::printf("all gates passed\n");
+  std::printf("copy-on-write gate passed\n");
   return 0;
 }

@@ -68,6 +68,13 @@ ConcolicResult ConcolicExecutor::run() {
   }
   cs.frontier_peak = 1;
 
+  // One expression pool for every follow run of the lane: the input
+  // variables are interned once and path expressions hash-cons across runs.
+  // Only structure-derived values (fingerprints, first-occurrence variable
+  // orders) reach results and traces, never pool ids, so each run behaves
+  // exactly as it would on a fresh pool.
+  solver::ExprPool pool;
+
   symexec::Termination term = symexec::Termination::kExhausted;
   auto stopped = [&] {
     return stop_flag_ != nullptr &&
@@ -105,7 +112,7 @@ ConcolicResult ConcolicExecutor::run() {
     eo.seed = derive_seed(opts_.seed, cs.runs);
     eo.max_seconds =
         std::max(0.0, opts_.exec.max_seconds - sw.elapsed_seconds());
-    symexec::SymExecutor ex(m_, spec_, eo);
+    symexec::SymExecutor ex(m_, spec_, eo, &pool);
     ex.set_follow_input(item.input);
     if (stop_flag_ != nullptr) ex.set_stop_flag(stop_flag_);
     if (budget_ != nullptr) ex.set_shared_budget(budget_);
@@ -142,8 +149,8 @@ ConcolicResult ConcolicExecutor::run() {
     // --- generational expansion: negate the suffix decisions ---------------
     const std::vector<symexec::Decision>& decs = ex.decisions();
     const std::vector<solver::ExprId>& path = ex.followed_path();
-    solver::QueryCache run_cache;  // ExprIds are pool-local: one run, one cache
-    solver::Solver neg(ex.pool(), opts_.negation_solver_opts);
+    solver::QueryCache run_cache;
+    solver::Solver neg(pool, opts_.negation_solver_opts);
     neg.set_cache(&run_cache);
     if (shared_cache_ != nullptr) neg.set_shared_cache(shared_cache_);
     if (trace_ != nullptr) neg.set_trace(trace_);

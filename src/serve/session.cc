@@ -196,8 +196,6 @@ std::string ServeSession::handle_run(const Frame& frame) {
   o.seed = seed;
   o.candidate_timeout_seconds = opts_.time_s;
   o.exec.max_memory_bytes = opts_.mem_mb << 20;
-  o.exec.jobs = 1;
-  o.exec.batch = 1;
   o.num_threads = jobs;
 
   core::StatSymEngine engine(app.module, app.sym_spec, o);

@@ -1,7 +1,7 @@
 #include "solver/expr.h"
 
+#include <algorithm>
 #include <cassert>
-#include <functional>
 #include <sstream>
 #include <unordered_set>
 
@@ -41,26 +41,29 @@ bool is_bool_op(ExprOp op) {
          op == ExprOp::kNot;
 }
 
-std::size_t ExprPool::NodeKeyHash::operator()(const NodeKey& k) const {
-  std::size_t h = std::hash<int>()(static_cast<int>(k.op));
-  auto mix = [&h](std::size_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  mix(std::hash<std::int64_t>()(k.imm));
-  mix(k.a);
-  mix(k.b);
-  mix(k.c);
-  return h;
+std::size_t ExprPool::node_hash(ExprOp op, std::int64_t imm, ExprId a,
+                                ExprId b, ExprId c) {
+  // splitmix64-style finaliser over the packed fields.
+  std::uint64_t h = static_cast<std::uint64_t>(imm) * 0x9e3779b97f4a7c15ULL;
+  h ^= (static_cast<std::uint64_t>(a) << 32 | b) + 0x632be59bd9b4e019ULL +
+       (h << 6) + (h >> 2);
+  h ^= (static_cast<std::uint64_t>(c) << 8 | static_cast<std::uint64_t>(op)) +
+       0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return static_cast<std::size_t>(h);
 }
 
-ExprPool::ExprPool() {
+ExprPool::ExprPool() : table_(64, kNoExpr) {
   false_ = constant(0);
   true_ = constant(1);
 }
 
 VarId ExprPool::new_var(std::string name, std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
-  std::lock_guard<std::mutex> lock(var_mu_);
   auto key = std::make_tuple(name, lo, hi);
   if (const auto it = var_intern_.find(key); it != var_intern_.end()) {
     return it->second;
@@ -71,29 +74,44 @@ VarId ExprPool::new_var(std::string name, std::int64_t lo, std::int64_t hi) {
   fp = fp_absorb(fp, static_cast<std::uint64_t>(lo));
   fp = fp_absorb(fp, static_cast<std::uint64_t>(hi));
   vi.fp = fp;
-  const auto v = static_cast<VarId>(vars_.push(std::move(vi)));
+  const auto v = static_cast<VarId>(vars_.size());
+  vars_.push_back(std::move(vi));
   var_intern_.emplace(std::move(key), v);
   var_by_fp_.emplace(fp, v);
   return v;
 }
 
 std::optional<VarId> ExprPool::find_var(const Fp128& fp) const {
-  std::lock_guard<std::mutex> lock(var_mu_);
   const auto it = var_by_fp_.find(fp);
   if (it == var_by_fp_.end()) return std::nullopt;
   return it->second;
 }
 
+void ExprPool::grow_table() {
+  std::vector<ExprId> bigger(table_.size() * 2, kNoExpr);
+  const std::size_t mask = bigger.size() - 1;
+  for (ExprId id = 0; id < nodes_.size(); ++id) {
+    const Node& n = nodes_[id];
+    std::size_t i = node_hash(n.op, n.imm, n.a, n.b, n.c) & mask;
+    while (bigger[i] != kNoExpr) i = (i + 1) & mask;
+    bigger[i] = id;
+  }
+  table_ = std::move(bigger);
+}
+
 ExprId ExprPool::intern(ExprOp op, std::int64_t imm, ExprId a, ExprId b,
                         ExprId c) {
-  const NodeKey key{op, imm, a, b, c};
-  InternShard& s = shards_[NodeKeyHash{}(key) & (kShards - 1)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (const auto it = s.map.find(key); it != s.map.end()) return it->second;
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i = node_hash(op, imm, a, b, c) & mask;
+  for (;; i = (i + 1) & mask) {
+    const ExprId id = table_[i];
+    if (id == kNoExpr) break;
+    const Node& n = nodes_[id];
+    if (n.op == op && n.imm == imm && n.a == a && n.b == b && n.c == c) {
+      return id;
+    }
+  }
 
-  // Fingerprint from the children's fingerprints — children are already
-  // published, so these reads are lock-free. Holding the shard mutex through
-  // creation means the key is interned exactly once.
   Fp128 fp{0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL};
   fp = fp_absorb(fp, static_cast<std::uint64_t>(op));
   switch (op) {
@@ -112,8 +130,10 @@ ExprId ExprPool::intern(ExprOp op, std::int64_t imm, ExprId a, ExprId b,
       break;
   }
 
-  const auto id = static_cast<ExprId>(nodes_.push(Node{op, imm, a, b, c, fp}));
-  s.map.emplace(key, id);
+  const auto id = static_cast<ExprId>(nodes_.size());
+  nodes_.push_back(Node{op, imm, a, b, c, fp});
+  table_[i] = id;
+  if (nodes_.size() * 2 > table_.size()) grow_table();
   return id;
 }
 
@@ -145,7 +165,7 @@ ExprId ExprPool::truthy(ExprId e) {
 }
 
 void ExprPool::collect_vars(ExprId e, std::vector<VarId>& out) const {
-  // First-occurrence DFS order: a pure function of the tree, so every worker
+  // First-occurrence DFS order: a pure function of the tree, so every pool
   // reports the same sequence regardless of the ids it allocated. Small
   // fixed-capacity seen-buffer covers the common shallow expressions without
   // hashing; the set engages only past that.
@@ -191,6 +211,33 @@ void ExprPool::collect_vars(ExprId e, std::vector<VarId>& out) const {
     if (n.b != kNoExpr) work.push_back(n.b);
     if (n.a != kNoExpr) work.push_back(n.a);
   }
+}
+
+std::span<const VarId> ExprPool::vars_of(ExprId e) const {
+  if (var_lists_.size() <= e) var_lists_.resize(nodes_.size());
+  VarList& memo = var_lists_[e];
+  if (memo.n == VarList::kUnset) {
+    var_scratch_.clear();
+    collect_vars(e, var_scratch_);
+    const std::span<const VarId> stored = store_vars(var_scratch_);
+    memo.p = stored.data();
+    memo.n = static_cast<std::uint32_t>(stored.size());
+  }
+  return {memo.p, memo.n};
+}
+
+std::span<const VarId> ExprPool::store_vars(std::span<const VarId> vs) const {
+  if (vs.empty()) return {};
+  if (var_block_cap_ - var_block_used_ < vs.size()) {
+    constexpr std::size_t kBlock = 4096;
+    var_block_cap_ = std::max(kBlock, vs.size());
+    var_blocks_.push_back(std::make_unique<VarId[]>(var_block_cap_));
+    var_block_used_ = 0;
+  }
+  VarId* out = var_blocks_.back().get() + var_block_used_;
+  std::copy(vs.begin(), vs.end(), out);
+  var_block_used_ += vs.size();
+  return {out, vs.size()};
 }
 
 std::int64_t ExprPool::eval(

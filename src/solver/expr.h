@@ -7,20 +7,19 @@
 // applies algebraic simplification (solver/simplify.cc) so the pool only
 // contains canonical nodes.
 //
-// The pool is shared by every worker of a parallel executor run, so it is
-// thread-safe by construction (DESIGN.md §13):
-//   * nodes and variables live in append-only chunked stores — a published
-//     id stays valid forever and reads are lock-free;
-//   * interning runs under a small array of hash-sharded mutexes (one
-//     variable mutex), so concurrent construction of the same tree yields
-//     the same id and the node *set* of a run is schedule-invariant;
+// The pool is single-owner (DESIGN.md §13): one executor, or one concolic
+// lane across all of its follow runs, builds and reads it on one thread.
 //   * every node carries its structural fingerprint, computed once at intern
 //     time from the children's fingerprints. Variables fingerprint by
 //     (name, lo, hi) — never by VarId — which is what lets canonical forms,
-//     slice keys and cached models agree across workers and across pools.
+//     slice keys and cached models agree across pools.
 //   * variables intern by (name, lo, hi): re-declaring the same symbolic
-//     input on a sibling path returns the same VarId, so sibling constraint
-//     sets share structure instead of renaming.
+//     input on a sibling path (or in a later follow run on the same pool)
+//     returns the same VarId, so constraint sets share structure instead of
+//     renaming.
+//   * each node's variable list is computed at most once (vars_of) and kept
+//     for the pool's lifetime, so slicing a long path prefix again and again
+//     never re-walks its constraint trees.
 //
 // The theory is integer arithmetic with comparisons and boolean structure —
 // the fragment needed for the mini-IR's path constraints. String-length
@@ -29,13 +28,12 @@
 // resides").
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -84,58 +82,6 @@ struct VarInfo {
   // sibling paths) has the same fingerprint.
   Fp128 fp{};
 };
-
-namespace detail {
-
-// Append-only chunked store: publish-once slots behind a fixed directory of
-// atomically installed chunks. Reads are lock-free; writers must serialise
-// externally per logical key (the pool's intern mutexes do) but may append
-// from different shards concurrently, which the atomic size cursor resolves.
-template <typename T, unsigned ChunkBits, std::size_t MaxChunks>
-class ChunkedStore {
- public:
-  static constexpr std::size_t kChunkSize = std::size_t{1} << ChunkBits;
-
-  ChunkedStore() = default;
-  ChunkedStore(const ChunkedStore&) = delete;
-  ChunkedStore& operator=(const ChunkedStore&) = delete;
-  ~ChunkedStore() {
-    for (auto& cp : chunks_) delete[] cp.load(std::memory_order_relaxed);
-  }
-
-  std::size_t push(T v) {
-    const std::size_t i = size_.fetch_add(1, std::memory_order_relaxed);
-    T* chunk = ensure_chunk(i >> ChunkBits);
-    chunk[i & (kChunkSize - 1)] = std::move(v);
-    return i;
-  }
-
-  const T& operator[](std::size_t i) const {
-    return chunks_[i >> ChunkBits].load(std::memory_order_acquire)
-                                  [i & (kChunkSize - 1)];
-  }
-
-  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
-
- private:
-  T* ensure_chunk(std::size_t ci) {
-    T* c = chunks_.at(ci).load(std::memory_order_acquire);
-    if (c != nullptr) return c;
-    T* fresh = new T[kChunkSize];
-    if (chunks_[ci].compare_exchange_strong(c, fresh,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      return fresh;
-    }
-    delete[] fresh;  // another shard won the install race
-    return c;
-  }
-
-  std::array<std::atomic<T*>, MaxChunks> chunks_{};
-  std::atomic<std::size_t> size_{0};
-};
-
-}  // namespace detail
 
 class ExprPool {
  public:
@@ -196,8 +142,13 @@ class ExprPool {
 
   // Collects the variables occurring in `e` into `out`, deduplicated, in
   // first-occurrence DFS order (a pure function of the tree's structure, so
-  // the order agrees across workers whatever ids they saw first).
+  // the order agrees across pools whatever ids they allocated first).
   void collect_vars(ExprId e, std::vector<VarId>& out) const;
+
+  // The same list as collect_vars, computed once per node and kept for the
+  // pool's lifetime: the span stays valid while the pool lives. Logically
+  // const; the memo it fills is why the pool must stay single-owner.
+  std::span<const VarId> vars_of(ExprId e) const;
 
   // Concrete evaluation under a total assignment (missing vars read 0).
   std::int64_t eval(ExprId e,
@@ -218,29 +169,34 @@ class ExprPool {
     ExprId a{kNoExpr}, b{kNoExpr}, c{kNoExpr};
     Fp128 fp{};
   };
-  struct NodeKey {
-    ExprOp op;
-    std::int64_t imm;
-    ExprId a, b, c;
-    bool operator==(const NodeKey& o) const = default;
-  };
-  struct NodeKeyHash {
-    std::size_t operator()(const NodeKey& k) const;
+  // Memoised vars_of list; n == kUnset until first computed.
+  struct VarList {
+    static constexpr std::uint32_t kUnset =
+        std::numeric_limits<std::uint32_t>::max();
+    const VarId* p{nullptr};
+    std::uint32_t n{kUnset};
   };
 
-  static constexpr std::size_t kShards = 8;
-  struct InternShard {
-    std::mutex mu;
-    std::unordered_map<NodeKey, ExprId, NodeKeyHash> map;
-  };
+  static std::size_t node_hash(ExprOp op, std::int64_t imm, ExprId a,
+                               ExprId b, ExprId c);
+  void grow_table();
+  // Copies `vs` into block storage that never moves, so spans handed out by
+  // vars_of survive later growth.
+  std::span<const VarId> store_vars(std::span<const VarId> vs) const;
 
-  detail::ChunkedStore<Node, 12, 8192> nodes_;   // ≤ 33.5M nodes
-  detail::ChunkedStore<VarInfo, 10, 1024> vars_;  // ≤ 1M variables
-  mutable std::array<InternShard, kShards> shards_;
-  mutable std::mutex var_mu_;
+  std::vector<Node> nodes_;
+  std::vector<VarInfo> vars_;
+  // Open-addressing intern table of node ids (kNoExpr = empty slot), keyed
+  // by the node fields themselves; power-of-two size, at most half full.
+  std::vector<ExprId> table_;
   std::map<std::tuple<std::string, std::int64_t, std::int64_t>, VarId>
       var_intern_;
   std::unordered_map<Fp128, VarId, Fp128Hash> var_by_fp_;
+  mutable std::vector<VarList> var_lists_;  // indexed by ExprId, grown lazily
+  mutable std::vector<std::unique_ptr<VarId[]>> var_blocks_;
+  mutable std::size_t var_block_used_{0};
+  mutable std::size_t var_block_cap_{0};
+  mutable std::vector<VarId> var_scratch_;
   ExprId true_{kNoExpr};
   ExprId false_{kNoExpr};
 };

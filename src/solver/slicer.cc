@@ -1,97 +1,102 @@
 #include "solver/slicer.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <limits>
 
 namespace statsym::solver {
 
 namespace {
 
-// Union-find over dense component indices.
-struct UnionFind {
-  std::vector<std::size_t> parent;
-
-  std::size_t make() {
-    parent.push_back(parent.size());
-    return parent.size() - 1;
-  }
-
-  std::size_t find(std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];  // path halving
-      x = parent[x];
-    }
-    return x;
-  }
-
-  void join(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent[b] = a;
-  }
-};
-
-// Deduplicates the accumulated variable list keeping first-occurrence order.
-// VarIds are allocation-order handles and may differ across workers, so a
-// numeric sort here would leak scheduling into the slice; the order of first
-// mention is a pure function of the constraint sequence.
-void finish_slice(Slice& s) {
-  std::unordered_set<VarId> seen;
-  seen.reserve(s.vars.size());
-  std::size_t w = 0;
-  for (const VarId v : s.vars) {
-    if (seen.insert(v).second) s.vars[w++] = v;
-  }
-  s.vars.resize(w);
-}
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
-Slice whole_slice(const ExprPool& pool, std::span<const ExprId> cs) {
-  Slice s;
-  s.cs.assign(cs.begin(), cs.end());
-  s.cs_vars.resize(s.cs.size());
-  for (std::size_t i = 0; i < s.cs.size(); ++i) {
-    pool.collect_vars(s.cs[i], s.cs_vars[i]);
-    s.vars.insert(s.vars.end(), s.cs_vars[i].begin(), s.cs_vars[i].end());
+void VarMarks::begin(std::size_t num_vars) {
+  if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 0;
   }
-  finish_slice(s);
+  ++epoch_;
+  if (stamp_.size() < num_vars) stamp_.resize(num_vars, 0);
+}
+
+void Slicer::begin(std::size_t num_vars) {
+  first_seen_.begin(num_vars);
+  in_slice_.begin(num_vars);
+  if (first_.size() < num_vars) first_.resize(num_vars);
+  used_ = 0;
+}
+
+Slice& Slicer::add_slice() {
+  if (used_ == slices_.size()) slices_.emplace_back();
+  Slice& s = slices_[used_++];
+  s.cs.clear();
+  s.vars.clear();
   return s;
 }
 
-std::vector<Slice> slice_constraints(const ExprPool& pool,
+void Slicer::add_vars(const ExprPool& pool, ExprId c, Slice& s) {
+  // Components are variable-disjoint, so one pass of marks per query
+  // suffices: a variable seen anywhere in this query was seen in this slice.
+  // The result is the first-occurrence order over the slice's constraints —
+  // a pure function of the constraint sequence, never of VarId numbering.
+  for (const VarId v : pool.vars_of(c)) {
+    if (in_slice_.mark(v)) s.vars.push_back(v);
+  }
+}
+
+std::uint32_t Slicer::find(std::uint32_t x) {
+  while (parent_[x] != x) {
+    parent_[x] = parent_[parent_[x]];  // path halving
+    x = parent_[x];
+  }
+  return x;
+}
+
+std::span<const Slice> Slicer::whole(const ExprPool& pool,
                                      std::span<const ExprId> cs) {
-  const std::size_t n = cs.size();
-  std::vector<std::vector<VarId>> cs_vars(n);
-  UnionFind uf;
+  begin(pool.num_vars());
+  Slice& s = add_slice();
+  s.cs.assign(cs.begin(), cs.end());
+  for (const ExprId c : cs) add_vars(pool, c, s);
+  return {slices_.data(), used_};
+}
+
+std::span<const Slice> Slicer::slice(const ExprPool& pool,
+                                     std::span<const ExprId> cs) {
+  begin(pool.num_vars());
+  const auto n = static_cast<std::uint32_t>(cs.size());
+  parent_.resize(n);
   // One union-find node per constraint; variables map to the first
   // constraint that mentioned them and union later mentions into it.
-  std::unordered_map<VarId, std::size_t> var_node;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t node = uf.make();
-    pool.collect_vars(cs[i], cs_vars[i]);
-    for (VarId v : cs_vars[i]) {
-      auto [it, inserted] = var_node.try_emplace(v, node);
-      if (!inserted) uf.join(it->second, node);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    parent_[i] = i;
+    for (const VarId v : pool.vars_of(cs[i])) {
+      if (first_seen_.mark(v)) {
+        first_[v] = i;
+        continue;
+      }
+      const std::uint32_t a = find(first_[v]);
+      const std::uint32_t b = find(i);
+      if (a != b) parent_[b] = a;
     }
   }
 
-  // Group constraints by component root, slices ordered by first member.
-  std::unordered_map<std::size_t, std::size_t> root_slice;
-  std::vector<Slice> slices;
-  for (std::size_t i = 0; i < n; ++i) {
-    // A variable-free constraint is its own component (its union-find node
-    // was never joined), so it naturally becomes a singleton slice.
-    const std::size_t root = uf.find(i);
-    auto [it, inserted] = root_slice.try_emplace(root, slices.size());
-    if (inserted) slices.emplace_back();
-    Slice& s = slices[it->second];
+  // Group constraints by component root, slices ordered by first member. A
+  // variable-free constraint is its own component (its node was never
+  // joined), so it naturally becomes a singleton slice.
+  root_slice_.assign(n, kNone);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t root = find(i);
+    if (root_slice_[root] == kNone) {
+      root_slice_[root] = static_cast<std::uint32_t>(used_);
+      add_slice();
+    }
+    Slice& s = slices_[root_slice_[root]];
     s.cs.push_back(cs[i]);
-    s.cs_vars.push_back(cs_vars[i]);
-    s.vars.insert(s.vars.end(), cs_vars[i].begin(), cs_vars[i].end());
+    add_vars(pool, cs[i], s);
   }
-  for (Slice& s : slices) finish_slice(s);
-  return slices;
+  return {slices_.data(), used_};
 }
 
 }  // namespace statsym::solver

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
-#include <unordered_set>
 
 namespace statsym::solver {
 
@@ -524,7 +523,7 @@ bool Solver::pick_branch_var(const QueryCtx& ctx, const DomainMap& d,
       }
     }
 
-    for (VarId v : ctx.cs_vars[i]) {
+    for (const VarId v : pool_.vars_of(c)) {
       const Interval iv = d.get(v, pool_);
       if (iv.is_point()) continue;
       const std::uint64_t w = iv.width();
@@ -584,6 +583,10 @@ Sat Solver::search(const QueryCtx& ctx, DomainMap d, Model& model,
 
 namespace {
 
+// Environment-gated diagnostics (README), read once per process.
+const bool kDebugHard = std::getenv("STATSYM_DEBUG_HARD") != nullptr;
+const bool kDebugUnknown = std::getenv("STATSYM_DEBUG_UNKNOWN") != nullptr;
+
 // Trace payload code for a verdict (obs::EventKind::kSolverQuery/-Slice).
 std::int64_t verdict_code(Sat s) {
   switch (s) {
@@ -597,12 +600,24 @@ std::int64_t verdict_code(Sat s) {
 }  // namespace
 
 SolveResult Solver::check(std::span<const ExprId> constraints) {
+  return check_impl(constraints, kNoExpr);
+}
+
+SolveResult Solver::check_with(std::span<const ExprId> constraints,
+                               ExprId extra) {
+  return check_impl(constraints, extra);
+}
+
+SolveResult Solver::check_impl(std::span<const ExprId> constraints,
+                               ExprId extra) {
   ++stats_.queries;
   query_sw_.reset();
 
-  std::vector<ExprId> cs;
-  cs.reserve(constraints.size());
-  for (ExprId c : constraints) {
+  std::vector<ExprId>& cs = cs_buf_;
+  cs.clear();
+  const std::size_t n = constraints.size() + (extra != kNoExpr ? 1 : 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ExprId c = i < constraints.size() ? constraints[i] : extra;
     if (pool_.is_const(c)) {
       if (pool_.const_val(c) == 0) {
         ++stats_.unsat;
@@ -628,12 +643,9 @@ SolveResult Solver::check(std::span<const ExprId> constraints) {
   // fast-path cascade. Slices are conjoined: the first unsat decides the
   // query; any unknown degrades the verdict; otherwise the per-slice models
   // merge (var sets are disjoint) into the whole-query model.
-  std::vector<Slice> slices;
-  if (opts_.enable_slicing) {
-    slices = slice_constraints(pool_, cs);
-  } else {
-    slices.push_back(whole_slice(pool_, cs));
-  }
+  const std::span<const Slice> slices = opts_.enable_slicing
+                                            ? slicer_.slice(pool_, cs)
+                                            : slicer_.whole(pool_, cs);
   stats_.slices += slices.size();
   if (slices.size() > 1) ++stats_.multi_slice_queries;
 
@@ -675,7 +687,8 @@ SolveResult Solver::check(std::span<const ExprId> constraints) {
 }
 
 SolveResult Solver::solve_slice(const Slice& slice) {
-  std::vector<ExprId> sorted(slice.cs);
+  std::vector<ExprId>& sorted = sorted_buf_;
+  sorted.assign(slice.cs.begin(), slice.cs.end());
   std::sort(sorted.begin(), sorted.end());
 
   if (cache_ != nullptr) {
@@ -705,15 +718,18 @@ SolveResult Solver::solve_slice(const Slice& slice) {
 
   // Canonical form: constraints ordered by structural digest, combined into
   // the pool-independent slice key.
-  std::vector<Fp128> fps(slice.cs.size());
+  std::vector<Fp128>& fps = fps_buf_;
+  fps.resize(slice.cs.size());
   for (std::size_t i = 0; i < slice.cs.size(); ++i) fps[i] = fp_.of(slice.cs[i]);
-  std::vector<std::size_t> order(slice.cs.size());
+  std::vector<std::size_t>& order = order_buf_;
+  order.resize(slice.cs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (!(fps[a] == fps[b])) return fps[a] < fps[b];
     return slice.cs[a] < slice.cs[b];  // equal digests ⇒ identical exprs
   });
-  std::vector<Fp128> sorted_fps(order.size());
+  std::vector<Fp128>& sorted_fps = sorted_fps_buf_;
+  sorted_fps.resize(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) sorted_fps[i] = fps[order[i]];
   const Fp128 slice_fp = ExprFingerprinter::combine(sorted_fps, opts_salt_);
 
@@ -776,26 +792,19 @@ SolveResult Solver::solve_canonical(const Slice& slice,
   // a cache hit bit-identical to recomputation.
   rng_ = Rng(derive_seed(opts_.seed, slice_fp.lo ^ slice_fp.hi));
 
-  QueryCtx ctx;
-  ctx.cs.reserve(order.size());
-  ctx.cs_vars.reserve(order.size());
-  for (const std::size_t idx : order) {
-    ctx.cs.push_back(slice.cs[idx]);
-    ctx.cs_vars.push_back(slice.cs_vars[idx]);
-  }
+  QueryCtx& ctx = ctx_;
+  ctx.cs.clear();
+  for (const std::size_t idx : order) ctx.cs.push_back(slice.cs[idx]);
   // Canonical variable order: first occurrence across the *digest-sorted*
   // constraint sequence. slice.vars carries the caller's constraint order,
-  // which differs between workers that reached this slice along different
-  // paths; rebuilding from ctx.cs_vars makes the model-guess and
+  // which differs between callers that reached this slice along different
+  // paths; rebuilding from the sorted constraints makes the model-guess and
   // branch-variable iteration a pure function of the slice's structure.
-  ctx.all_vars.reserve(slice.vars.size());
-  {
-    std::unordered_set<VarId> seen;
-    seen.reserve(slice.vars.size());
-    for (const auto& cvs : ctx.cs_vars) {
-      for (const VarId v : cvs) {
-        if (seen.insert(v).second) ctx.all_vars.push_back(v);
-      }
+  var_marks_.begin(pool_.num_vars());
+  ctx.all_vars.clear();
+  for (const ExprId c : ctx.cs) {
+    for (const VarId v : pool_.vars_of(c)) {
+      if (var_marks_.mark(v)) ctx.all_vars.push_back(v);
     }
   }
 
@@ -808,7 +817,7 @@ SolveResult Solver::solve_canonical(const Slice& slice,
   } else if (opts_.propagation_only) {
     res.sat = Sat::kUnknown;
   } else {
-    if (getenv("STATSYM_DEBUG_HARD") != nullptr) {
+    if (kDebugHard) {
       int shown = 0;
       fprintf(stderr, "HARD query ncs=%zu vars=%zu; undecided:\n",
               ctx.cs.size(), ctx.all_vars.size());
@@ -823,19 +832,12 @@ SolveResult Solver::solve_canonical(const Slice& slice,
     std::uint64_t budget = opts_.max_search_nodes;
     res.sat = search(ctx, d, res.model, budget);
   }
-  if (res.sat == Sat::kUnknown && getenv("STATSYM_DEBUG_UNKNOWN")) {
+  if (res.sat == Sat::kUnknown && kDebugUnknown) {
     fprintf(stderr, "UNKNOWN query ncs=%zu last=%s\n", ctx.cs.size(),
             ctx.cs.empty() ? "-" : pool_.to_string(ctx.cs.back()).substr(0, 160).c_str());
   }
   stats_.solve_seconds += solve_sw.elapsed_seconds();
   return res;
-}
-
-SolveResult Solver::check_with(std::span<const ExprId> constraints,
-                               ExprId extra) {
-  std::vector<ExprId> cs(constraints.begin(), constraints.end());
-  cs.push_back(extra);
-  return check(cs);
 }
 
 }  // namespace statsym::solver

@@ -255,6 +255,10 @@ class Solver {
   // Optional per-owner query cache (see solver/cache.h). Entries record
   // this solver's own returned results; safe for any single-threaded owner.
   void set_cache(QueryCache* cache) { cache_ = cache; }
+  // Forgets the retained models (the model-reuse history). Together with
+  // clearing the local QueryCache this gives a reused solver the fast-path
+  // state of a fresh one; counters keep accumulating.
+  void clear_models() { model_cache_.clear(); }
   // Optional cross-worker cache. Receives only canonical solve results and
   // must outlive the solver; safe to share across threads.
   void set_shared_cache(SharedQueryCache* cache) { shared_ = cache; }
@@ -277,13 +281,17 @@ class Solver {
   ExprPool& pool() { return pool_; }
 
  private:
-  // Per-query precomputed context: the constraint set with the variables of
-  // each constraint and of the whole query, computed once.
+  // Per-query context of a canonical solve: the digest-ordered constraints
+  // and the canonical variable order. Each constraint's own variables come
+  // from ExprPool::vars_of.
   struct QueryCtx {
     std::vector<ExprId> cs;
-    std::vector<std::vector<VarId>> cs_vars;  // parallel to cs
     std::vector<VarId> all_vars;
   };
+
+  // check() and check_with(): drops constant-true constraints (and `extra`
+  // when it is kNoExpr), then slices and decides.
+  SolveResult check_impl(std::span<const ExprId> constraints, ExprId extra);
 
   // Decides one independence slice through the fast-path cascade: local
   // cache → model reuse → shared cache → canonical solve. Probe order is
@@ -338,6 +346,17 @@ class Solver {
   // pure function of the slice (cache hit ≡ recomputation).
   Rng rng_;
   Stopwatch query_sw_;  // restarted per check(); read by search()
+
+  // Scratch reused across queries — owned here rather than thread_local, so
+  // an idle serve pool thread keeps none of it alive.
+  Slicer slicer_;
+  std::vector<ExprId> cs_buf_;          // check(): non-constant constraints
+  std::vector<ExprId> sorted_buf_;      // solve_slice(): local cache key
+  std::vector<Fp128> fps_buf_;          // solve_slice(): per-constraint digest
+  std::vector<std::size_t> order_buf_;  // solve_slice(): digest order
+  std::vector<Fp128> sorted_fps_buf_;   // solve_slice(): shared cache key
+  QueryCtx ctx_;                        // solve_canonical()
+  VarMarks var_marks_;                  // solve_canonical(): variable order
 };
 
 }  // namespace statsym::solver

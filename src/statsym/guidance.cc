@@ -13,6 +13,9 @@ namespace {
 // fallback); encoded as a negative diverted count.
 constexpr std::int32_t kFreeRun = -1;
 
+// Environment-gated diagnostic (README), read once per process.
+const bool kDebugSched = std::getenv("STATSYM_DEBUG_SCHED") != nullptr;
+
 }  // namespace
 
 CandidateGuidance::CandidateGuidance(const ir::Module& m,
@@ -71,7 +74,7 @@ symexec::GuidanceHook::Action CandidateGuidance::on_location(
            !max_matched_.compare_exchange_weak(seen, st.guide.matched,
                                                std::memory_order_relaxed)) {
     }
-    if (st.guide.matched > seen && getenv("STATSYM_DEBUG_SCHED")) {
+    if (st.guide.matched > seen && kDebugSched) {
       fprintf(stderr, "MATCH state=%llu m=%d loc=%s\n",
               (unsigned long long)st.id, st.guide.matched,
               monitor::loc_name(m_, loc).c_str());

@@ -5,10 +5,14 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "support/thread_pool.h"
-#include "support/ws_deque.h"
-
 namespace statsym::symexec {
+
+namespace {
+
+// Environment-gated diagnostic (README), read once per process.
+const bool kDebugSched = std::getenv("STATSYM_DEBUG_SCHED") != nullptr;
+
+}  // namespace
 
 const char* termination_name(Termination t) {
   switch (t) {
@@ -23,70 +27,28 @@ const char* termination_name(Termination t) {
   return "?";
 }
 
-thread_local SymExecutor::TaskCtx* SymExecutor::tls_ctx_ = nullptr;
-
-SymExecutor::TaskCtx::TaskCtx(SymExecutor& ex)
-    : solver(ex.pool_, ex.opts_.solver_opts),
-      trace(ex.trace_ != nullptr ? ex.trace_->capacity() : 1) {
-  solver.set_cache(&cache);
-  solver::SharedQueryCache* sc = ex.shared_cache_ != nullptr
-                                     ? ex.shared_cache_
-                                     : ex.own_shared_cache_.get();
-  if (sc != nullptr) solver.set_shared_cache(sc);
-  if (ex.trace_ != nullptr) {
-    trace.set_lane(ex.trace_->lane());
-    trace.set_clock(ex.trace_->clock());
-    trace_sink = &trace;
-    solver.set_trace(&trace);
-  }
-}
-
-SymExecutor::TaskCtx& SymExecutor::ctx() {
-  return tls_ctx_ != nullptr ? *tls_ctx_ : *main_ctx_;
-}
-
-const SymExecutor::TaskCtx& SymExecutor::ctx() const {
-  return tls_ctx_ != nullptr ? *tls_ctx_ : *main_ctx_;
-}
-
 SymExecutor::SymExecutor(const ir::Module& m, SymInputSpec spec,
-                         ExecOptions opts)
-    : m_(m), spec_(std::move(spec)), opts_(opts), rng_(opts.seed) {
-  main_ctx_ = std::make_unique<TaskCtx>(*this);
+                         ExecOptions opts, solver::ExprPool* pool)
+    : m_(m),
+      spec_(std::move(spec)),
+      opts_(opts),
+      own_pool_(pool == nullptr ? std::make_unique<solver::ExprPool>()
+                                : nullptr),
+      pool_(pool != nullptr ? *pool : *own_pool_),
+      solver_(pool_, opts_.solver_opts),
+      rng_(opts.seed) {
+  solver_.set_cache(&cache_);
   searcher_ = make_searcher(opts_.searcher, rng_.split());
 }
 
 void SymExecutor::set_shared_solver_cache(solver::SharedQueryCache* cache) {
   shared_cache_ = cache;
-  main_ctx_->solver.set_shared_cache(cache);
+  solver_.set_shared_cache(cache);
 }
 
 void SymExecutor::set_trace(obs::TraceBuffer* trace) {
   trace_ = trace;
-  main_ctx_->trace_sink = trace;
-  main_ctx_->solver.set_trace(trace);
-}
-
-solver::Solver& SymExecutor::solver() { return main_ctx_->solver; }
-
-void SymExecutor::register_sym_buf(SymBufReg reg) {
-  if (tls_ctx_ != nullptr) {
-    tls_ctx_->new_bufs.push_back(std::move(reg));
-  } else {
-    sym_bufs_.push_back(std::move(reg));
-  }
-}
-
-void SymExecutor::register_sym_int(const std::string& name, solver::VarId v) {
-  if (sym_ints_.contains(name)) return;
-  if (tls_ctx_ != nullptr) {
-    for (const auto& [n, existing] : tls_ctx_->new_ints) {
-      if (n == name) return;
-    }
-    tls_ctx_->new_ints.emplace_back(name, v);
-    return;
-  }
-  sym_ints_.emplace(name, v);
+  solver_.set_trace(trace);
 }
 
 ObjId SymExecutor::make_input_object(State& st, const SymStr& s,
@@ -125,7 +87,7 @@ ObjId SymExecutor::make_input_object(State& st, const SymStr& s,
   // Pin the final byte to NUL so every path sees a terminated string within
   // the buffer (standard symbolic-string harness idiom).
   st.mem.write(id, s.capacity - 1, SymByte::concrete(0));
-  register_sym_buf(std::move(reg));
+  sym_bufs_.push_back(std::move(reg));
   return id;
 }
 
@@ -185,9 +147,8 @@ void SymExecutor::build_initial_state() {
 std::unique_ptr<State> SymExecutor::clone_state(State& st) {
   auto c = arena_.acquire();
   st.fork_into(*c);
-  ExecStats& d = ctx().delta;
-  d.eager_clone_bytes += st.approx_bytes();
-  d.clone_bytes += c->shallow_clone_bytes();
+  stats_.eager_clone_bytes += st.approx_bytes();
+  stats_.clone_bytes += c->shallow_clone_bytes();
   return c;
 }
 
@@ -196,7 +157,7 @@ bool SymExecutor::feasible(State& st, solver::ExprId e) {
   if (quick == PathConstraints::Quick::kSat) return true;
   if (quick == PathConstraints::Quick::kUnsat) return false;
   if (!opts_.escalate_unknown_forks) return true;  // optimistic
-  const auto res = ctx().solver.check_with(st.pc.list(), e);
+  const auto res = solver_.check_with(st.pc.list(), e);
   return res.sat != solver::Sat::kUnsat;  // unknown treated as feasible
 }
 
@@ -226,7 +187,7 @@ std::int64_t SymExecutor::concretize(State& st, solver::ExprId e) {
     add_constraint(st, pool_.eq(e, pool_.constant(v)));
     return v;
   }
-  const auto res = ctx().solver.check(st.pc.list());
+  const auto res = solver_.check(st.pc.list());
   std::int64_t v;
   if (res.sat == solver::Sat::kSat) {
     v = pool_.eval(e, res.model);
@@ -248,7 +209,6 @@ SymExecutor::StepResult SymExecutor::apply_hook(State& st, monitor::LocId loc) {
 SymExecutor::StepResult SymExecutor::fault_state(State& st,
                                                  interp::FaultKind kind,
                                                  std::string detail) {
-  TaskCtx& tc = ctx();
   VulnPath v;
   if (follow_) {
     // Follow mode reached this fault by concretely executing the driving
@@ -260,15 +220,15 @@ SymExecutor::StepResult SymExecutor::fault_state(State& st,
     // Validate the path end-to-end with the full solver; an unsatisfiable
     // constraint set means the optimistic quick checks walked an infeasible
     // path — discard rather than report a false positive. Uses the dedicated
-    // high-budget validation solver (sharing the task's query caches).
+    // high-budget validation solver (sharing the slice's query caches).
     solver::Solver validator(pool_, opts_.fault_solver_opts);
-    validator.set_cache(&tc.cache);
+    validator.set_cache(&cache_);
     solver::SharedQueryCache* sc =
         shared_cache_ != nullptr ? shared_cache_ : own_shared_cache_.get();
     if (sc != nullptr) validator.set_shared_cache(sc);
-    if (tc.trace_sink != nullptr) validator.set_trace(tc.trace_sink);
+    if (trace_ != nullptr) validator.set_trace(trace_);
     const auto res = validator.check(st.pc.list());
-    tc.validator_stats += validator.stats();
+    validator_stats_ += validator.stats();
     if (res.sat == solver::Sat::kUnsat) return StepResult::kInfeasible;
     v.model_valid = (res.sat == solver::Sat::kSat);
     if (v.model_valid) v.model = res.model;
@@ -290,37 +250,27 @@ SymExecutor::StepResult SymExecutor::fault_state(State& st,
   v.trace = st.trace.materialize();
   v.constraints = st.pc.list();
   v.input = reconstruct_input(v.model);
-  tc.pending_vuln = std::move(v);
+  pending_vuln_ = std::move(v);
   return StepResult::kFault;
 }
 
 interp::RuntimeInput SymExecutor::reconstruct_input(
     const solver::Model& model) const {
   interp::RuntimeInput in;
-  // A slice's own registrations are not yet committed: consult the committed
-  // registries plus (when called mid-slice) the task-local pending ones.
-  const TaskCtx* tc = tls_ctx_;
   auto value_of = [&](solver::VarId v) {
     auto it = model.find(v);
     return it != model.end() ? it->second : pool_.var(v).lo;
   };
-  auto scan = [&](const std::vector<SymBufReg>& regs, const std::string& name,
-                  std::string& out) {
-    for (const auto& reg : regs) {
+  auto str_of = [&](const std::string& name) {
+    std::string s;
+    for (const auto& reg : sym_bufs_) {
       if (reg.name != name) continue;
       for (solver::VarId v : reg.vars) {
         const std::int64_t b = value_of(v);
         if (b == 0) break;
-        out.push_back(static_cast<char>(static_cast<std::uint8_t>(b)));
+        s.push_back(static_cast<char>(static_cast<std::uint8_t>(b)));
       }
-      return true;
-    }
-    return false;
-  };
-  auto str_of = [&](const std::string& name) {
-    std::string s;
-    if (!scan(sym_bufs_, name, s) && tc != nullptr) {
-      scan(tc->new_bufs, name, s);
+      break;
     }
     return s;
   };
@@ -334,21 +284,8 @@ interp::RuntimeInput SymExecutor::reconstruct_input(
     in.sym_ints[name] = value_of(var);
     in.sym_bufs[name] = str_of(name);  // covers kMakeSymBuf inputs
   }
-  if (tc != nullptr) {
-    for (const auto& [name, var] : tc->new_ints) {
-      in.sym_ints[name] = value_of(var);
-      in.sym_bufs[name] = str_of(name);
-    }
-  }
   for (const auto& reg : sym_bufs_) {
     if (!in.sym_bufs.contains(reg.name)) in.sym_bufs[reg.name] = str_of(reg.name);
-  }
-  if (tc != nullptr) {
-    for (const auto& reg : tc->new_bufs) {
-      if (!in.sym_bufs.contains(reg.name)) {
-        in.sym_bufs[reg.name] = str_of(reg.name);
-      }
-    }
   }
   return in;
 }
@@ -389,10 +326,10 @@ SymExecutor::StepResult SymExecutor::exec_branch(State& st,
           PathConstraints::Quick::kUnsat) {
         return StepResult::kInfeasible;  // pc was already unsat
       }
-      ++ctx().validator_stats.static_prunes;
-      if (obs::TraceBuffer* tr = tr_sink()) {
-        tr->emit(obs::EventKind::kStaticPrune, f.func, f.block,
-                 take_true ? 1 : 0, "branch");
+      ++validator_stats_.static_prunes;
+      if (trace_ != nullptr) {
+        trace_->emit(obs::EventKind::kStaticPrune, f.func, f.block,
+                     take_true ? 1 : 0, "branch");
       }
       f.block = take_true ? in.t0 : in.t1;
       f.idx = 0;
@@ -417,8 +354,8 @@ SymExecutor::StepResult SymExecutor::exec_branch(State& st,
       st.depth++;
     }
     if (cur_ok && sib_ok) {
-      ctx().sibling = std::move(sib);
-      ++ctx().delta.forks;
+      sibling_ = std::move(sib);
+      ++stats_.forks;
       return StepResult::kForked;
     }
     if (cur_ok) {
@@ -568,7 +505,7 @@ bool SymExecutor::resolve_address(State& st, const ir::Instr& in,
       is_store ? interp::FaultKind::kOobStore : interp::FaultKind::kOobLoad;
   (void)in;
   if (!refv.is_ref() || refv.conc.is_null_ref()) {
-    ctx().mem_step_result =
+    mem_step_result_ =
         fault_state(st, interp::FaultKind::kNullDeref, "null/int access");
     return false;
   }
@@ -578,7 +515,7 @@ bool SymExecutor::resolve_address(State& st, const ir::Instr& in,
   if (idxv.is_concrete()) {
     const std::int64_t addr = refv.conc.off + idxv.conc.i;
     if (addr < 0 || addr >= size) {
-      ctx().mem_step_result = fault_state(
+      mem_step_result_ = fault_state(
           st, oob_kind, st.mem.label(obj) + "[" + std::to_string(addr) + "]");
       return false;
     }
@@ -597,7 +534,7 @@ bool SymExecutor::resolve_address(State& st, const ir::Instr& in,
     const solver::ExprId inb = pool_.lnot(oob);
     if (addr < 0 || addr >= size) {
       follow_decide(st, oob, inb);
-      ctx().mem_step_result =
+      mem_step_result_ =
           fault_state(st, oob_kind, st.mem.label(obj) + "[symbolic]");
       return false;
     }
@@ -610,10 +547,10 @@ bool SymExecutor::resolve_address(State& st, const ir::Instr& in,
   }
   if (feasible(st, oob)) {
     if (add_constraint(st, oob)) {
-      ctx().mem_step_result =
+      mem_step_result_ =
           fault_state(st, oob_kind, st.mem.label(obj) + "[symbolic]");
     } else {
-      ctx().mem_step_result = StepResult::kInfeasible;
+      mem_step_result_ = StepResult::kInfeasible;
     }
     return false;
   }
@@ -621,7 +558,7 @@ bool SymExecutor::resolve_address(State& st, const ir::Instr& in,
   if (addr_out < 0 || addr_out >= size) {
     // Solver gave an out-of-range witness despite infeasible oob: the state
     // is contradictory.
-    ctx().mem_step_result = StepResult::kInfeasible;
+    mem_step_result_ = StepResult::kInfeasible;
     return false;
   }
   return true;
@@ -679,7 +616,7 @@ SymExecutor::StepResult SymExecutor::step(State& st) {
   const ir::Function& fn = m_.function(f.func);
   const ir::Instr& in = fn.blocks[static_cast<std::size_t>(f.block)]
                             .instrs[static_cast<std::size_t>(f.idx)];
-  ++ctx().delta.instructions;
+  ++stats_.instructions;
   ++st.instrs;
 
   auto reg = [&](ir::Reg r) -> SymValue& {
@@ -745,7 +682,7 @@ SymExecutor::StepResult SymExecutor::step(State& st) {
       std::int64_t addr = 0;
       if (!resolve_address(st, in, reg(in.a), reg(in.b), /*is_store=*/false,
                            addr)) {
-        return ctx().mem_step_result;
+        return mem_step_result_;
       }
       const SymByte b = st.mem.read(reg(in.a).conc.obj, addr);
       set(in.dst, b.is_sym ? SymValue::symbolic(b.e)
@@ -757,7 +694,7 @@ SymExecutor::StepResult SymExecutor::step(State& st) {
       std::int64_t addr = 0;
       if (!resolve_address(st, in, reg(in.a), reg(in.b), /*is_store=*/true,
                            addr)) {
-        return ctx().mem_step_result;
+        return mem_step_result_;
       }
       const SymValue v = reg(in.c);
       SymByte byte;
@@ -837,7 +774,7 @@ SymExecutor::StepResult SymExecutor::step(State& st) {
     }
     case ir::Opcode::kMakeSymInt: {
       const solver::VarId v = pool_.new_var(in.str, in.imm, in.imm2);
-      register_sym_int(in.str, v);
+      sym_ints_.emplace(in.str, v);  // first registration wins
       if (follow_) {
         std::int64_t cv = in.imm;  // default: domain minimum, as the interp
         if (auto it = follow_input_.sym_ints.find(in.str);
@@ -878,7 +815,7 @@ SymExecutor::StepResult SymExecutor::step(State& st) {
         st.mem.write(obj, i, SymByte::symbolic(pool_.var_expr(v)));
       }
       if (size > r.conc.off) st.mem.write(obj, size - 1, SymByte::concrete(0));
-      register_sym_buf(std::move(breg));
+      sym_bufs_.push_back(std::move(breg));
       ++f.idx;
       return StepResult::kContinue;
     }
@@ -954,20 +891,6 @@ void SymExecutor::release_shared() {
   published_mem_ = 0;
 }
 
-void SymExecutor::run_task(State& st, TaskCtx& tc) {
-  TaskCtx* prev = tls_ctx_;
-  tls_ctx_ = &tc;
-  bool requeue = true;
-  StepResult last = StepResult::kContinue;
-  for (std::uint32_t k = 0; k < opts_.slice && requeue; ++k) {
-    last = step(st);
-    if (last != StepResult::kContinue) requeue = false;
-  }
-  tc.last = last;
-  tc.requeue = requeue;
-  tls_ctx_ = prev;
-}
-
 void SymExecutor::destroy_state(State* st) {
   // Follow mode runs exactly one state; keep its final constraint list so
   // the concolic driver can slice decision prefixes out of it.
@@ -979,30 +902,26 @@ void SymExecutor::destroy_state(State* st) {
   }
 }
 
-void SymExecutor::commit_task(State* st, TaskCtx& tc, ExecResult& result,
-                              Termination& term, bool& done) {
-  // Counters and buffered events first: they describe the slice regardless
-  // of how it ended. Committing strictly in draw order makes every
-  // aggregate, the stitched event stream, and the ids assigned below
-  // independent of worker timing.
-  stats_.instructions += tc.delta.instructions;
-  stats_.forks += tc.delta.forks;
-  stats_.clone_bytes += tc.delta.clone_bytes;
-  stats_.eager_clone_bytes += tc.delta.eager_clone_bytes;
-  solver_stats_acc_ += tc.solver.stats();
-  solver_stats_acc_ += tc.validator_stats;
-  if (trace_ != nullptr) trace_->append(std::move(tc.trace));
-  for (const auto& [name, v] : tc.new_ints) sym_ints_.emplace(name, v);
-  for (auto& reg : tc.new_bufs) sym_bufs_.push_back(std::move(reg));
+void SymExecutor::run_slice(State* st, ExecResult& result, Termination& term,
+                            bool& done) {
+  // Every slice starts with empty local caches, as a fresh solver would.
+  cache_.clear();
+  solver_.clear_models();
+  StepResult last = StepResult::kContinue;
+  for (std::uint32_t k = 0; k < opts_.slice && last == StepResult::kContinue;
+       ++k) {
+    last = step(*st);
+  }
 
-  switch (tc.last) {
+  switch (last) {
     case StepResult::kContinue:
-      break;  // slice expired: requeued below
+      searcher_->add(st);  // slice expired
+      break;
     case StepResult::kForked: {
-      assert(tc.sibling != nullptr);
-      State* sib = tc.sibling.get();
-      sib->id = next_state_id_++;  // canonical: assigned in commit order
-      owned_.emplace(sib->id, std::move(tc.sibling));
+      assert(sibling_ != nullptr);
+      State* sib = sibling_.get();
+      sib->id = next_state_id_++;
+      owned_.emplace(sib->id, std::move(sibling_));
       stats_.peak_live_states =
           std::max(stats_.peak_live_states, owned_.size());
       if (trace_ != nullptr) {
@@ -1041,21 +960,18 @@ void SymExecutor::commit_task(State* st, TaskCtx& tc, ExecResult& result,
       destroy_state(st);
       const bool on_target =
           opts_.target_function.empty() ||
-          (tc.pending_vuln.has_value() &&
-           tc.pending_vuln->function == opts_.target_function);
+          (pending_vuln_.has_value() &&
+           pending_vuln_->function == opts_.target_function);
       if (!on_target) {
         // A known/other vulnerability on the way to the hunted one: the
         // path ends here but is not the finding we're after.
-        tc.pending_vuln.reset();
+        pending_vuln_.reset();
         break;
       }
       ++stats_.faults_found;
-      if (!result.vuln.has_value()) result.vuln = std::move(tc.pending_vuln);
-      tc.pending_vuln.reset();
+      if (!result.vuln.has_value()) result.vuln = std::move(pending_vuln_);
+      pending_vuln_.reset();
       if (opts_.stop_at_first_fault) {
-        // Later tasks of this round are discarded uniformly: they ran to
-        // completion in every schedule, so dropping their results here keeps
-        // the outcome independent of jobs.
         term = Termination::kFoundFault;
         done = true;
       }
@@ -1070,17 +986,16 @@ void SymExecutor::commit_task(State* st, TaskCtx& tc, ExecResult& result,
       suspended_.push_back(st);
       break;
   }
-  if (tc.requeue) searcher_->add(st);
 }
 
 ExecResult SymExecutor::run() {
   // Without an engine-provided cross-worker cache, create a run-local shared
-  // cache: per-task local caches start empty, so this is what lets round
-  // tasks reuse each other's canonical solves (hits are bit-identical to the
+  // cache: local caches start every slice empty, so this is what lets slices
+  // reuse each other's canonical solves (hits are bit-identical to the
   // solves they replace, so reuse never perturbs determinism).
   if (shared_cache_ == nullptr && own_shared_cache_ == nullptr) {
     own_shared_cache_ = std::make_unique<solver::SharedQueryCache>();
-    main_ctx_->solver.set_shared_cache(own_shared_cache_.get());
+    solver_.set_shared_cache(own_shared_cache_.get());
   }
 
   build_initial_state();
@@ -1090,26 +1005,6 @@ ExecResult SymExecutor::run() {
   Termination term = Termination::kExhausted;
   bool done = false;
 
-  // Follow mode executes exactly one state and never forks: width 1 keeps
-  // its decision recording strictly sequential.
-  const std::uint32_t batch =
-      follow_ ? 1u : std::max<std::uint32_t>(1u, opts_.batch);
-  const std::size_t workers = std::min<std::size_t>(
-      follow_ ? 1u : effective_threads(opts_.jobs), batch);
-  sched_stats_.workers = workers;
-
-  std::unique_ptr<ThreadPool> pool;
-  std::vector<std::unique_ptr<support::WsDeque>> deques;
-  std::vector<std::uint64_t> steal_counts(workers, 0);
-  if (workers > 1) {
-    pool = std::make_unique<ThreadPool>(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      deques.push_back(std::make_unique<support::WsDeque>(batch));
-    }
-  }
-
-  std::vector<State*> drawn(batch, nullptr);
-  std::vector<std::unique_ptr<TaskCtx>> tcs;
   std::uint64_t round = 0;
 
   while (!done) {
@@ -1180,63 +1075,18 @@ ExecResult SymExecutor::run() {
       break;
     }
 
-    // Draw the round's batch in canonical searcher order.
-    const auto n = static_cast<std::uint32_t>(
-        std::min<std::size_t>(batch, searcher_->size()));
-    for (std::uint32_t i = 0; i < n; ++i) drawn[i] = searcher_->select();
-
-    if (getenv("STATSYM_DEBUG_SCHED") && (round % 256) == 0) {
+    State* st = searcher_->select();
+    if (kDebugSched && (round % 256) == 0) {
       fprintf(stderr,
-              "round=%llu n=%u live=%zu susp=%zu st=%llu m=%d d=%d fn=%s "
+              "round=%llu live=%zu susp=%zu st=%llu m=%d d=%d fn=%s "
               "instrs=%llu\n",
-              (unsigned long long)round, n, owned_.size(), suspended_.size(),
-              (unsigned long long)drawn[0]->id, drawn[0]->guide.matched,
-              drawn[0]->guide.diverted,
-              m_.function(drawn[0]->top().func).name.c_str(),
+              (unsigned long long)round, owned_.size(), suspended_.size(),
+              (unsigned long long)st->id, st->guide.matched,
+              st->guide.diverted, m_.function(st->top().func).name.c_str(),
               (unsigned long long)stats_.instructions);
     }
-
-    tcs.clear();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      tcs.push_back(std::make_unique<TaskCtx>(*this));
-    }
-    ++sched_stats_.rounds;
-    sched_stats_.tasks += n;
-
-    if (pool == nullptr || n == 1) {
-      // Inline execution (jobs=1, or a round of one): the same tasks run in
-      // draw order — identical results, no scheduling at all.
-      for (std::uint32_t i = 0; i < n; ++i) run_task(*drawn[i], *tcs[i]);
-    } else {
-      const std::size_t active = std::min<std::size_t>(workers, n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        deques[i % active]->push(i);
-      }
-      pool->parallel_for(active, [&](std::size_t w) {
-        std::uint32_t idx = 0;
-        for (;;) {
-          if (deques[w]->pop(idx)) {
-            run_task(*drawn[idx], *tcs[idx]);
-            continue;
-          }
-          bool ran = false;
-          for (std::size_t off = 1; off < active && !ran; ++off) {
-            if (deques[(w + off) % active]->steal(idx)) {
-              ++steal_counts[w];
-              run_task(*drawn[idx], *tcs[idx]);
-              ran = true;
-            }
-          }
-          if (!ran) break;
-        }
-      });
-    }
-
-    for (std::uint32_t i = 0; i < n && !done; ++i) {
-      commit_task(drawn[i], *tcs[i], result, term, done);
-    }
+    run_slice(st, result, term, done);
   }
-  for (const std::uint64_t s : steal_counts) sched_stats_.steals += s;
 
   // In keep-exploring mode a completed exploration that did find a fault
   // still reports success.
@@ -1260,9 +1110,8 @@ ExecResult SymExecutor::run() {
   }
   result.termination = term;
   result.stats = stats_;
-  result.solver_stats = solver_stats_acc_;
-  result.solver_stats += main_ctx_->solver.stats();
-  result.solver_stats += main_ctx_->validator_stats;
+  result.solver_stats = solver_.stats();
+  result.solver_stats += validator_stats_;
   return result;
 }
 

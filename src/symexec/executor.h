@@ -14,13 +14,12 @@
 // run that exhausts memory before reaching the bug reports kOutOfMemory —
 // the "Failed" rows of Table IV.
 //
-// Exploration is organised in fixed-width rounds (DESIGN.md §13): each round
-// draws `batch` states from the searcher in canonical order, executes every
-// drawn slice to completion — inline at jobs=1, across a work-stealing
-// worker pool at jobs>1 — and commits the results strictly in draw order.
-// Because the set of executed slices and the commit order are functions of
-// `batch` alone, every observable output (stats, traces, findings, state
-// ids) is byte-identical at any `jobs` value.
+// Exploration is a sequential loop of scheduling slices (DESIGN.md §13): the
+// searcher picks a state, the state runs up to `slice` instructions, and the
+// slice's outcome (fork, termination, fault, suspension) is applied before
+// the next pick. Forks are copy-on-write, and the expression pool may be
+// owned by the caller so that several runs (a concolic lane's follow runs)
+// hash-cons into one pool.
 #pragma once
 
 #include <atomic>
@@ -134,20 +133,9 @@ struct ExecStats {
 
   // Copy-on-write fork accounting: bytes clone_state actually copied versus
   // what an eager deep copy of the parent would have cost. Both are
-  // schedule-invariant (forks and their parents' footprints are functions of
-  // the explored paths, not of worker timing).
+  // functions of the explored paths.
   std::uint64_t clone_bytes{0};
   std::uint64_t eager_clone_bytes{0};
-};
-
-// Scheduling telemetry for the parallel frontier. Schedule-DEPENDENT (steal
-// counts vary run to run at jobs>1), so it is deliberately kept out of
-// ExecStats, metrics and traces; exposed for benches and debugging only.
-struct SchedStats {
-  std::uint64_t rounds{0};
-  std::uint64_t tasks{0};
-  std::uint64_t steals{0};
-  std::size_t workers{0};  // worker threads the run actually used
 };
 
 struct ExecResult {
@@ -204,16 +192,6 @@ struct ExecOptions {
   // Instructions executed per scheduling slice before the searcher picks
   // again.
   std::uint32_t slice{64};
-  // Worker threads exploring this run's fork tree (0 = all hardware
-  // threads). Determinism contract: the observable output is byte-identical
-  // at any value — rounds are shaped by `batch`, every drawn slice runs to
-  // completion in every schedule, and results commit in draw order. Composes
-  // with the engine portfolio (effective concurrency = lanes × jobs).
-  std::size_t jobs{1};
-  // States drawn per exploration round — the canonical scheduling unit and
-  // the upper bound on useful `jobs`. Changing it changes exploration order
-  // (and goldens); changing `jobs` never does. Follow mode forces 1.
-  std::uint32_t batch{1};
   solver::SolverOptions solver_opts{};
   // Fault validation is one query per reported vulnerability and decides
   // whether the finding (and its generated crashing input) is real, so it
@@ -241,7 +219,13 @@ class GuidanceHook {
 
 class SymExecutor {
  public:
-  SymExecutor(const ir::Module& m, SymInputSpec spec, ExecOptions opts);
+  // `pool`: an externally owned expression pool to build into (it must
+  // outlive the executor and have no other concurrent user); null makes the
+  // executor own a fresh one. Sharing a pool across runs interns the input
+  // variables once and hash-conses the runs' expressions together; ids never
+  // reach any output, so the results are those of a fresh pool.
+  SymExecutor(const ir::Module& m, SymInputSpec spec, ExecOptions opts,
+              solver::ExprPool* pool = nullptr);
 
   // Must be set before run() if guidance is desired.
   void set_guidance(GuidanceHook* hook) { hook_ = hook; }
@@ -281,13 +265,12 @@ class SymExecutor {
   // cross-worker query cache (must outlive the run). Only canonical solve
   // results cross workers, so sharing never perturbs per-candidate
   // determinism — see DESIGN.md §"Solver". Without one, run() creates a
-  // run-local shared cache so round tasks still reuse each other's solves.
+  // run-local shared cache, so slices reuse each other's canonical solves
+  // even though each slice starts with empty local caches.
   void set_shared_solver_cache(solver::SharedQueryCache* cache);
   // Opt this executor into structured tracing (must outlive the run): state
   // fork/suspend/wake/terminate events plus the solvers' query events land
-  // in `trace` in commit order — per-task events are buffered and stitched
-  // back at commit, so the stream is byte-identical at any `jobs` (see
-  // obs/trace.h).
+  // in `trace` in execution order (see obs/trace.h).
   void set_trace(obs::TraceBuffer* trace);
 
   ExecResult run();
@@ -295,8 +278,6 @@ class SymExecutor {
   // --- services (for guidance hooks and tests) ----------------------------
   const ir::Module& module() const { return m_; }
   solver::ExprPool& pool() { return pool_; }
-  solver::Solver& solver();
-  const SchedStats& sched_stats() const { return sched_stats_; }
 
   // Quick-then-full feasibility of pc ∧ e for a state.
   bool feasible(State& st, solver::ExprId e);
@@ -329,10 +310,10 @@ class SymExecutor {
  private:
   enum class StepResult : std::uint8_t {
     kContinue,
-    kForked,       // the task context's sibling holds the new state
+    kForked,       // sibling_ holds the new state
     kTerminated,   // normal return from main
     kInfeasible,   // current path proven unsat
-    kFault,        // fault recorded in the task context's pending_vuln
+    kFault,        // fault recorded in pending_vuln_
     kSuspend,      // guidance suspended the state
   };
 
@@ -341,39 +322,6 @@ class SymExecutor {
     std::string name;
     std::vector<solver::VarId> vars;  // one per byte
   };
-
-  // Everything one scheduling slice touches besides its own State lives
-  // here: one fresh instance per drawn task, reached through a thread-local
-  // pointer so the deep step()/hook call tree needs no plumbing. Fresh local
-  // caches per task make a task's behaviour independent of which worker ran
-  // it and of which tasks shared that worker — the core of the any-jobs
-  // determinism argument (cross-task reuse goes through the shared cache,
-  // whose hits are bit-identical to the canonical solves they replace).
-  struct TaskCtx {
-    explicit TaskCtx(SymExecutor& ex);
-
-    solver::QueryCache cache;             // local per-slice query cache
-    solver::Solver solver;                // fork-time solver
-    solver::SolverStats validator_stats;  // fault-validation + static prunes
-    obs::TraceBuffer trace;               // stitched into trace_ at commit
-    obs::TraceBuffer* trace_sink{nullptr};  // null = tracing off
-    std::unique_ptr<State> sibling;       // set by exec_branch on fork
-    std::optional<VulnPath> pending_vuln;
-    StepResult mem_step_result{StepResult::kContinue};
-    ExecStats delta;                      // instructions/forks/clone bytes
-    std::vector<SymBufReg> new_bufs;      // registered this slice, uncommitted
-    std::vector<std::pair<std::string, solver::VarId>> new_ints;
-    StepResult last{StepResult::kContinue};  // how the slice ended
-    bool requeue{true};
-  };
-
-  // The active task context: the thread-local one while a slice runs, the
-  // persistent main context otherwise (construction, follow bookkeeping,
-  // out-of-run service calls from tests).
-  TaskCtx& ctx();
-  const TaskCtx& ctx() const;
-  // The active trace sink (null when tracing is off).
-  obs::TraceBuffer* tr_sink() { return ctx().trace_sink; }
 
   void build_initial_state();
   // `follow_value`: the concrete string driving this input in follow mode
@@ -410,18 +358,10 @@ class SymExecutor {
   // assigned at commit, in draw order.
   std::unique_ptr<State> clone_state(State& st);
 
-  // Registry writes are buffered in the task context during a slice and
-  // merged (name-deduplicated) at commit; outside a slice they go straight
-  // to the run-level registries.
-  void register_sym_buf(SymBufReg reg);
-  void register_sym_int(const std::string& name, solver::VarId v);
-
-  // Executes one scheduling slice of `st` under `tc` (sets the thread-local
-  // context for the duration). Safe to call concurrently for distinct tasks.
-  void run_task(State& st, TaskCtx& tc);
-  // Applies one completed task's results in draw order; may finish the run.
-  void commit_task(State* st, TaskCtx& tc, ExecResult& result,
-                   Termination& term, bool& done);
+  // Runs one scheduling slice of `st` and applies its outcome; may finish
+  // the run.
+  void run_slice(State* st, ExecResult& result, Termination& term,
+                 bool& done);
   // Removes a finished state from owned_ and recycles its shell.
   void destroy_state(State* st);
 
@@ -436,17 +376,23 @@ class SymExecutor {
   const ir::Module& m_;
   SymInputSpec spec_;
   ExecOptions opts_;
-  solver::ExprPool pool_;
+  std::unique_ptr<solver::ExprPool> own_pool_;  // null when the caller owns it
+  solver::ExprPool& pool_;
   solver::SharedQueryCache* shared_cache_{nullptr};
   // Run-local fallback shared cache (created by run() when no cross-worker
-  // cache was injected) so round tasks still reuse each other's solves.
+  // cache was injected) so slices still reuse each other's solves.
   std::unique_ptr<solver::SharedQueryCache> own_shared_cache_;
-  // Persistent context for everything outside a slice; per-task contexts are
-  // created fresh each round. tls_ctx_ points at the running task's context.
-  std::unique_ptr<TaskCtx> main_ctx_;
-  static thread_local TaskCtx* tls_ctx_;
-  // Solver counters committed from finished tasks, in draw order.
-  solver::SolverStats solver_stats_acc_;
+  // Fork-time solver and its local query cache. Both start every slice
+  // empty (clear(), clear_models()): a slice's answers then depend only on
+  // the slice and on canonical solves, never on which slices ran before it.
+  solver::QueryCache cache_;
+  solver::Solver solver_;
+  // Fault-validation solver counters and static prunes.
+  solver::SolverStats validator_stats_;
+  // Per-step outcome channels into run_slice.
+  std::unique_ptr<State> sibling_;  // set by exec_branch on fork
+  std::optional<VulnPath> pending_vuln_;
+  StepResult mem_step_result_{StepResult::kContinue};
   Rng rng_;
 
   std::unique_ptr<Searcher> searcher_;
@@ -466,7 +412,6 @@ class SymExecutor {
 
   std::uint64_t next_state_id_{1};
   ExecStats stats_;
-  SchedStats sched_stats_;
   StateArena arena_;
 
   // Program-input objects created in the initial state (the ids are copied

@@ -48,10 +48,8 @@ int usage() {
                "             [--jobs/-j N] [--portfolio K] [--stream] "
                "[--log-shard-size N]\n"
                "             [--engines LIST] [--concolic]\n"
-               "             [--exec-jobs N] [--exec-batch N]\n"
                "  statsym pure <app> [--searcher dfs|bfs|random|coverage] "
                "[--mem MB] [--time S]\n"
-               "             [--exec-jobs N] [--exec-batch N]\n"
                "  statsym collect <app> <out-file> [--sampling R] [--seed N] "
                "[--jobs/-j N]\n"
                "  statsym dump <app>\n"
@@ -76,17 +74,6 @@ int usage() {
                "                  (default guided); first win cancels worse\n"
                "                  lanes, results identical at any --jobs\n"
                "  --concolic      shorthand: append a concolic lane\n"
-               "  --exec-jobs N   worker threads *inside* each symbolic\n"
-               "                  executor (work-stealing over the round's\n"
-               "                  batch; 0 = all hardware threads, default "
-               "1);\n"
-               "                  output is byte-identical at any value\n"
-               "  --exec-batch N  states drawn per executor round (default "
-               "1);\n"
-               "                  widths > 1 enable intra-run parallelism "
-               "but\n"
-               "                  change exploration order (deterministically"
-               ")\n"
                "  --no-static-analysis  skip the whole-program static\n"
                "                  analysis (no branch pruning / candidate\n"
                "                  drops); verdicts are identical either way\n"
@@ -114,8 +101,6 @@ struct Flags {
   std::size_t mem_mb{256};
   double time_s{300.0};
   std::size_t jobs{0};       // 0 = hardware_concurrency
-  std::size_t exec_jobs{1};  // workers inside each symbolic executor
-  std::uint32_t exec_batch{1};  // states drawn per executor round
   std::size_t portfolio{4};  // concurrent candidates in Phase 3
   bool stream{false};        // shard-streamed statistics ingestion
   std::size_t log_shard_size{64};
@@ -167,15 +152,15 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       double v;
       if (!next(v)) return false;
       f.jobs = static_cast<std::size_t>(v);
-    } else if (a == "--exec-jobs") {
-      double v;
-      if (!next(v)) return false;
-      f.exec_jobs = static_cast<std::size_t>(v);
-    } else if (a == "--exec-batch") {
-      double v;
-      if (!next(v)) return false;
-      f.exec_batch = static_cast<std::uint32_t>(v);
-      if (f.exec_batch == 0) f.exec_batch = 1;
+    } else if (a == "--exec-jobs" || a == "--exec-batch") {
+      // Removed with the executor's intra-run worker pool: fail loudly
+      // instead of silently running a different configuration.
+      std::fprintf(stderr,
+                   "%s was removed: each symbolic executor runs one "
+                   "sequential exploration loop (use --jobs for parallel "
+                   "candidates and engine lanes)\n",
+                   a.c_str());
+      return false;
     } else if (a == "--portfolio") {
       double v;
       if (!next(v)) return false;
@@ -279,8 +264,6 @@ core::EngineOptions engine_options(const Flags& f) {
   o.seed = f.seed;
   o.candidate_timeout_seconds = f.time_s;
   o.exec.max_memory_bytes = f.mem_mb << 20;
-  o.exec.jobs = f.exec_jobs;
-  o.exec.batch = f.exec_batch;
   o.num_threads = f.jobs;
   o.candidate_portfolio_width = f.portfolio;
   o.stream = f.stream;
@@ -428,8 +411,6 @@ int cmd_pure(const std::string& name, const Flags& f) {
   }
   opts.max_memory_bytes = f.mem_mb << 20;
   opts.max_seconds = f.time_s;
-  opts.jobs = f.exec_jobs;
-  opts.batch = f.exec_batch;
   obs::TraceOptions topts;
   topts.wall_clock = !f.trace_chrome.empty();
   obs::Tracer tracer(topts);

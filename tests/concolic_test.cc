@@ -5,11 +5,13 @@
 
 #include <atomic>
 
+#include "apps/registry.h"
 #include "apps/stdlib.h"
 #include "concolic/concolic.h"
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "obs/trace.h"
+#include "support/rng.h"
 #include "symexec/executor.h"
 
 namespace statsym::concolic {
@@ -135,6 +137,79 @@ TEST(FollowMode, InterpreterAgreementOnRandomInputs) {
 
 // ---------------------------------------------------------------------------
 // Generational-search driver.
+
+TEST(FollowMode, SharedPoolRunsMatchFreshPools) {
+  // The concolic lane runs every follow execution on one pool. Each run must
+  // behave exactly as on a fresh pool: same result, same decisions (compared
+  // structurally — ids differ between pools), and negation models that
+  // rebuild the same next inputs.
+  solver::SolverOptions neg_opts;
+  neg_opts.max_query_seconds = 60.0;  // the node budget is the binding cap
+  for (const char* name : {"fig2", "polymorph", "ctree", "grep", "thttpd"}) {
+    SCOPED_TRACE(name);
+    const apps::AppSpec app = apps::make_app(name);
+    std::vector<interp::RuntimeInput> inputs{seed_input(app.sym_spec)};
+    Rng rng(derive_seed(0xf011, inputs.size()));
+    for (int i = 0; i < 5; ++i) inputs.push_back(app.workload(rng));
+
+    solver::ExprPool shared;
+    std::size_t negations = 0;
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      SCOPED_TRACE("input " + std::to_string(k));
+      symexec::SymExecutor a(app.module, app.sym_spec, {}, &shared);
+      a.set_follow_input(inputs[k]);
+      const symexec::ExecResult ra = a.run();
+      symexec::SymExecutor b(app.module, app.sym_spec, {});
+      b.set_follow_input(inputs[k]);
+      const symexec::ExecResult rb = b.run();
+
+      EXPECT_EQ(ra.termination, rb.termination);
+      EXPECT_EQ(ra.stats.instructions, rb.stats.instructions);
+      EXPECT_EQ(ra.stats.paths_explored, rb.stats.paths_explored);
+      EXPECT_EQ(ra.solver_stats.queries, rb.solver_stats.queries);
+      ASSERT_EQ(ra.vuln.has_value(), rb.vuln.has_value());
+      if (ra.vuln.has_value()) {
+        EXPECT_EQ(ra.vuln->kind, rb.vuln->kind);
+        EXPECT_EQ(ra.vuln->function, rb.vuln->function);
+        EXPECT_EQ(ra.vuln->detail, rb.vuln->detail);
+        EXPECT_EQ(ra.vuln->trace, rb.vuln->trace);
+        EXPECT_EQ(input_key(ra.vuln->input), input_key(rb.vuln->input));
+      }
+
+      const auto& da = a.decisions();
+      const auto& db = b.decisions();
+      ASSERT_EQ(da.size(), db.size());
+      for (std::size_t i = 0; i < da.size(); ++i) {
+        EXPECT_EQ(da[i].pc_prefix, db[i].pc_prefix);
+        EXPECT_EQ(shared.fp(da[i].taken), b.pool().fp(db[i].taken));
+        EXPECT_EQ(shared.fp(da[i].negated), b.pool().fp(db[i].negated));
+      }
+      const auto& pa = a.followed_path();
+      const auto& pb = b.followed_path();
+      ASSERT_EQ(pa.size(), pb.size());
+      for (std::size_t i = 0; i < pa.size(); ++i) {
+        EXPECT_EQ(shared.fp(pa[i]), b.pool().fp(pb[i]));
+      }
+
+      // A handful of negation queries per run, solved on each pool.
+      for (std::size_t i = 0; i < da.size() && i < 6; ++i) {
+        solver::Solver sa(shared, neg_opts);
+        solver::Solver sb(b.pool(), neg_opts);
+        const auto qa = sa.check_with(
+            std::span<const solver::ExprId>(pa.data(), da[i].pc_prefix),
+            da[i].negated);
+        const auto qb = sb.check_with(
+            std::span<const solver::ExprId>(pb.data(), db[i].pc_prefix),
+            db[i].negated);
+        ASSERT_EQ(qa.sat, qb.sat);
+        EXPECT_EQ(input_key(a.input_from_model(qa.model)),
+                  input_key(b.input_from_model(qb.model)));
+        ++negations;
+      }
+    }
+    EXPECT_GT(negations, 0u);
+  }
+}
 
 TEST(Concolic, FindsTheNeedleByNegation) {
   const ir::Module m = needle();

@@ -1,16 +1,11 @@
-// Work-stealing intra-run parallelism: determinism and copy-on-write gates.
+// The symbolic executor's exploration loop and its copy-on-write forks.
 //
-// The executor's contract (executor.h): with `batch` fixed, every
-// observable output — termination, stats, findings, the stitched event
-// trace — is byte-identical at any `jobs`. These tests pin that contract on
-// real apps at jobs {1,2,4,8}, and check the copy-on-write fork layer
-// actually copies less than an eager deep clone would.
-//
-// What is *deliberately not* compared: wall-clock seconds, SchedStats
-// (steal counts are schedule-dependent by design), and the raw
-// solves-vs-shared-cache-hits split (which worker solved first is the one
-// schedule-dependent part of the solver cascade; their sum and every result
-// are invariant).
+// The executor runs one scheduling slice at a time (executor.h): its output
+// is a function of the program and options alone. These tests pin that on
+// a real app — repeatable, and unchanged when the executor builds into a
+// caller-owned expression pool that already holds another run's
+// expressions — and check that the copy-on-write fork layer copies less
+// than an eager deep clone would.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,29 +24,31 @@ struct RunOutput {
   std::string trace_jsonl;
 };
 
-RunOutput run_app(const apps::AppSpec& app, std::size_t jobs,
-                  std::uint32_t batch, symexec::SearcherKind searcher,
-                  std::uint64_t max_instructions) {
+symexec::ExecOptions exec_opts(symexec::SearcherKind searcher,
+                               std::uint64_t max_instructions) {
   symexec::ExecOptions opts;
   opts.searcher = searcher;
-  // Wall-clock is the one schedule-dependent budget; keep it from binding
-  // even under TSan's ~15x slowdown so the instruction cap (schedule-
-  // invariant: committed counts, not worker progress) is the real bound.
+  // Keep the wall clock from binding even under TSan's ~15x slowdown, so
+  // the instruction cap is the real bound.
   opts.max_seconds = 900.0;
   opts.max_instructions = max_instructions;
   opts.max_memory_bytes = 256ull << 20;
-  opts.jobs = jobs;
-  opts.batch = batch;
+  return opts;
+}
+
+RunOutput run_app(const apps::AppSpec& app, symexec::SearcherKind searcher,
+                  std::uint64_t max_instructions) {
   obs::Tracer tracer;
   RunOutput out;
-  out.result = run_pure_symbolic(app.module, app.sym_spec, opts,
+  out.result = run_pure_symbolic(app.module, app.sym_spec,
+                                 exec_opts(searcher, max_instructions),
                                  &tracer.buffer());
   EXPECT_EQ(tracer.buffer().dropped(), 0u);
   out.trace_jsonl = tracer.to_jsonl();
   return out;
 }
 
-// Every schedule-invariant surface of two runs must agree exactly.
+// Every deterministic surface of two runs must agree exactly.
 void expect_identical(const RunOutput& a, const RunOutput& b,
                       const std::string& what) {
   SCOPED_TRACE(what);
@@ -79,9 +76,10 @@ void expect_identical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(qa.unknown, qb.unknown);
   EXPECT_EQ(qa.slices, qb.slices);
   EXPECT_EQ(qa.static_prunes, qb.static_prunes);
-  // Which worker reaches a canonical slice first decides hit-vs-solve; the
-  // combined count (and the answers) are invariant.
-  EXPECT_EQ(qa.solves + qa.shared_cache_hits, qb.solves + qb.shared_cache_hits);
+  EXPECT_EQ(qa.cache_hits, qb.cache_hits);
+  EXPECT_EQ(qa.model_reuse_hits, qb.model_reuse_hits);
+  EXPECT_EQ(qa.shared_cache_hits, qb.shared_cache_hits);
+  EXPECT_EQ(qa.solves, qb.solves);
 
   ASSERT_EQ(a.result.vuln.has_value(), b.result.vuln.has_value());
   if (a.result.vuln.has_value()) {
@@ -101,60 +99,12 @@ void expect_identical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(a.trace_jsonl, b.trace_jsonl) << what << ": trace drifted";
 }
 
-TEST(ExecParallel, Fig2IdenticalAtAnyJobs) {
-  const apps::AppSpec app = apps::make_fig2();
-  const RunOutput base = run_app(app, 1, 4, symexec::SearcherKind::kDFS,
-                                 400'000'000);
-  EXPECT_EQ(base.result.termination, symexec::Termination::kFoundFault);
-  for (std::size_t jobs : {2u, 4u, 8u}) {
-    const RunOutput r = run_app(app, jobs, 4, symexec::SearcherKind::kDFS,
-                                400'000'000);
-    expect_identical(base, r, "fig2 dfs jobs=" + std::to_string(jobs));
-  }
-}
-
-TEST(ExecParallel, PolymorphIdenticalAtAnyJobs) {
-  // Bounded slice of a real overflow hunt; the instruction cap keeps the
-  // run finite in either outcome, and the cap itself is schedule-invariant
-  // (committed instruction counts, not worker progress).
-  const apps::AppSpec app = apps::make_polymorph();
-  const RunOutput base =
-      run_app(app, 1, 8, symexec::SearcherKind::kDFS, 1'500'000);
-  for (std::size_t jobs : {4u, 8u}) {
-    const RunOutput r =
-        run_app(app, jobs, 8, symexec::SearcherKind::kDFS, 1'500'000);
-    expect_identical(base, r, "polymorph dfs jobs=" + std::to_string(jobs));
-  }
-}
-
-TEST(ExecParallel, RandomPathPolicyIsAlsoJobsInvariant) {
-  // The draw is sequential even at jobs>1, so stateful/randomized policies
-  // see the identical select() sequence and stay schedule-invariant too.
-  const apps::AppSpec app = apps::make_fig2();
-  const RunOutput one = run_app(app, 1, 4, symexec::SearcherKind::kRandomPath,
-                                400'000'000);
-  const RunOutput eight = run_app(app, 8, 4,
-                                  symexec::SearcherKind::kRandomPath,
-                                  400'000'000);
-  expect_identical(one, eight, "fig2 random-path jobs 1 vs 8");
-}
-
-TEST(ExecParallel, JobsZeroMeansHardwareAndStaysIdentical) {
-  const apps::AppSpec app = apps::make_fig2();
-  const RunOutput one = run_app(app, 1, 4, symexec::SearcherKind::kDFS,
-                                400'000'000);
-  const RunOutput hw = run_app(app, 0, 4, symexec::SearcherKind::kDFS,
-                               400'000'000);
-  expect_identical(one, hw, "fig2 jobs 0 (hardware)");
-}
-
 TEST(ExecParallel, CowForkCopiesStrictlyLessThanEagerClone) {
   // The point of the copy-on-write state layer: per-fork copied bytes must
   // be strictly below what eagerly deep-copying the parent would cost.
   for (const char* name : {"fig2", "polymorph"}) {
     const apps::AppSpec app = apps::make_app(name);
-    const RunOutput r =
-        run_app(app, 1, 1, symexec::SearcherKind::kDFS, 1'500'000);
+    const RunOutput r = run_app(app, symexec::SearcherKind::kDFS, 1'500'000);
     SCOPED_TRACE(name);
     ASSERT_GT(r.result.stats.forks, 0u);
     EXPECT_GT(r.result.stats.clone_bytes, 0u);
@@ -163,52 +113,36 @@ TEST(ExecParallel, CowForkCopiesStrictlyLessThanEagerClone) {
 }
 
 TEST(ExecParallel, BatchOneMatchesClassicSequentialExploration) {
-  // batch=1 must behave exactly like the pre-parallel sequential loop no
-  // matter what jobs says (workers are capped by the batch width).
+  // The exploration loop is the classic one-state-per-slice loop: a second
+  // run repeats the first exactly, and so does a run that builds into a
+  // caller-owned pool already holding another program's expressions (pool
+  // ids shift; nothing observable may).
   const apps::AppSpec app = apps::make_fig2();
-  const RunOutput narrow1 = run_app(app, 1, 1, symexec::SearcherKind::kDFS,
-                                    400'000'000);
-  const RunOutput narrow8 = run_app(app, 8, 1, symexec::SearcherKind::kDFS,
-                                    400'000'000);
-  expect_identical(narrow1, narrow8, "fig2 batch=1 jobs 1 vs 8");
-}
+  const RunOutput first =
+      run_app(app, symexec::SearcherKind::kDFS, 400'000'000);
+  EXPECT_EQ(first.result.termination, symexec::Termination::kFoundFault);
+  expect_identical(first,
+                   run_app(app, symexec::SearcherKind::kDFS, 400'000'000),
+                   "fig2 dfs, second run");
 
-TEST(ExecParallel, GuidedEngineIdenticalAcrossExecJobs) {
-  // Full pipeline (workload -> statistics -> guided portfolio) with the
-  // intra-candidate executor running wide: the engine verdict, witness and
-  // accounting must not move with --exec-jobs.
-  const apps::AppSpec app = apps::make_fig2();
-  auto run_engine = [&](std::size_t exec_jobs) {
-    EngineOptions o;
-    o.monitor.sampling_rate = 0.5;
-    o.target_correct_logs = 40;
-    o.target_faulty_logs = 40;
-    o.candidate_timeout_seconds = 60.0;
-    o.exec.max_memory_bytes = 256ull << 20;
-    o.exec.jobs = exec_jobs;
-    o.exec.batch = 4;
-    o.seed = 424242;
-    StatSymEngine engine(app.module, app.sym_spec, o);
-    engine.collect_logs(app.workload);
-    return engine.run();
-  };
-  const EngineResult one = run_engine(1);
-  const EngineResult eight = run_engine(8);
-  EXPECT_EQ(one.found, eight.found);
-  EXPECT_TRUE(one.found);
-  EXPECT_EQ(one.winning_candidate, eight.winning_candidate);
-  EXPECT_EQ(one.candidates_tried, eight.candidates_tried);
-  EXPECT_EQ(one.paths_explored, eight.paths_explored);
-  EXPECT_EQ(one.instructions, eight.instructions);
-  EXPECT_EQ(one.solver_stats.queries, eight.solver_stats.queries);
-  EXPECT_EQ(one.solver_stats.solves + one.solver_stats.shared_cache_hits,
-            eight.solver_stats.solves + eight.solver_stats.shared_cache_hits);
-  ASSERT_TRUE(one.vuln.has_value());
-  ASSERT_TRUE(eight.vuln.has_value());
-  EXPECT_EQ(one.vuln->function, eight.vuln->function);
-  EXPECT_EQ(one.vuln->kind, eight.vuln->kind);
-  EXPECT_EQ(one.vuln->input.argv, eight.vuln->input.argv);
-  EXPECT_EQ(one.vuln->input.env, eight.vuln->input.env);
+  solver::ExprPool pool;
+  const apps::AppSpec other = apps::make_polymorph();
+  symexec::SymExecutor warm(other.module, other.sym_spec,
+                            exec_opts(symexec::SearcherKind::kDFS, 200'000),
+                            &pool);
+  warm.run();
+  ASSERT_GT(pool.num_nodes(), 2u);
+
+  obs::Tracer tracer;
+  tracer.buffer().emit(obs::EventKind::kExecBegin, 0);
+  symexec::SymExecutor ex(app.module, app.sym_spec,
+                          exec_opts(symexec::SearcherKind::kDFS, 400'000'000),
+                          &pool);
+  ex.set_trace(&tracer.buffer());
+  RunOutput shared;
+  shared.result = ex.run();
+  shared.trace_jsonl = tracer.to_jsonl();
+  expect_identical(first, shared, "fig2 dfs on a pre-populated pool");
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Scheduling-policy tests for symexec/searcher.cc: ordering contracts,
 // tie-breaks, and empty-frontier edges for every built-in policy. The
-// batch-parallel executor draws `batch` states per round through select(),
-// so these orders are what fixes the canonical draw order at any
-// --exec-jobs.
+// executor draws one state per slice through select(), so these orders fix
+// the exploration order.
 #include <algorithm>
 #include <set>
 #include <vector>

@@ -41,8 +41,6 @@ core::EngineOptions oneshot_opts(std::size_t jobs) {
   o.seed = kSeed;
   o.candidate_timeout_seconds = 300.0;
   o.exec.max_memory_bytes = 256ull << 20;
-  o.exec.jobs = 1;
-  o.exec.batch = 1;
   o.num_threads = jobs;
   return o;
 }

@@ -8,6 +8,19 @@
 namespace statsym::solver {
 namespace {
 
+// One-shot slicing on a fresh Slicer, as owned copies.
+std::vector<Slice> slice_constraints(const ExprPool& pool,
+                                     std::span<const ExprId> cs) {
+  Slicer slicer;
+  const std::span<const Slice> s = slicer.slice(pool, cs);
+  return {s.begin(), s.end()};
+}
+
+Slice whole_slice(const ExprPool& pool, std::span<const ExprId> cs) {
+  Slicer slicer;
+  return slicer.whole(pool, cs).front();
+}
+
 struct TestVars {
   ExprPool pool;
   VarId x, y, z;
@@ -37,7 +50,6 @@ TEST(Slicer, SingleComponentChainStaysTogether) {
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_EQ(slices[0].cs, cs);
   EXPECT_EQ(slices[0].vars, (std::vector<VarId>{t.x, t.y, t.z}));
-  ASSERT_EQ(slices[0].cs_vars.size(), 2u);
 }
 
 TEST(Slicer, FullyDisjointConstraintsSplit) {
@@ -119,9 +131,67 @@ TEST(Slicer, WholeSliceKeepsEverythingTogether) {
   const Slice w = whole_slice(t.pool, cs);
   EXPECT_EQ(w.cs, cs);
   EXPECT_EQ(w.vars, (std::vector<VarId>{t.x, t.y}));
-  ASSERT_EQ(w.cs_vars.size(), 2u);
-  EXPECT_EQ(w.cs_vars[0], (std::vector<VarId>{t.x}));
-  EXPECT_EQ(w.cs_vars[1], (std::vector<VarId>{t.y}));
+}
+
+TEST(Slicer, PerConstraintVarsComeFromThePoolMemo) {
+  TestVars t;
+  const ExprId c = t.pool.lt(t.pool.add(t.ez, t.ex), t.ey);
+  std::vector<VarId> want;
+  t.pool.collect_vars(c, want);
+  ASSERT_EQ(want.size(), 3u);
+  const std::span<const VarId> first = t.pool.vars_of(c);
+  EXPECT_EQ(std::vector<VarId>(first.begin(), first.end()), want);
+  // Computed once: later calls return the same storage, and it survives
+  // further pool growth.
+  for (int i = 0; i < 5000; ++i) {
+    t.pool.vars_of(t.pool.lt(t.ex, t.pool.constant(i)));
+  }
+  EXPECT_EQ(t.pool.vars_of(c).data(), first.data());
+  EXPECT_EQ(std::vector<VarId>(first.begin(), first.end()), want);
+}
+
+std::vector<Slice> copy(std::span<const Slice> s) {
+  return {s.begin(), s.end()};
+}
+
+void expect_same_slices(const std::vector<Slice>& a,
+                        const std::vector<Slice>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].cs, b[i].cs) << "slice " << i;
+    EXPECT_EQ(a[i].vars, b[i].vars) << "slice " << i;
+  }
+}
+
+TEST(Slicer, ReusedSlicerMatchesFreshSlicers) {
+  // Long, short, long: stale stamps, union-find parents and slice buffers
+  // from an earlier query must never leak into a later one.
+  TestVars t;
+  std::vector<VarId> more;
+  for (int i = 0; i < 12; ++i) {
+    more.push_back(t.pool.new_var("m" + std::to_string(i), 0, 9));
+  }
+  auto v = [&](std::size_t i) { return t.pool.var_expr(more[i]); };
+  std::vector<ExprId> long_q;
+  for (std::size_t i = 0; i + 1 < more.size(); i += 2) {
+    long_q.push_back(t.pool.lt(v(i), v(i + 1)));
+  }
+  long_q.push_back(t.pool.lt(v(1), v(4)));
+  long_q.push_back(t.pool.false_expr());
+  long_q.push_back(t.pool.ne(v(10), t.ex));
+  const std::vector<ExprId> short_q{t.pool.lt(t.ey, v(3)),
+                                    t.pool.lt(t.ez, t.pool.constant(4))};
+
+  Slicer reused;
+  const std::vector<ExprId>* queries[] = {&long_q, &short_q, &long_q,
+                                          &short_q};
+  for (const std::vector<ExprId>* q : queries) {
+    expect_same_slices(copy(reused.slice(t.pool, *q)),
+                       slice_constraints(t.pool, *q));
+    expect_same_slices(copy(reused.whole(t.pool, *q)),
+                       {whole_slice(t.pool, *q)});
+  }
+  EXPECT_EQ(slice_constraints(t.pool, long_q).size(), 6u);
 }
 
 TEST(Slicer, DeterministicAcrossCalls) {

@@ -67,6 +67,104 @@ TEST(SolverEquivalence, SlicedEqualsUnslicedOnRandomConstraintSystems) {
   EXPECT_GT(multi_slice, 100u);
 }
 
+// A random expression DAG: every new node combines earlier nodes, so deep
+// shared subtrees (the accumulator shapes the executor builds) are common.
+std::vector<solver::ExprId> random_dag(solver::ExprPool& p, Rng& rng,
+                                       int nodes) {
+  std::vector<solver::ExprId> made;
+  for (int i = 0; i < 8; ++i) {
+    made.push_back(p.var_expr(p.new_var("d" + std::to_string(i), -20, 20)));
+  }
+  auto pick = [&] {
+    return made[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(made.size()) - 1))];
+  };
+  for (int i = 0; i < nodes; ++i) {
+    const solver::ExprId a = pick();
+    const solver::ExprId b =
+        rng.chance(0.2) ? p.constant(rng.uniform(-5, 5)) : pick();
+    switch (rng.uniform(0, 8)) {
+      case 0: made.push_back(p.add(a, b)); break;
+      case 1: made.push_back(p.sub(a, b)); break;
+      case 2: made.push_back(p.mul(a, b)); break;
+      case 3: made.push_back(p.eq(a, b)); break;
+      case 4: made.push_back(p.lt(a, b)); break;
+      case 5: made.push_back(p.land(p.truthy(a), p.truthy(b))); break;
+      case 6: made.push_back(p.lor(p.truthy(a), p.truthy(b))); break;
+      case 7: made.push_back(p.lnot(p.truthy(a))); break;
+      default: made.push_back(p.ite(p.truthy(a), b, pick())); break;
+    }
+  }
+  return made;
+}
+
+TEST(SolverEquivalence, MemoisedVarsEqualCollectedVarsOnRandomPools) {
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(derive_seed(90003, seed));
+    solver::ExprPool p;
+    random_dag(p, rng, 400);
+    // Query in a shuffled order, so a node's memo is sometimes filled
+    // before its children's and sometimes after.
+    std::vector<solver::ExprId> ids(p.num_nodes());
+    for (solver::ExprId e = 0; e < ids.size(); ++e) ids[e] = e;
+    for (std::size_t k = ids.size() - 1; k > 0; --k) {
+      std::swap(ids[k], ids[static_cast<std::size_t>(rng.uniform(
+                            0, static_cast<std::int64_t>(k)))]);
+    }
+    for (const solver::ExprId e : ids) {
+      std::vector<solver::VarId> want;
+      p.collect_vars(e, want);
+      const std::span<const solver::VarId> got = p.vars_of(e);
+      ASSERT_EQ(std::vector<solver::VarId>(got.begin(), got.end()), want)
+          << "seed " << seed << " node " << e;
+    }
+  }
+}
+
+TEST(SolverEquivalence, ReusedSolverMatchesFreshSolvers) {
+  // One solver answering long, short, long, ... queries through check and
+  // check_with must answer each exactly as a fresh solver does: its slicer,
+  // canonical-order stamps and key buffers carry nothing between queries.
+  // Model reuse is off, so every slice is a canonical solve on both sides.
+  solver::SolverOptions o;
+  o.enable_model_reuse = false;
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(derive_seed(90005, seed));
+    solver::ExprPool p;
+    const std::vector<solver::ExprId> dag = random_dag(p, rng, 120);
+    std::vector<solver::ExprId> bools;
+    for (const solver::ExprId e : dag) {
+      if (solver::is_bool_op(p.op(e))) bools.push_back(e);
+    }
+    if (bools.size() < 12) continue;
+    solver::Solver reused(p, o);
+    for (int q = 0; q < 6; ++q) {
+      const std::size_t len = q % 2 == 0 ? 12 : 2;
+      std::vector<solver::ExprId> cs;
+      for (std::size_t i = 0; i < len; ++i) {
+        cs.push_back(bools[static_cast<std::size_t>(rng.uniform(
+            0, static_cast<std::int64_t>(bools.size()) - 1))]);
+      }
+      const solver::ExprId extra = cs.back();
+      cs.pop_back();
+      solver::Solver fresh(p, o);
+      const std::uint64_t before = reused.stats().slices;
+      const auto r = q % 3 == 0 ? reused.check_with(cs, extra) : [&] {
+        std::vector<solver::ExprId> all = cs;
+        all.push_back(extra);
+        return reused.check(all);
+      }();
+      const auto f = fresh.check_with(cs, extra);
+      ASSERT_EQ(r.sat, f.sat) << "seed " << seed << " query " << q;
+      EXPECT_EQ(r.model, f.model) << "seed " << seed << " query " << q;
+      EXPECT_EQ(reused.stats().slices - before, fresh.stats().slices);
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 100u);
+}
+
 symexec::ExecResult run_config(const apps::AppSpec& app, bool optimized) {
   symexec::ExecOptions opts;
   // The instruction budget is the binding (deterministic) cap; the time cap

@@ -15,7 +15,6 @@
 #include "support/strings.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
-#include "support/ws_deque.h"
 
 namespace statsym {
 namespace {
@@ -291,78 +290,6 @@ TEST(ThreadPool, DestructorDrainsQueue) {
     }
   }
   EXPECT_EQ(count.load(), 50);
-}
-
-TEST(WsDeque, OwnerPopsLifoThiefStealsFifo) {
-  support::WsDeque d(8);
-  for (std::uint32_t v = 0; v < 4; ++v) d.push(v);
-  std::uint32_t out = 99;
-  ASSERT_TRUE(d.pop(out));
-  EXPECT_EQ(out, 3u);  // owner end is a stack
-  ASSERT_TRUE(d.steal(out));
-  EXPECT_EQ(out, 0u);  // thief end is a queue
-  ASSERT_TRUE(d.steal(out));
-  EXPECT_EQ(out, 1u);
-  ASSERT_TRUE(d.pop(out));
-  EXPECT_EQ(out, 2u);
-  EXPECT_TRUE(d.empty());
-  EXPECT_FALSE(d.pop(out));
-  EXPECT_FALSE(d.steal(out));
-}
-
-TEST(WsDeque, EmptyAfterDrainAcceptsNewPushes) {
-  support::WsDeque d(4);
-  std::uint32_t out = 0;
-  EXPECT_FALSE(d.pop(out));
-  EXPECT_FALSE(d.steal(out));
-  d.push(7);
-  ASSERT_TRUE(d.steal(out));
-  EXPECT_EQ(out, 7u);
-  d.push(8);
-  ASSERT_TRUE(d.pop(out));
-  EXPECT_EQ(out, 8u);
-  EXPECT_TRUE(d.empty());
-}
-
-TEST(WsDeque, OwnerAndThievesTakeEachItemExactlyOnce) {
-  // The property the executor's round loop relies on (and the shape TSan
-  // watches in CI): with an owner pushing/popping and several thieves
-  // stealing concurrently, every pushed id is taken exactly once. Spurious
-  // steal() false returns are allowed; lost items or duplicates are not.
-  constexpr std::uint32_t kItems = 20'000;
-  constexpr int kThieves = 3;
-  support::WsDeque d(kItems);
-  std::vector<std::atomic<int>> taken(kItems);
-  std::atomic<bool> owner_done{false};
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      std::uint32_t v;
-      while (!owner_done.load(std::memory_order_relaxed) || !d.empty()) {
-        if (d.steal(v)) taken[v].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // Owner: push in bursts, pop between bursts — exercises the last-element
-  // CAS race against the thieves from both ends.
-  std::uint32_t next = 0, v = 0;
-  while (next < kItems) {
-    const std::uint32_t burst = std::min<std::uint32_t>(64, kItems - next);
-    for (std::uint32_t i = 0; i < burst; ++i) d.push(next++);
-    for (int i = 0; i < 16; ++i) {
-      if (d.pop(v)) taken[v].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  while (d.pop(v)) taken[v].fetch_add(1, std::memory_order_relaxed);
-  owner_done.store(true, std::memory_order_relaxed);
-  for (auto& th : thieves) th.join();
-
-  for (std::uint32_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(taken[i].load(), 1) << "item " << i;
-  }
 }
 
 }  // namespace

@@ -175,34 +175,5 @@ TEST(TraceGolden, CorpusBenignA) {
   run_corpus_case("corpus-benign-a", "benign-a.corpus");
 }
 
-// --- intra-candidate parallelism (work-stealing executor) -----------------
-// Same contract one level down: with the exploration batch fixed, the
-// engine trace must be byte-identical at any --exec-jobs, including the
-// stitched per-task solver/state events inside each candidate run.
-
-std::string exec_jobs_trace_for(const apps::AppSpec& app,
-                                std::size_t exec_jobs) {
-  obs::Tracer tracer;
-  EngineOptions o = golden_opts(/*threads=*/1, /*sampling=*/0.5);
-  o.exec.jobs = exec_jobs;
-  o.exec.batch = 4;
-  StatSymEngine engine(app.module, app.sym_spec, o);
-  engine.set_tracer(&tracer);
-  engine.collect_logs(app.workload);
-  engine.run();
-  EXPECT_EQ(tracer.buffer().dropped(), 0u);
-  return tracer.to_jsonl();
-}
-
-TEST(TraceGolden, Fig2ExecJobsOneVsEight) {
-  const apps::AppSpec app = apps::make_fig2();
-  const std::string one = exec_jobs_trace_for(app, 1);
-  const std::string eight = exec_jobs_trace_for(app, 8);
-  ASSERT_FALSE(one.empty());
-  EXPECT_EQ(one, eight)
-      << "fig2: trace differs between --exec-jobs 1 and 8";
-  check_against_golden("fig2-exec-jobs", one);
-}
-
 }  // namespace
 }  // namespace statsym::core
