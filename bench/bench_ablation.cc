@@ -26,8 +26,7 @@ AblationResult run_variant(const apps::AppSpec& app,
   stats::PredicateManager preds;
   preds.build(suff);
   stats::TransitionGraph graph;
-  graph.ingest(suff);
-  graph.rerank();
+  graph.build(suff);
   stats::PathBuilder builder(graph, preds);
   const auto pc = builder.build(
       stats::TransitionGraph::failure_node(suff, &app.module));
@@ -68,7 +67,7 @@ int main() {
     const apps::AppSpec app = apps::make_app(name);
     core::StatSymEngine collector(app.module, app.sym_spec,
                                   bench::engine_options(0.3));
-    collector.collect_logs(app.workload);
+    collector.collect_logs(app.workload, /*keep_logs=*/true);
     const auto& logs = collector.logs();
 
     std::printf("-- %s --\n", name.c_str());

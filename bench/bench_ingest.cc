@@ -1,29 +1,25 @@
-// Streaming-ingestion throughput (DESIGN.md §10): pushes synthetic sampled
-// run logs through a ShardedCollector that folds each completed shard into
-// mergeable sufficient statistics and drops the raw logs — the engine's
-// --stream pipeline minus workload execution — and measures sustained
-// runs/sec and the peak retained log footprint at several shard sizes.
+// Statistics-ingest throughput (DESIGN.md §10): folds synthetic sampled run
+// logs one at a time into per-cluster mergeable sufficient statistics and
+// drops each log — what the engine does at admission, minus workload
+// execution — then merges the clusters as run() does, and measures
+// sustained runs/sec.
 //
-// The memory gate is the point of the architecture: peak retained log bytes
-// must be bounded by the shard size (shard_size * max per-log footprint),
-// never by the total number of runs. The binary exits nonzero if any
-// configuration breaks that bound, if the folded statistics diverge from a
-// one-shot batch ingest, or if throughput falls below --min-runs-per-sec.
+// The binary exits nonzero if the folded statistics diverge from a one-shot
+// ingest of the same runs, or if throughput falls below --min-runs-per-sec.
 //
-//   bench_ingest --quick                 # 1e5 runs/config (CI smoke)
-//   bench_ingest                         # 1e6 runs/config
+//   bench_ingest --quick                 # 1e5 runs (CI smoke)
+//   bench_ingest                         # 1e6 runs
 //   bench_ingest --json out.json         # default BENCH_ingest.json
 //   bench_ingest --min-runs-per-sec 1e5  # throughput gate (default 0 = off)
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "monitor/shard.h"
 #include "stats/predicate_manager.h"
 #include "stats/suff_stats.h"
 #include "support/rng.h"
@@ -70,85 +66,61 @@ std::vector<monitor::RunLog> make_templates(std::size_t n, Rng& rng) {
   return pool;
 }
 
-struct ConfigResult {
-  std::size_t shard_size{0};
+struct IngestResult {
   std::size_t runs{0};
   double seconds{0.0};
   double runs_per_sec{0.0};
-  std::uint32_t shards{0};
-  std::size_t peak_retained_bytes{0};
-  std::size_t retained_bound{0};  // shard_size * max per-log footprint
+  std::size_t clusters{0};
   std::size_t ranked_predicates{0};
 };
 
-ConfigResult run_config(const std::vector<monitor::RunLog>& templates,
-                        std::size_t max_log_bytes, std::size_t runs,
-                        std::size_t shard_size,
-                        const stats::SuffStats& expect) {
-  ConfigResult r;
-  r.shard_size = shard_size;
+IngestResult run_ingest(const std::vector<monitor::RunLog>& templates,
+                        std::size_t runs, const stats::SuffStats& expect) {
+  IngestResult r;
   r.runs = runs;
-  r.retained_bound = shard_size * max_log_bytes;
-
-  stats::SuffStats suff;
-  monitor::ShardedCollector collector(
-      shard_size, [&](monitor::LogShard&& s) { suff.ingest(s); });
 
   Stopwatch sw;
+  stats::SuffStats correct;
+  std::map<std::string, stats::SuffStats> faulty;
   for (std::size_t i = 0; i < runs; ++i) {
     monitor::RunLog log = templates[i % templates.size()];
     log.run_id = static_cast<std::int32_t>(i);
-    collector.add(std::move(log));
+    (log.faulty ? faulty[log.fault_function] : correct).ingest(log);
   }
-  collector.flush();
+  stats::SuffStats suff = correct;
+  for (const auto& [fn, cluster] : faulty) suff.merge(cluster);
   r.seconds = sw.elapsed_seconds();
   r.runs_per_sec = r.seconds > 0.0 ? static_cast<double>(runs) / r.seconds
                                    : 0.0;
-  r.shards = collector.shards_emitted();
-  r.peak_retained_bytes = collector.peak_retained_bytes();
+  r.clusters = 1 + faulty.size();
 
-  // The statistics the stream produced must equal the batch fit exactly
-  // (run_id differences don't enter any sufficient statistic).
+  // The folded statistics must equal the one-shot ingest exactly (run_id
+  // differences don't enter any sufficient statistic).
   if (suff.num_correct_runs() != expect.num_correct_runs() ||
       suff.num_faulty_runs() != expect.num_faulty_runs() ||
       suff.records_considered() != expect.records_considered() ||
       suff.vars().size() != expect.vars().size()) {
     std::fprintf(stderr,
-                 "FAIL: shard_size=%zu streamed statistics diverge from the "
-                 "batch ingest\n",
-                 shard_size);
+                 "FAIL: folded statistics diverge from the one-shot ingest\n");
     std::exit(2);
   }
-  // And they must be fit-ready: rerank from the folded statistics.
+  // And they must be fit-ready.
   stats::PredicateManager pm;
   pm.build(suff);
   r.ranked_predicates = pm.ranked().size();
   return r;
 }
 
-void write_json(const std::string& path, std::size_t runs,
-                std::size_t batch_bytes,
-                const std::vector<ConfigResult>& configs) {
+void write_json(const std::string& path, const IngestResult& r) {
   std::ofstream os(path);
   os << "{\n"
-     << "  \"bench\": \"stream_ingest\",\n"
-     << "  \"runs_per_config\": " << runs << ",\n"
-     << "  \"batch_retained_bytes\": " << batch_bytes << ",\n"
-     << "  \"configs\": [\n";
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const ConfigResult& r = configs[i];
-    os << "    {\n"
-       << "      \"shard_size\": " << r.shard_size << ",\n"
-       << "      \"seconds\": " << r.seconds << ",\n"
-       << "      \"runs_per_second\": " << r.runs_per_sec << ",\n"
-       << "      \"shards\": " << r.shards << ",\n"
-       << "      \"peak_retained_log_bytes\": " << r.peak_retained_bytes
-       << ",\n"
-       << "      \"retained_bound_bytes\": " << r.retained_bound << ",\n"
-       << "      \"ranked_predicates\": " << r.ranked_predicates << "\n"
-       << "    }" << (i + 1 < configs.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
+     << "  \"bench\": \"ingest\",\n"
+     << "  \"runs\": " << r.runs << ",\n"
+     << "  \"seconds\": " << r.seconds << ",\n"
+     << "  \"runs_per_second\": " << r.runs_per_sec << ",\n"
+     << "  \"clusters\": " << r.clusters << ",\n"
+     << "  \"ranked_predicates\": " << r.ranked_predicates << "\n"
+     << "}\n";
 }
 
 }  // namespace
@@ -174,14 +146,8 @@ int main(int argc, char** argv) {
   const std::size_t runs = quick ? 100'000 : 1'000'000;
   Rng rng(20260807);
   const std::vector<monitor::RunLog> templates = make_templates(256, rng);
-  std::size_t max_log_bytes = 0;
-  std::size_t batch_bytes = 0;  // what batch mode would retain for `runs`
   stats::SuffStats expect;
-  for (std::size_t i = 0; i < templates.size(); ++i) {
-    const std::size_t b = monitor::approx_log_bytes(templates[i]);
-    max_log_bytes = std::max(max_log_bytes, b);
-    expect.ingest(templates[i]);
-  }
+  expect.ingest(templates);
   {
     stats::SuffStats full;
     for (std::size_t i = 1; i * templates.size() <= runs; ++i) {
@@ -194,43 +160,19 @@ int main(int argc, char** argv) {
       expect.ingest(templates[i % templates.size()]);
     }
   }
-  for (std::size_t i = 0; i < runs; ++i) {
-    batch_bytes += monitor::approx_log_bytes(templates[i % templates.size()]);
-  }
 
-  std::printf("stream ingest: %zu synthetic sampled runs per config\n", runs);
-  std::printf("  batch mode would retain %.1f MiB of raw logs\n",
-              static_cast<double>(batch_bytes) / (1024.0 * 1024.0));
-
-  std::vector<ConfigResult> configs;
+  std::printf("ingest: %zu synthetic sampled runs\n", runs);
+  const IngestResult r = run_ingest(templates, runs, expect);
+  std::printf("  %8.0f runs/s  %zu clusters  %zu ranked predicates\n",
+              r.runs_per_sec, r.clusters, r.ranked_predicates);
   int rc = 0;
-  for (const std::size_t shard_size : {std::size_t{1}, std::size_t{64},
-                                       std::size_t{1024}}) {
-    const ConfigResult r =
-        run_config(templates, max_log_bytes, runs, shard_size, expect);
-    std::printf(
-        "  shard=%-5zu %8.0f runs/s  %u shards  peak retained %zu B "
-        "(bound %zu B)\n",
-        r.shard_size, r.runs_per_sec, r.shards, r.peak_retained_bytes,
-        r.retained_bound);
-    if (r.peak_retained_bytes > r.retained_bound) {
-      std::fprintf(stderr,
-                   "FAIL: shard=%zu retained %zu B exceeds the O(shard "
-                   "size) bound %zu B\n",
-                   r.shard_size, r.peak_retained_bytes, r.retained_bound);
-      rc = 1;
-    }
-    if (r.runs_per_sec < min_runs_per_sec) {
-      std::fprintf(stderr,
-                   "FAIL: shard=%zu %.0f runs/s below --min-runs-per-sec "
-                   "%.0f\n",
-                   r.shard_size, r.runs_per_sec, min_runs_per_sec);
-      rc = 1;
-    }
-    configs.push_back(r);
+  if (r.runs_per_sec < min_runs_per_sec) {
+    std::fprintf(stderr, "FAIL: %.0f runs/s below --min-runs-per-sec %.0f\n",
+                 r.runs_per_sec, min_runs_per_sec);
+    rc = 1;
   }
 
-  write_json(json_path, runs, batch_bytes, configs);
+  write_json(json_path, r);
   std::printf("  wrote %s\n", json_path.c_str());
   return rc;
 }

@@ -27,7 +27,7 @@ int main() {
   opts.seed = 7;
 
   core::StatSymEngine engine(app.module, app.sym_spec, opts);
-  engine.collect_logs(app.workload);
+  engine.collect_logs(app.workload, /*keep_logs=*/true);
 
   std::size_t faulty = 0;
   for (const auto& log : engine.logs()) faulty += log.faulty ? 1 : 0;

@@ -31,7 +31,7 @@ int main() {
 
   core::StatSymEngine engine(app.module, app.sym_spec, opts);
   engine.collect_logs(app.workload);
-  std::printf("collected %zu logs\n", engine.logs().size());
+  std::printf("collected %zu logs\n", engine.num_logs_collected());
 
   // --- Phases 2-3: statistics + guided symbolic execution ----------------
   core::EngineResult res = engine.run();

@@ -22,8 +22,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kSolverQuery: return "solver-query";
     case EventKind::kSolverSlice: return "solver-slice";
     case EventKind::kExecEnd: return "exec-end";
-    case EventKind::kShardIngest: return "ingest-shard";
-    case EventKind::kRerank: return "rerank";
     case EventKind::kEngineLaneBegin: return "engine-lane-begin";
     case EventKind::kEngineLaneEnd: return "engine-lane-end";
     case EventKind::kConcolicRun: return "concolic-run";
@@ -142,8 +140,6 @@ FieldNames fields_of(EventKind k) {
     case EventKind::kSolverQuery: return {"verdict", "slices", "", false};
     case EventKind::kSolverSlice: return {"level", "verdict", "", false};
     case EventKind::kExecEnd: return {"termination", "live", "suspended", false};
-    case EventKind::kShardIngest: return {"shard", "logs", "bytes", false};
-    case EventKind::kRerank: return {"predicates", "nodes", "shards", false};
     case EventKind::kEngineLaneBegin: return {"priority", "kind", "", true};
     case EventKind::kEngineLaneEnd:
       return {"priority", "found", "termination", true};

@@ -44,8 +44,6 @@ enum class EventKind : std::uint8_t {
   kSolverSlice,      // a = level (0 local, 1 model-reuse, 2 canonical),
                      // b = verdict
   kExecEnd,          // a = termination code, b = live left, c = suspended left
-  kShardIngest,      // a = shard id, b = logs in shard, c = shard bytes
-  kRerank,           // a = ranked predicates, b = graph nodes, c = shards seen
   kEngineLaneBegin,  // a = priority, b = kind code; name = engine name
   kEngineLaneEnd,    // a = priority, b = found, c = termination code;
                      // name = engine name

@@ -1,7 +1,7 @@
 // Wire protocol for `statsym serve` (DESIGN.md §14).
 //
-// Requests are line-delimited versioned frames in the family of the
-// monitor's LogShard format:
+// Requests are line-delimited versioned frames (header, counted body,
+// trailer):
 //
 //   statsym-serve|<version>|<request-id>|<num_body_lines>
 //   <key>|<value>

@@ -34,7 +34,7 @@ std::size_t serve_stream(std::istream& in, std::ostream& out,
 int serve_unix_socket(const std::string& path, ServeSession& session,
                       std::size_t jobs = 0);
 
-// Flag-misuse check for the CLI (`check_stream_flags` family): one-shot
+// Flag-misuse check for the CLI: one-shot
 // output flags are superseded by per-request `trace|1` / `metrics|1` body
 // fields in serve mode, so combining them with `serve` is a hard error.
 // Returns "" when the combination is fine, else the full error text naming

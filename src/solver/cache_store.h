@@ -1,15 +1,14 @@
 // Disk-backed save/load for the shared solver query cache (the persistence
 // layer behind `statsym serve`'s cross-run warm starts).
 //
-// The store is a versioned, line-delimited text format in the family of the
-// monitor's LogShard wire format: one program block per analysed module,
-// keyed by that module's 128-bit structural fingerprint, holding the
-// program's PortableCacheEntry set. Every entry line carries its own
-// checksum and is verified on load — a bit-flipped, truncated or otherwise
+// The store is a versioned, line-delimited text format: one program block per
+// analysed module, keyed by that module's 128-bit structural fingerprint,
+// holding the program's PortableCacheEntry set. Every entry line carries its
+// own checksum and is verified on load — a bit-flipped, truncated or otherwise
 // unparseable entry is *dropped* (it will miss and be re-solved), never
-// admitted, so a corrupted store can cost work but never cross-wire a
-// verdict. That is the same contract QueryCache enforces for 64-bit key
-// collisions, extended to bytes that crossed a filesystem.
+// admitted, so a corrupted store can cost work but never cross-wire a verdict.
+// That is the same contract QueryCache enforces for 64-bit key collisions,
+// extended to bytes that crossed a filesystem.
 //
 // Whole-store failures are stricter: an unknown store format version or a
 // malformed store header rejects the entire file (cold start with a clear

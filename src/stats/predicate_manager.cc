@@ -8,35 +8,18 @@ namespace statsym::stats {
 PredicateManager::PredicateManager(PredicateManagerOptions opts)
     : opts_(opts) {}
 
-void PredicateManager::ingest(const monitor::RunLog& log) {
-  suff_.ingest(log);
-}
-
-void PredicateManager::ingest(const monitor::LogShard& shard) {
-  suff_.ingest(shard);
-}
-
-void PredicateManager::ingest(const SuffStats& suff) { suff_.merge(suff); }
-
-void PredicateManager::build(const SuffStats& suff,
-                             obs::TraceBuffer* trace) {
-  suff_ = SuffStats{};
-  suff_.merge(suff);
-  rerank(trace);
-}
-
-void PredicateManager::rerank(obs::TraceBuffer* trace) {
+void PredicateManager::build(const SuffStats& suff, obs::TraceBuffer* trace) {
   ranked_.clear();
   loc_scores_.clear();
 
-  for (const auto& [key, vs] : suff_.vars()) {
+  for (const auto& [key, vs] : suff.vars()) {
     if (vs.correct_total != 0 && vs.faulty_total != 0 &&
         (vs.correct_total < opts_.min_class_samples ||
          vs.faulty_total < opts_.min_class_samples)) {
       continue;
     }
     Predicate p;
-    if (!fit_predicate(vs, suff_.num_correct_runs(), suff_.num_faulty_runs(),
+    if (!fit_predicate(vs, suff.num_correct_runs(), suff.num_faulty_runs(),
                        p, opts_.confidence_z)) {
       continue;
     }

@@ -3,12 +3,9 @@
 // (d)), and serves per-location score queries to the path constructor and
 // the guided symbolic executor.
 //
-// The manager is incremental: ingest() folds more observations (a shard, a
-// single run, or pre-reduced SuffStats) into its internal statistics, and
-// rerank() refits and re-ranks from those statistics without ever touching
-// the raw logs again. Because SuffStats::merge is schedule-invariant, the
-// ranking after any sequence of ingests is byte-identical to a one-shot
-// batch build over the same runs.
+// build() reads the statistics in place and keeps only the ranked
+// predicates and per-location scores; the raw logs were folded into the
+// SuffStats long before and are never consulted.
 #pragma once
 
 #include <unordered_map>
@@ -37,26 +34,12 @@ class PredicateManager {
  public:
   explicit PredicateManager(PredicateManagerOptions opts = {});
 
-  // --- incremental API ------------------------------------------------------
-  // Folds observations into the internal sufficient statistics. Cheap; does
-  // NOT refit — call rerank() when the current wave of ingests is done.
-  void ingest(const monitor::RunLog& log);
-  void ingest(const monitor::LogShard& shard);
-  void ingest(const SuffStats& suff);
-
-  // Refits and re-ranks every predicate from the accumulated statistics.
+  // Fits and ranks every predicate from `suff`, replacing any earlier fit.
   // Optionally emits one kPredicateFit trace event per ranked predicate
-  // (rank order, so the stream is independent of fit/ingest order).
-  void rerank(obs::TraceBuffer* trace = nullptr);
-
-  // --- one-shot batch API ---------------------------------------------------
-  // Resets the accumulated statistics to `suff` and reranks.
+  // (rank order, so the stream is independent of fit order).
   void build(const SuffStats& suff, obs::TraceBuffer* trace = nullptr);
 
-  // The accumulated sufficient statistics.
-  const SuffStats& suff() const { return suff_; }
-
-  // All surviving predicates, best first (as of the last rerank/build).
+  // All surviving predicates, best first.
   const std::vector<Predicate>& ranked() const { return ranked_; }
 
   std::vector<Predicate> top(std::size_t k) const;
@@ -70,7 +53,6 @@ class PredicateManager {
 
  private:
   PredicateManagerOptions opts_;
-  SuffStats suff_;
   std::vector<Predicate> ranked_;
   std::unordered_map<monitor::LocId, double> loc_scores_;
 };

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "monitor/serialize.h"
-#include "monitor/shard.h"
 
 namespace statsym::stats {
 
@@ -87,10 +86,6 @@ void SuffStats::ingest(const monitor::RunLog& log) {
 
 void SuffStats::ingest(const std::vector<monitor::RunLog>& logs) {
   for (const auto& log : logs) ingest(log);
-}
-
-void SuffStats::ingest(const monitor::LogShard& shard) {
-  for (const auto& log : shard.logs) ingest(log);
 }
 
 void SuffStats::merge(const SuffStats& o) {

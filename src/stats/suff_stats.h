@@ -10,17 +10,16 @@
 //     retained memory is bounded by the number of *distinct* observed
 //     values, not the number of runs;
 //   * merge(other) is associative and commutative (all containers are
-//     ordered maps of counts), so shard-level statistics built in any order
-//     on any worker fold into bit-identical totals — the same
-//     schedule-invariant merge discipline MetricsRegistry established;
+//     ordered maps of counts), so per-cluster statistics built in any order
+//     fold into bit-identical totals — the same schedule-invariant merge
+//     discipline MetricsRegistry established;
 //   * a fit from SuffStats(logs) is byte-identical to the historical fit
 //     from the raw log vector (all divisions see the same integers).
 //
-// This is the pivot of the streaming refactor (DESIGN.md §10): the batch
-// pipeline builds one SuffStats from the full vector, the streaming
-// pipeline folds LogShards as they complete, and everything downstream
-// (PredicateManager, TransitionGraph, PathBuilder, failure node) consumes
-// only SuffStats.
+// This is the statistical module's single input (DESIGN.md §10): the
+// engine folds each admitted log into per-cluster SuffStats the moment it
+// is admitted, and everything downstream (PredicateManager, TransitionGraph,
+// PathBuilder, failure node) reads only SuffStats.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +29,6 @@
 #include <vector>
 
 #include "monitor/log.h"
-
-namespace statsym::monitor {
-struct LogShard;
-}
 
 namespace statsym::stats {
 
@@ -80,7 +75,6 @@ class SuffStats {
   // Folds one run in. The log is fully absorbed — callers may drop it.
   void ingest(const monitor::RunLog& log);
   void ingest(const std::vector<monitor::RunLog>& logs);
-  void ingest(const monitor::LogShard& shard);
 
   // Associative, commutative, schedule-invariant.
   void merge(const SuffStats& o);

@@ -3,63 +3,45 @@
 #include <algorithm>
 #include <set>
 
-#include "monitor/shard.h"
-
 namespace statsym::stats {
 
 const std::vector<Edge> TransitionGraph::kNoEdges;
 
 TransitionGraph::TransitionGraph(TransitionGraphOptions opts) : opts_(opts) {}
 
-void TransitionGraph::ingest(const monitor::RunLog& log) {
-  (log.faulty ? faulty_suff_ : correct_suff_).ingest(log);
-}
-
-void TransitionGraph::ingest(const monitor::LogShard& shard) {
-  for (const auto& log : shard.logs) ingest(log);
-}
-
-void TransitionGraph::ingest(const SuffStats& suff) {
-  correct_suff_.merge(suff.trans(false));
-  faulty_suff_.merge(suff.trans(true));
-}
-
-void TransitionGraph::build(const std::vector<monitor::RunLog>& logs) {
-  correct_suff_ = TransSuff{};
-  faulty_suff_ = TransSuff{};
-  for (const auto& log : logs) ingest(log);
-  rerank();
-}
-
-void TransitionGraph::rerank() {
+void TransitionGraph::build(const SuffStats& suff) {
   nodes_.clear();
   adj_.clear();
   occ_.clear();
-  first_counts_.clear();
-  mined_logs_ = 0;
+  modal_first_ = monitor::kNoLoc;
 
-  // The mined tallies: faulty runs always, plus correct runs when
-  // configured. Counts are sums, so folding the per-class accumulators
-  // together reproduces the historical single-pass tallies exactly.
-  TransSuff mined;
-  mined.merge(faulty_suff_);
-  if (!opts_.faulty_only) mined.merge(correct_suff_);
-
-  mined_logs_ = static_cast<std::size_t>(mined.logs);
-  for (const auto& [loc, n] : mined.first_counts) {
-    first_counts_[loc] = static_cast<std::size_t>(n);
+  // The mined tallies: the faulty runs' own, read in place, or both classes
+  // folded together when correct runs are mined too. Counts are sums, so
+  // the fold reproduces single-pass tallies exactly.
+  TransSuff both;
+  const TransSuff* mined = &suff.trans(true);
+  if (!opts_.faulty_only) {
+    both.merge(suff.trans(true));
+    both.merge(suff.trans(false));
+    mined = &both;
   }
-  for (const auto& [loc, n] : mined.occ) {
+
+  // Ties go to the smallest location (first in map order).
+  std::uint64_t best_first = 0;
+  for (const auto& [loc, n] : mined->first_counts) {
+    if (n > best_first) {
+      modal_first_ = loc;
+      best_first = n;
+    }
+  }
+  for (const auto& [loc, n] : mined->occ) {
     occ_[loc] = static_cast<std::size_t>(n);
+    nodes_.push_back(loc);  // map order: sorted
   }
 
-  std::set<monitor::LocId> node_set;
-  for (const auto& [loc, n] : occ_) node_set.insert(loc);
-  nodes_.assign(node_set.begin(), node_set.end());
-
-  for (const auto& [pair, count] : mined.pairs) {
+  for (const auto& [pair, count] : mined->pairs) {
     if (count < opts_.min_count) continue;
-    const auto from_occ = occ_[pair.first];
+    const std::size_t from_occ = occurrences(pair.first);
     const double mu =
         from_occ == 0 ? 0.0
                       : static_cast<double>(count) / static_cast<double>(from_occ);
@@ -115,10 +97,7 @@ std::vector<monitor::LocId> TransitionGraph::entry_nodes() const {
   return out;
 }
 
-std::vector<monitor::LocId> TransitionGraph::entry_candidates(
-    double min_fraction) const {
-  (void)min_fraction;
-  if (mined_logs_ == 0) return entry_nodes();
+std::vector<monitor::LocId> TransitionGraph::entry_candidates() const {
   // The modal first record is the program entry with overwhelming
   // probability: any other location opens a log only when sampling dropped
   // every earlier record, which is geometrically less likely per position.
@@ -126,16 +105,8 @@ std::vector<monitor::LocId> TransitionGraph::entry_candidates(
   // short-path bias of the max-average-score criterion — paths starting
   // mid-program consist purely of high-scoring post-fault-relevant nodes
   // and would otherwise always win over the real entry-to-failure route.
-  monitor::LocId best = monitor::kNoLoc;
-  std::size_t best_n = 0;
-  for (const auto& [loc, n] : first_counts_) {
-    if (n > best_n) {
-      best = loc;
-      best_n = n;
-    }
-  }
-  if (best == monitor::kNoLoc) return entry_nodes();
-  return {best};
+  if (modal_first_ == monitor::kNoLoc) return entry_nodes();
+  return {modal_first_};
 }
 
 monitor::LocId TransitionGraph::failure_node(const SuffStats& suff,
@@ -157,44 +128,6 @@ monitor::LocId TransitionGraph::failure_node(const SuffStats& suff,
   monitor::LocId best = monitor::kNoLoc;
   std::uint64_t best_n = 0;
   for (const auto& [loc, n] : suff.trans(true).last_counts) {
-    if (n > best_n) {
-      best = loc;
-      best_n = n;
-    }
-  }
-  return best;
-}
-
-monitor::LocId TransitionGraph::failure_node(
-    const std::vector<monitor::RunLog>& logs, const ir::Module* m) {
-  if (m != nullptr) {
-    std::map<std::string, std::size_t> fn_counts;
-    for (const auto& log : logs) {
-      if (log.faulty && !log.fault_function.empty()) {
-        ++fn_counts[log.fault_function];
-      }
-    }
-    std::string best_fn;
-    std::size_t best_fn_n = 0;
-    for (const auto& [fn, n] : fn_counts) {
-      if (n > best_fn_n) {
-        best_fn = fn;
-        best_fn_n = n;
-      }
-    }
-    if (!best_fn.empty()) {
-      const ir::FuncId f = m->find_function(best_fn);
-      if (f != ir::kNoFunc) return monitor::enter_loc(f);
-    }
-  }
-  std::map<monitor::LocId, std::size_t> last_counts;
-  for (const auto& log : logs) {
-    if (!log.faulty || log.records.empty()) continue;
-    ++last_counts[log.records.back().loc];
-  }
-  monitor::LocId best = monitor::kNoLoc;
-  std::size_t best_n = 0;
-  for (const auto& [loc, n] : last_counts) {
     if (n > best_n) {
       best = loc;
       best_n = n;

@@ -8,14 +8,11 @@
 // significant confidence form the dynamic control-flow graph over which
 // skeletons and detours are extracted.
 //
-// The miner is incremental: the o(·) tallies are plain sums over runs
-// (TransSuff in stats/suff_stats.h), so ingest() folds shards or
-// pre-reduced statistics in as they arrive and rerank() rebuilds the edge
-// set from the accumulated counts without revisiting any log. Any ingest
-// order yields a byte-identical graph.
+// The o(·) tallies are plain sums over runs (TransSuff in
+// stats/suff_stats.h), so build() mines the graph straight from the
+// sufficient statistics without revisiting any log.
 #pragma once
 
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -45,20 +42,10 @@ class TransitionGraph {
  public:
   explicit TransitionGraph(TransitionGraphOptions opts = {});
 
-  // --- incremental API ------------------------------------------------------
-  // Folds observations into the per-class transition tallies. Cheap; does
-  // NOT re-mine — call rerank() when the current wave of ingests is done.
-  void ingest(const monitor::RunLog& log);
-  void ingest(const monitor::LogShard& shard);
-  void ingest(const SuffStats& suff);
-
-  // Rebuilds nodes/edges from the accumulated tallies (honouring
-  // faulty_only).
-  void rerank();
-
-  // --- one-shot batch API ---------------------------------------------------
-  // Resets the tallies, ingests all logs, and reranks.
-  void build(const std::vector<monitor::RunLog>& logs);
+  // Mines nodes and edges from the transition tallies in `suff` (faulty
+  // runs only, or both classes when faulty_only is off), replacing any
+  // earlier graph.
+  void build(const SuffStats& suff);
 
   // All nodes observed (in the runs used for mining).
   const std::vector<monitor::LocId>& nodes() const { return nodes_; }
@@ -77,9 +64,7 @@ class TransitionGraph {
   // program (their only incoming transition fell below the significance
   // threshold), so skeletons anchored on raw in-degree make short, bogus
   // paths win; the empirical first record pins the real program entry.
-  // `min_fraction` is retained for API stability but unused.
-  std::vector<monitor::LocId> entry_candidates(
-      double min_fraction = 0.1) const;
+  std::vector<monitor::LocId> entry_candidates() const;
 
   // The failure point. When the module is supplied, the fault function
   // recorded in the faulty logs (the crash report, which real deployments
@@ -89,20 +74,16 @@ class TransitionGraph {
   // Returns kNoLoc when there are no faulty logs.
   static monitor::LocId failure_node(const SuffStats& suff,
                                      const ir::Module* m = nullptr);
-  static monitor::LocId failure_node(const std::vector<monitor::RunLog>& logs,
-                                     const ir::Module* m = nullptr);
 
   bool has_edge(monitor::LocId a, monitor::LocId b) const;
 
  private:
   TransitionGraphOptions opts_;
-  TransSuff correct_suff_;
-  TransSuff faulty_suff_;
   std::vector<monitor::LocId> nodes_;
   std::unordered_map<monitor::LocId, std::vector<Edge>> adj_;
   std::unordered_map<monitor::LocId, std::size_t> occ_;
-  std::map<monitor::LocId, std::size_t> first_counts_;  // first-record tally
-  std::size_t mined_logs_{0};
+  // Modal first record of the mined runs; kNoLoc when none were mined.
+  monitor::LocId modal_first_{monitor::kNoLoc};
   static const std::vector<Edge> kNoEdges;
 };
 

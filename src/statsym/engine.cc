@@ -48,8 +48,7 @@ std::optional<std::vector<EngineKind>> parse_engines(std::string_view csv) {
 // and histograms here are schedule-invariant: the shared-cache-hit vs
 // canonical-solve split (the one schedule-dependent pair in SolverStats) is
 // folded into their sum, and everything wall-clock goes into `*.seconds`
-// gauges. Streaming-only counters appear only when shards were folded, so
-// batch-mode metric renderings are unchanged.
+// gauges.
 void StatSymEngine::fill_metrics(EngineResult& res,
                                  const stats::SuffStats& suff) const {
   obs::MetricsRegistry& m = res.metrics;
@@ -65,13 +64,6 @@ void StatSymEngine::fill_metrics(EngineResult& res,
   }
   for (const auto& c : res.construction.candidates) {
     m.observe("stat.candidate_len", static_cast<double>(c.nodes.size()));
-  }
-
-  if (streamed_) {
-    m.add("stream.shards", shards_ingested_);
-    m.add("stream.logs", stream_logs_);
-    m.add("stream.shard_size", std::max<std::size_t>(1, opts_.log_shard_size));
-    m.add("stream.peak_retained_log_bytes", peak_retained_bytes_);
   }
 
   m.add("symexec.found", res.found ? 1 : 0);
@@ -130,46 +122,23 @@ StatSymEngine::StatSymEngine(const ir::Module& m, symexec::SymInputSpec spec,
                              EngineOptions opts)
     : m_(m), spec_(std::move(spec)), opts_(opts) {}
 
-void StatSymEngine::fold_shard(monitor::LogShard&& shard) {
-  streamed_ = true;
-  ++shards_ingested_;
-  stream_logs_ += shard.logs.size();
-  for (const auto& log : shard.logs) {
-    stats::SuffStats& suff =
-        log.faulty ? faulty_suff_[log.fault_function] : correct_suff_;
-    suff.ingest(log);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->emit(obs::EventKind::kShardIngest,
-                  static_cast<std::int64_t>(shard.shard_id),
-                  static_cast<std::int64_t>(shard.logs.size()),
-                  static_cast<std::int64_t>(shard.bytes));
-  }
-  // `shard` (and its logs) dies here: statistics retained, raw logs freed.
+void StatSymEngine::fold(const monitor::RunLog& log) {
+  (log.faulty ? faulty_suff_[log.fault_function] : correct_suff_).ingest(log);
 }
 
-void StatSymEngine::ingest_shard(monitor::LogShard&& shard) {
-  peak_retained_bytes_ = std::max(peak_retained_bytes_, shard.bytes);
-  fold_shard(std::move(shard));
+std::size_t StatSymEngine::num_logs_collected() const {
+  std::size_t n = correct_suff_.num_correct_runs();
+  for (const auto& [fn, suff] : faulty_suff_) n += suff.num_faulty_runs();
+  return n;
 }
 
-void StatSymEngine::collect_logs(const WorkloadGen& gen) {
+void StatSymEngine::collect_logs(const WorkloadGen& gen, bool keep_logs) {
   Stopwatch sw;
   std::size_t correct = 0;
   std::size_t faulty = 0;
   std::int32_t run_id = 0;
   if (tracer_ != nullptr) {
     tracer_->emit(obs::EventKind::kPhaseBegin, 0, 0, 0, "collect-logs");
-  }
-
-  // Streaming mode routes admitted logs through the collector, which folds
-  // each completed shard into the sufficient statistics and frees the logs;
-  // batch mode retains them all in logs_. Admission is identical either
-  // way, so the set of folded runs is the batch set exactly.
-  std::optional<monitor::ShardedCollector> collector;
-  if (opts_.stream) {
-    collector.emplace(opts_.log_shard_size,
-                      [this](monitor::LogShard&& s) { fold_shard(std::move(s)); });
   }
 
   // The module is decoded once; every attempt on every worker runs the
@@ -207,6 +176,8 @@ void StatSymEngine::collect_logs(const WorkloadGen& gen) {
   // Keep only as many logs per class as the target asks for — the paper
   // randomly samples 100 correct + 100 faulty logs from a large pool. The
   // run id is stamped at admission so it counts kept logs, as before.
+  // Admission decides which runs belong to the set, so the fold happens
+  // here, on the collecting thread, in admission order.
   auto admit = [&](std::optional<monitor::RunLog>&& attempt_log) {
     if (!attempt_log.has_value()) return;
     monitor::RunLog& log = *attempt_log;
@@ -220,11 +191,8 @@ void StatSymEngine::collect_logs(const WorkloadGen& gen) {
                     is_faulty ? 1 : 0,
                     static_cast<std::int64_t>(log.records.size()));
     }
-    if (collector.has_value()) {
-      collector->add(std::move(log));
-    } else {
-      logs_.push_back(std::move(log));
-    }
+    fold(log);
+    if (keep_logs) logs_.push_back(std::move(log));
     ++(is_faulty ? faulty : correct);
   };
   auto targets_met = [&] { return !correct_open() && !faulty_open(); };
@@ -262,47 +230,20 @@ void StatSymEngine::collect_logs(const WorkloadGen& gen) {
       next_attempt += n;
     }
   }
-  if (collector.has_value()) {
-    collector->flush();
-    peak_retained_bytes_ =
-        std::max(peak_retained_bytes_, collector->peak_retained_bytes());
-  }
   log_seconds_ = sw.elapsed_seconds();
   if (tracer_ != nullptr) {
     tracer_->emit(obs::EventKind::kPhaseEnd, 0, 0, 0, "collect-logs");
   }
 }
 
-void StatSymEngine::use_logs(std::vector<monitor::RunLog> logs) {
-  logs_ = std::move(logs);
-}
-
-void StatSymEngine::fold_pending_logs() {
-  if (!opts_.stream || logs_.empty()) return;
-  monitor::ShardedCollector collector(
-      opts_.log_shard_size,
-      [this](monitor::LogShard&& s) { fold_shard(std::move(s)); });
-  for (auto& log : logs_) collector.add(std::move(log));
-  collector.flush();
-  peak_retained_bytes_ =
-      std::max(peak_retained_bytes_, collector.peak_retained_bytes());
-  logs_.clear();
-  logs_.shrink_to_fit();
-}
-
-stats::SuffStats StatSymEngine::merged_suff() const {
-  stats::SuffStats merged;
-  merged.merge(correct_suff_);
-  for (const auto& [fn, suff] : faulty_suff_) merged.merge(suff);
-  return merged;
+void StatSymEngine::use_logs(const std::vector<monitor::RunLog>& logs) {
+  for (const auto& log : logs) fold(log);
 }
 
 EngineResult StatSymEngine::run() {
-  fold_pending_logs();
-  if (streamed_) return run_on(merged_suff());
-  stats::SuffStats suff;
-  suff.ingest(logs_);
-  return run_on(suff);
+  stats::SuffStats merged = correct_suff_;
+  for (const auto& [fn, suff] : faulty_suff_) merged.merge(suff);
+  return run_on(merged);
 }
 
 EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
@@ -320,20 +261,11 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
   Stopwatch stat_sw;
 
   stats::PredicateManager preds(opts_.predicates);
-  preds.ingest(suff);
-  preds.rerank(trace);
+  preds.build(suff, trace);
   res.predicates = preds.ranked();
 
   stats::TransitionGraph graph(opts_.graph);
-  graph.ingest(suff);
-  graph.rerank();
-
-  if (streamed_ && trace != nullptr) {
-    trace->emit(obs::EventKind::kRerank,
-                static_cast<std::int64_t>(res.predicates.size()),
-                static_cast<std::int64_t>(graph.nodes().size()),
-                static_cast<std::int64_t>(shards_ingested_));
-  }
+  graph.build(suff);
 
   const monitor::LocId failure =
       stats::TransitionGraph::failure_node(suff, &m_);
@@ -810,63 +742,23 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
 }
 
 std::vector<EngineResult> StatSymEngine::run_all(std::size_t max_vulns) {
-  fold_pending_logs();
-  std::vector<EngineResult> results;
-
-  if (streamed_) {
-    // Streaming: the per-cluster sufficient statistics already exist; run
-    // the fit on correct-runs + one faulty cluster at a time, largest
-    // cluster first (ties by name), exactly mirroring the batch subsets.
-    std::vector<const std::string*> order;
-    for (const auto& [fn, suff] : faulty_suff_) order.push_back(&fn);
-    std::sort(order.begin(), order.end(),
-              [&](const std::string* a, const std::string* b) {
-                const std::size_t na = faulty_suff_.at(*a).num_faulty_runs();
-                const std::size_t nb = faulty_suff_.at(*b).num_faulty_runs();
-                if (na != nb) return na > nb;
-                return *a < *b;
-              });
-    for (const std::string* fn : order) {
-      if (results.size() >= max_vulns) break;
-      stats::SuffStats subset;
-      subset.merge(correct_suff_);
-      subset.merge(faulty_suff_.at(*fn));
-      EngineResult res = run_on(subset);
-      if (res.found) results.push_back(std::move(res));
-    }
-    return results;
-  }
-
-  // Batch: cluster the retained faulty logs by fault function.
-  std::map<std::string, std::vector<monitor::RunLog>> clusters;
-  std::vector<monitor::RunLog> correct;
-  for (const auto& log : logs_) {
-    if (log.faulty) {
-      clusters[log.fault_function].push_back(log);
-    } else {
-      correct.push_back(log);
-    }
-  }
-  // Largest cluster first: the dominant failure mode is found first, as in
-  // the paper's iterative one-by-one process.
+  // Largest cluster first (ties by name): the dominant failure mode is
+  // found first, as in the paper's iterative one-by-one process.
   std::vector<const std::string*> order;
-  for (const auto& [fn, logs] : clusters) order.push_back(&fn);
+  for (const auto& [fn, suff] : faulty_suff_) order.push_back(&fn);
   std::sort(order.begin(), order.end(),
             [&](const std::string* a, const std::string* b) {
-              if (clusters[*a].size() != clusters[*b].size()) {
-                return clusters[*a].size() > clusters[*b].size();
-              }
+              const std::size_t na = faulty_suff_.at(*a).num_faulty_runs();
+              const std::size_t nb = faulty_suff_.at(*b).num_faulty_runs();
+              if (na != nb) return na > nb;
               return *a < *b;
             });
-
+  std::vector<EngineResult> results;
   for (const std::string* fn : order) {
     if (results.size() >= max_vulns) break;
-    std::vector<monitor::RunLog> subset = correct;
-    subset.insert(subset.end(), clusters[*fn].begin(), clusters[*fn].end());
-    StatSymEngine sub(m_, spec_, opts_);
-    sub.set_tracer(tracer_);
-    sub.use_logs(std::move(subset));
-    EngineResult res = sub.run();
+    stats::SuffStats subset = correct_suff_;
+    subset.merge(faulty_suff_.at(*fn));
+    EngineResult res = run_on(subset);
     if (res.found) results.push_back(std::move(res));
   }
   return results;

@@ -9,18 +9,14 @@
 // in which the first verified vuln cancels every worse-ranked worker. Both
 // phases produce results identical to the single-threaded build.
 //
-// Log ingestion has two modes (DESIGN.md §10):
-//   * batch (default): every admitted RunLog is retained in one vector and
-//     the statistics are fit from it in a single pass;
-//   * streaming (EngineOptions::stream): admitted logs are grouped into
-//     LogShards (monitor/shard.h) and folded into per-cluster mergeable
-//     sufficient statistics (stats/suff_stats.h) the moment each shard
-//     completes; the raw logs are dropped after the fold, so peak retained
-//     log memory is O(shard size) instead of O(total runs).
-// Both modes drive the identical fit path (run_on), and because every
-// statistic is a schedule-invariant sum, the streamed results — predicate
-// set, scores, score_lcb, candidate ranking — are byte-identical to the
-// batch results at any shard size and any thread count.
+// Log ingestion has one path (DESIGN.md §10): each admitted RunLog is
+// folded into mergeable sufficient statistics (stats/suff_stats.h) the
+// moment it is admitted — correct runs into one accumulator, faulty runs
+// into one per fault function — and then dropped, unless the caller asked
+// to keep the raw logs. run() merges the accumulators once; run_all() merges
+// the correct runs with one fault cluster at a time. Every statistic is a
+// schedule-invariant sum, so the fit — predicate set, scores, score_lcb,
+// candidate ranking — is byte-identical at any thread count.
 #pragma once
 
 #include <functional>
@@ -31,7 +27,6 @@
 
 #include "analysis/facts.h"
 #include "monitor/monitor.h"
-#include "monitor/shard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "statsym/guidance.h"
@@ -68,15 +63,6 @@ struct EngineOptions {
   symexec::ExecOptions exec{};       // per-candidate symbolic execution
   double candidate_timeout_seconds{900.0};  // paper: 15 min per candidate
   std::size_t max_candidates_tried{16};
-
-  // --- streaming ingestion ------------------------------------------------
-  // Fold admitted logs into sufficient statistics shard-by-shard and drop
-  // them, instead of retaining the full log vector (`--stream` in the CLI).
-  bool stream{false};
-  // Logs per shard in streaming mode (`--log-shard-size`); 0 is clamped
-  // to 1. Any value produces identical statistics — this knob only trades
-  // peak retained log memory against per-shard fold overhead.
-  std::size_t log_shard_size{64};
 
   // --- parallel pipeline --------------------------------------------------
   // Worker threads for Phase 1a log collection and the Phase 3 candidate
@@ -201,25 +187,20 @@ class StatSymEngine {
 
   // Phase 1a: runs the workload under the sampling monitor until the target
   // number of correct and faulty logs is collected (or the attempt cap).
-  // In streaming mode the admitted logs flow through a ShardedCollector
-  // into per-cluster sufficient statistics and are then dropped.
-  void collect_logs(const WorkloadGen& gen);
+  // Each admitted log is folded into the statistics on the collecting
+  // thread and dropped; with `keep_logs` it is also retained for logs()
+  // (`statsym collect` writes them out).
+  void collect_logs(const WorkloadGen& gen, bool keep_logs = false);
 
-  // Phase 1b alternative: injects pre-collected logs (e.g. deserialised
-  // from files, or corrupted by a failure-injection test). In streaming
-  // mode these are folded shard-by-shard at the next run()/run_all().
-  void use_logs(std::vector<monitor::RunLog> logs);
-
-  // Streaming ingestion of an externally produced shard (e.g. replayed from
-  // a file via deserialize_shard). Implies streaming semantics for the
-  // folded logs regardless of EngineOptions::stream.
-  void ingest_shard(monitor::LogShard&& shard);
+  // Phase 1b alternative: folds pre-collected logs (e.g. deserialised from
+  // files, or corrupted by a failure-injection test) into the statistics.
+  // The engine keeps no reference to them.
+  void use_logs(const std::vector<monitor::RunLog>& logs);
 
   // Optional structured tracing (obs/trace.h): phase begin/end, log
   // admissions, predicate fits, candidate ranks, and per-candidate symbolic
   // execution events stitched in rank order over the counted candidates.
-  // Streaming mode additionally emits kShardIngest per folded shard and
-  // kRerank per refit. The tracer must outlive the engine. Null (the
+  // The tracer must outlive the engine. Null (the
   // default) disables tracing; the cost of the disabled path is one pointer
   // test per would-be event.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
@@ -236,14 +217,12 @@ class StatSymEngine {
     external_queries_ = cache;
   }
 
-  // Batch mode: the retained logs. Streaming mode: empty (logs are dropped
-  // once folded) — use num_logs_collected() for the count.
+  // The raw logs kept by collect_logs(gen, /*keep_logs=*/true), in
+  // admission order; empty otherwise.
   const std::vector<monitor::RunLog>& logs() const { return logs_; }
 
-  // Logs admitted so far, in either mode.
-  std::size_t num_logs_collected() const {
-    return logs_.size() + static_cast<std::size_t>(stream_logs_);
-  }
+  // Logs folded into the statistics so far.
+  std::size_t num_logs_collected() const;
 
   // Phases 2–3: statistical analysis + guided symbolic execution.
   EngineResult run();
@@ -253,24 +232,15 @@ class StatSymEngine {
   // techniques for this separation; the monitor's crash tag is the cluster
   // label) and StatSym runs once per cluster, identifying the vulnerable
   // paths one by one. Returns one EngineResult per discovered vulnerability,
-  // at most `max_vulns`. Streaming mode keeps per-cluster sufficient
-  // statistics, so this works without the raw logs.
+  // at most `max_vulns`. The per-cluster sufficient statistics are kept
+  // from collection, so this needs no raw logs.
   std::vector<EngineResult> run_all(std::size_t max_vulns = 8);
 
  private:
-  // Folds one completed shard into the per-cluster sufficient statistics
-  // (correct runs in one accumulator, faulty runs keyed by fault function).
-  void fold_shard(monitor::LogShard&& shard);
+  // Folds one admitted run into its cluster's sufficient statistics.
+  void fold(const monitor::RunLog& log);
 
-  // Streaming mode: routes any logs injected via use_logs() through a
-  // ShardedCollector into fold_shard. No-op in batch mode.
-  void fold_pending_logs();
-
-  // Merged statistics over every ingested run (all clusters).
-  stats::SuffStats merged_suff() const;
-
-  // Phases 2–3 from sufficient statistics — the single fit path both modes
-  // share.
+  // Phases 2–3 from sufficient statistics.
   EngineResult run_on(const stats::SuffStats& suff);
 
   // External resources a run_portfolio call inherits when it executes as a
@@ -307,15 +277,11 @@ class StatSymEngine {
   // Whole-program facts, computed lazily before the first Phase-3 run when
   // EngineOptions::static_analysis is on (pure function of the module).
   std::optional<analysis::ProgramFacts> facts_;
-  std::vector<monitor::RunLog> logs_;  // batch mode (and pre-fold staging)
-  // Streaming state: per-cluster sufficient statistics ("" keys faulty runs
-  // without a fault tag; correct runs have their own accumulator).
-  bool streamed_{false};
+  // Per-cluster sufficient statistics: correct runs in one accumulator,
+  // faulty runs keyed by fault function ("" for runs without a fault tag).
   stats::SuffStats correct_suff_;
   std::map<std::string, stats::SuffStats> faulty_suff_;
-  std::uint64_t shards_ingested_{0};
-  std::uint64_t stream_logs_{0};
-  std::size_t peak_retained_bytes_{0};
+  std::vector<monitor::RunLog> logs_;  // only with collect_logs(keep_logs)
   double log_seconds_{0.0};
   obs::Tracer* tracer_{nullptr};
   // Persistent cross-run cache supplied by a serve session (null outside

@@ -17,12 +17,14 @@
 //       Run the whole-program static analysis and print every definite-bug
 //       diagnostic (provable OOB, division by zero, failing assert,
 //       use-before-def). Exits non-zero when anything is found.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "analysis/facts.h"
 #include "apps/registry.h"
@@ -33,6 +35,7 @@
 #include "serve/server.h"
 #include "statsym/engine.h"
 #include "statsym/report.h"
+#include "support/strings.h"
 
 using namespace statsym;
 
@@ -45,8 +48,7 @@ int usage() {
                "  statsym list\n"
                "  statsym run <app> [--sampling R] [--seed N] [--logs FILE] "
                "[--all]\n"
-               "             [--jobs/-j N] [--portfolio K] [--stream] "
-               "[--log-shard-size N]\n"
+               "             [--jobs/-j N] [--portfolio K]\n"
                "             [--engines LIST] [--concolic]\n"
                "  statsym pure <app> [--searcher dfs|bfs|random|coverage] "
                "[--mem MB] [--time S]\n"
@@ -62,13 +64,6 @@ int usage() {
                "threads)\n"
                "  --portfolio K   candidate paths run concurrently (default "
                "4)\n"
-               "  --stream        fold logs into sufficient statistics "
-               "shard-by-shard\n"
-               "                  instead of retaining them (same results, "
-               "O(shard)\n"
-               "                  retained log memory)\n"
-               "  --log-shard-size N  logs per shard in --stream mode "
-               "(default 64)\n"
                "  --engines LIST  Phase-3 lanes racing in priority order,\n"
                "                  comma-separated from guided|pure|concolic\n"
                "                  (default guided); first win cancels worse\n"
@@ -102,9 +97,6 @@ struct Flags {
   double time_s{300.0};
   std::size_t jobs{0};       // 0 = hardware_concurrency
   std::size_t portfolio{4};  // concurrent candidates in Phase 3
-  bool stream{false};        // shard-streamed statistics ingestion
-  std::size_t log_shard_size{64};
-  bool log_shard_size_set{false};  // explicit --log-shard-size (for checks)
   std::vector<core::EngineKind> engines{core::EngineKind::kGuided};
   bool concolic{false};      // append a concolic lane
   bool static_analysis{true};  // --no-static-analysis turns this off
@@ -119,19 +111,31 @@ struct Flags {
 bool parse_flags(int argc, char** argv, int start, Flags& f) {
   for (int i = start; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](double& out) {
+    // Numeric values are parsed strictly; a malformed or out-of-range value
+    // names its flag and fails the parse (exit 2) instead of running a
+    // silently different configuration.
+    auto bad_value = [&](const char* want) {
+      std::fprintf(stderr, "%s: bad value '%s' (want %s)\n", a.c_str(),
+                   argv[i], want);
+      return false;
+    };
+    auto next_count = [&](auto& out) {
       if (i + 1 >= argc) return false;
-      out = std::atof(argv[++i]);
+      std::int64_t v;
+      if (!parse_i64(argv[++i], v) || v < 0) {
+        return bad_value("a non-negative integer");
+      }
+      out = static_cast<std::remove_reference_t<decltype(out)>>(v);
       return true;
     };
     if (a == "--sampling") {
-      double v;
-      if (!next(v)) return false;
-      f.sampling = v;
+      if (i + 1 >= argc) return false;
+      if (!parse_double(argv[++i], f.sampling) ||
+          !(f.sampling > 0.0 && f.sampling <= 1.0)) {
+        return bad_value("a rate in (0,1]");
+      }
     } else if (a == "--seed") {
-      double v;
-      if (!next(v)) return false;
-      f.seed = static_cast<std::uint64_t>(v);
+      if (!next_count(f.seed)) return false;
     } else if (a == "--logs") {
       if (i + 1 >= argc) return false;
       f.logs_file = argv[++i];
@@ -141,17 +145,15 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       if (i + 1 >= argc) return false;
       f.searcher = argv[++i];
     } else if (a == "--mem") {
-      double v;
-      if (!next(v)) return false;
-      f.mem_mb = static_cast<std::size_t>(v);
+      if (!next_count(f.mem_mb)) return false;
     } else if (a == "--time") {
-      double v;
-      if (!next(v)) return false;
-      f.time_s = v;
+      if (i + 1 >= argc) return false;
+      if (!parse_double(argv[++i], f.time_s) || !std::isfinite(f.time_s) ||
+          f.time_s <= 0.0) {
+        return bad_value("seconds > 0");
+      }
     } else if (a == "--jobs" || a == "-j") {
-      double v;
-      if (!next(v)) return false;
-      f.jobs = static_cast<std::size_t>(v);
+      if (!next_count(f.jobs)) return false;
     } else if (a == "--exec-jobs" || a == "--exec-batch") {
       // Removed with the executor's intra-run worker pool: fail loudly
       // instead of silently running a different configuration.
@@ -162,16 +164,7 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
                    a.c_str());
       return false;
     } else if (a == "--portfolio") {
-      double v;
-      if (!next(v)) return false;
-      f.portfolio = static_cast<std::size_t>(v);
-    } else if (a == "--stream") {
-      f.stream = true;
-    } else if (a == "--log-shard-size") {
-      double v;
-      if (!next(v)) return false;
-      f.log_shard_size = static_cast<std::size_t>(v);
-      f.log_shard_size_set = true;
+      if (!next_count(f.portfolio)) return false;
     } else if (a == "--engines" || a.rfind("--engines=", 0) == 0) {
       std::string list;
       if (a == "--engines") {
@@ -266,32 +259,10 @@ core::EngineOptions engine_options(const Flags& f) {
   o.exec.max_memory_bytes = f.mem_mb << 20;
   o.num_threads = f.jobs;
   o.candidate_portfolio_width = f.portfolio;
-  o.stream = f.stream;
-  o.log_shard_size = f.log_shard_size;
   o.engines = f.engines;
   o.enable_concolic = f.concolic;
   o.static_analysis = f.static_analysis;
   return o;
-}
-
-// Satellite of DESIGN.md §10: flag combinations that would silently do
-// nothing. `collect` exists to write retained logs, which --stream folds
-// away, so the pair is a hard error; a --log-shard-size without --stream is
-// inert and gets a warning.
-bool check_stream_flags(const std::string& cmd, const Flags& f) {
-  if (cmd == "collect" && f.stream) {
-    std::fprintf(stderr,
-                 "error: 'collect' writes the retained logs, but --stream "
-                 "folds logs into statistics and drops them (nothing would "
-                 "be written). Drop --stream, or use 'run --stream'.\n");
-    return false;
-  }
-  if (f.log_shard_size_set && !f.stream) {
-    std::fprintf(stderr,
-                 "warning: --log-shard-size has no effect without --stream "
-                 "(batch mode retains every log)\n");
-  }
-  return true;
 }
 
 void print_result(const apps::AppSpec& app, const core::EngineResult& res) {
@@ -453,7 +424,7 @@ int cmd_collect(const std::string& name, const std::string& out,
                 const Flags& f) {
   const apps::AppSpec app = apps::make_app(name);
   core::StatSymEngine engine(app.module, app.sym_spec, engine_options(f));
-  engine.collect_logs(app.workload);
+  engine.collect_logs(app.workload, /*keep_logs=*/true);
   std::ofstream os(out);
   if (!os) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
@@ -546,14 +517,12 @@ int main(int argc, char** argv) {
   Flags f;
   if (cmd == "list") return cmd_list();
   if (cmd == "run" && argc >= 3 && parse_flags(argc, argv, 3, f)) {
-    if (!check_stream_flags(cmd, f)) return 2;
     return cmd_run(argv[2], f);
   }
   if (cmd == "pure" && argc >= 3 && parse_flags(argc, argv, 3, f)) {
     return cmd_pure(argv[2], f);
   }
   if (cmd == "collect" && argc >= 4 && parse_flags(argc, argv, 4, f)) {
-    if (!check_stream_flags(cmd, f)) return 2;
     return cmd_collect(argv[2], argv[3], f);
   }
   if (cmd == "serve" && parse_flags(argc, argv, 2, f)) {

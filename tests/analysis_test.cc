@@ -439,7 +439,7 @@ TEST(CandidatePrune, StaleLogsCandidatesAreDroppedDeterministically) {
   const ir::Module new_m = routed_module(false);
 
   core::StatSymEngine collector(old_m, {}, prune_opts(1));
-  collector.collect_logs(routed_workload());
+  collector.collect_logs(routed_workload(), /*keep_logs=*/true);
   const std::vector<monitor::RunLog> logs = collector.logs();
   ASSERT_FALSE(logs.empty());
 
@@ -475,7 +475,7 @@ TEST(CandidatePrune, DisablingAnalysisKeepsCandidatesAlive) {
   const ir::Module new_m = routed_module(false);
 
   core::StatSymEngine collector(old_m, {}, prune_opts(1));
-  collector.collect_logs(routed_workload());
+  collector.collect_logs(routed_workload(), /*keep_logs=*/true);
 
   core::EngineOptions off = prune_opts(1);
   off.static_analysis = false;

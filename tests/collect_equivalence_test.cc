@@ -44,10 +44,11 @@ Collected collect(const apps::AppSpec& app, std::size_t n_correct,
   o.seed = 20261017;
   StatSymEngine engine(app.module, app.sym_spec, o);
   std::atomic<std::uint64_t> calls{0};
-  engine.collect_logs([&](Rng& r) {
+  const WorkloadGen gen = [&](Rng& r) {
     calls.fetch_add(1, std::memory_order_relaxed);
     return app.workload(r);
-  });
+  };
+  engine.collect_logs(gen, /*keep_logs=*/true);
   Collected c;
   c.logs_digest = fnv1a(monitor::serialize(engine.logs()));
   c.num_logs = engine.logs().size();

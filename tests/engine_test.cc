@@ -26,7 +26,8 @@ EngineOptions fast_opts() {
 TEST(Engine, CollectLogsHitsTargets) {
   const apps::AppSpec app = apps::make_fig2();
   StatSymEngine engine(app.module, app.sym_spec, fast_opts());
-  engine.collect_logs(app.workload);
+  engine.collect_logs(app.workload, /*keep_logs=*/true);
+  EXPECT_EQ(engine.num_logs_collected(), 120u);
   std::size_t faulty = 0;
   for (const auto& l : engine.logs()) faulty += l.faulty ? 1 : 0;
   EXPECT_EQ(engine.logs().size(), 120u);
@@ -96,7 +97,7 @@ TEST(Engine, LogsRoundTripThroughSerialisation) {
   // the decoupling the paper's log-file pipeline implies.
   const apps::AppSpec app = apps::make_fig2();
   StatSymEngine collector(app.module, app.sym_spec, fast_opts());
-  collector.collect_logs(app.workload);
+  collector.collect_logs(app.workload, /*keep_logs=*/true);
   const std::string text = monitor::serialize(collector.logs());
   std::vector<monitor::RunLog> back;
   ASSERT_TRUE(monitor::deserialize(text, back));
@@ -127,7 +128,7 @@ TEST(Engine, SamplingRateAffectsLogVolume) {
     EngineOptions o = fast_opts();
     o.monitor.sampling_rate = rate;
     StatSymEngine engine(app.module, app.sym_spec, o);
-    engine.collect_logs(app.workload);
+    engine.collect_logs(app.workload, /*keep_logs=*/true);
     return monitor::serialize(engine.logs()).size();
   };
   EXPECT_LT(bytes_at(0.2), bytes_at(1.0));
@@ -192,7 +193,7 @@ TEST(EngineMultiVuln, TargetFunctionSkipsOtherFaults) {
   EngineOptions o = fast_opts();
   o.exec.target_function = "convert_fileName";
   StatSymEngine engine(app.module, app.sym_spec, o);
-  engine.collect_logs(app.workload);
+  engine.collect_logs(app.workload, /*keep_logs=*/true);
   // Keep only the convert_fileName fault cluster plus correct runs, as
   // run_all would.
   std::vector<monitor::RunLog> subset;

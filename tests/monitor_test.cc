@@ -1,6 +1,6 @@
 // Tests for the program monitor: instrumented-location encoding, logged
 // variables, sampling, library skipping, fault truncation, serialisation
-// round-trips and corrupted-log rejection.
+// round-trips, serialized-size accounting and corrupted-log rejection.
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
@@ -216,6 +216,35 @@ TEST(Serialize, EmptyInputYieldsNoLogs) {
   std::vector<RunLog> out;
   EXPECT_TRUE(deserialize("", out));
   EXPECT_TRUE(out.empty());
+}
+
+TEST(Serialize, SerializedSizeMatchesSerialize) {
+  // SuffStats accounts log bytes via serialized_size without building the
+  // text; it must agree with the real serialisation for every value shape
+  // the monitor can log (including awkward %g cases).
+  const double values[] = {0.0,    -0.0,   1.0,      -1.0,     0.1,
+                           1e-7,   -1e-7,  123456.0, 1234567.0, 1e20,
+                           -1e20,  0.5,    536.5,    1e-300,   1e300,
+                           1.0 / 3.0};
+  RunLog log;
+  log.run_id = 123456;
+  log.faulty = true;
+  log.fault_function = "sink";
+  log.records_considered = 42;
+  int i = 0;
+  for (const double v : values) {
+    VarSample s;
+    s.name = "v" + std::to_string(i);
+    s.kind = static_cast<VarKind>(i % 3);
+    s.is_len = i % 2 == 0;
+    s.value = v;
+    log.records.push_back({static_cast<LocId>(i++), {s}});
+  }
+  EXPECT_EQ(serialized_size(log), serialize(log).size());
+
+  RunLog ok;  // minimal correct log, no seen line, no records
+  ok.run_id = 0;
+  EXPECT_EQ(serialized_size(ok), serialize(ok).size());
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ EngineOptions pipeline_opts(std::size_t threads, double sampling) {
 PipelineRun run_pipeline(const std::string& app_name, const EngineOptions& o) {
   const apps::AppSpec app = apps::make_app(app_name);
   StatSymEngine engine(app.module, app.sym_spec, o);
-  engine.collect_logs(app.workload);
+  engine.collect_logs(app.workload, /*keep_logs=*/true);
   PipelineRun out;
   out.logs_text = monitor::serialize(engine.logs());
   out.res = engine.run();
@@ -136,10 +136,10 @@ TEST(ParallelEngine, ThreadCountDoesNotChangeLogAdmission) {
   const apps::AppSpec app = apps::make_fig2();
   EngineOptions o = pipeline_opts(1, 0.5);
   StatSymEngine seq(app.module, app.sym_spec, o);
-  seq.collect_logs(app.workload);
+  seq.collect_logs(app.workload, /*keep_logs=*/true);
   o.num_threads = 8;
   StatSymEngine par(app.module, app.sym_spec, o);
-  par.collect_logs(app.workload);
+  par.collect_logs(app.workload, /*keep_logs=*/true);
   ASSERT_EQ(seq.logs().size(), par.logs().size());
   EXPECT_EQ(monitor::serialize(seq.logs()), monitor::serialize(par.logs()));
   // run_ids are stamped at admission and stay dense.

@@ -71,11 +71,11 @@ TEST(PathBuilder, FindsLinearSkeleton) {
   GraphFixture fx;
   for (int i = 0; i < 10; ++i) fx.add_faulty({0, 2, 4, 6});
   TransitionGraph g(loose_graph());
-  g.build(fx.logs);
   PredicateManager pm;
   SuffStats s;
   s.ingest(fx.logs);
   pm.build(s);
+  g.build(s);
   PathBuilder b(g, pm, loose_opts());
   const auto pc = b.build(6);
   ASSERT_TRUE(pc.has_value());
@@ -91,11 +91,11 @@ TEST(PathBuilder, PrefersHigherScoringPath) {
   for (int i = 0; i < 10; ++i) fx.add_faulty({0, 2, 9});
   fx.score_location(2);
   TransitionGraph g(loose_graph());
-  g.build(fx.logs);
   SuffStats s;
   s.ingest(fx.logs);
   PredicateManager pm;
   pm.build(s);
+  g.build(s);
   PathBuilder b(g, pm, loose_opts());
   const auto pc = b.build(9);
   ASSERT_TRUE(pc.has_value());
@@ -122,11 +122,11 @@ TEST(PathBuilder, FindsDetourThroughScoredOffSkeletonNode) {
   for (int i = 0; i < 4; ++i) fx.add_faulty({0, 2, 5, 4, 9});
   fx.score_location(5);
   TransitionGraph g(loose_graph());
-  g.build(fx.logs);
   SuffStats s;
   s.ingest(fx.logs);
   PredicateManager pm;
   pm.build(s);
+  g.build(s);
   PathBuilder b(g, pm, loose_opts());
   const auto pc = b.build(9);
   ASSERT_TRUE(pc.has_value());
@@ -145,11 +145,11 @@ TEST(PathBuilder, CandidatesRankedByScoreAndDeduplicated) {
   for (int i = 0; i < 4; ++i) fx.add_faulty({0, 2, 5, 4, 9});
   fx.score_location(5);
   TransitionGraph g(loose_graph());
-  g.build(fx.logs);
   SuffStats s;
   s.ingest(fx.logs);
   PredicateManager pm;
   pm.build(s);
+  g.build(s);
   PathBuilder b(g, pm, loose_opts());
   const auto pc = b.build(9);
   ASSERT_TRUE(pc.has_value());
@@ -167,11 +167,11 @@ TEST(PathBuilder, UnreachableFailureYieldsDegeneratePath) {
   for (int i = 0; i < 5; ++i) fx.add_faulty({0, 1});
   fx.add_faulty({7});  // failure node isolated
   TransitionGraph g(loose_graph());
-  g.build(fx.logs);
   SuffStats s;
   s.ingest(fx.logs);
   PredicateManager pm;
   pm.build(s);
+  g.build(s);
   PathBuilder b(g, pm, loose_opts());
   const auto pc = b.build(7);
   // Either a degenerate single-node skeleton or no construction; it must
@@ -187,11 +187,11 @@ TEST(PathBuilder, CandidatePathsEndAtFailurePoint) {
   for (int i = 0; i < 3; ++i) fx.add_faulty({0, 2, 3, 4, 6, 8});
   fx.score_location(3);
   TransitionGraph g(loose_graph());
-  g.build(fx.logs);
   SuffStats s;
   s.ingest(fx.logs);
   PredicateManager pm;
   pm.build(s);
+  g.build(s);
   PathBuilder b(g, pm, loose_opts());
   const auto pc = b.build(8);
   ASSERT_TRUE(pc.has_value());

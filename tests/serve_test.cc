@@ -331,7 +331,7 @@ TEST(ServeStream, ShutdownStopsReading) {
   EXPECT_EQ(out.str().find("after"), std::string::npos);
 }
 
-// --- CLI flag misuse (check_stream_flags family) ---------------------------
+// --- CLI flag misuse ---------------------------------------------------------
 
 TEST(ServeFlags, OneShotOutputFlagsRejectedWithServe) {
   EXPECT_EQ(check_serve_flags(false, false, false), "");

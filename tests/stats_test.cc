@@ -35,6 +35,12 @@ RunLog mk_log(std::int32_t id, bool faulty,
   return log;
 }
 
+SuffStats suff_of(const std::vector<RunLog>& logs) {
+  SuffStats s;
+  s.ingest(logs);
+  return s;
+}
+
 // Histogram-building shorthand for fit tests: one observation per value.
 void add_all(VarSuff& vs, bool faulty, std::initializer_list<double> values) {
   for (double v : values) vs.add(faulty, v);
@@ -244,48 +250,6 @@ TEST(PredicateManager, RanksByScore) {
   EXPECT_LT(pm.ranked()[1].score, 1.0);
   EXPECT_DOUBLE_EQ(pm.loc_score(0), 1.0);
   EXPECT_DOUBLE_EQ(pm.loc_score(99), 0.0);
-}
-
-TEST(PredicateManager, IngestRerankMatchesBatchBuild) {
-  // Shard-wise ingest + rerank must reproduce the one-shot batch ranking
-  // byte-for-byte, at any split point.
-  std::vector<RunLog> logs;
-  Rng rng(17);
-  for (int i = 0; i < 36; ++i) {
-    const bool faulty = i % 2 == 1;
-    logs.push_back(
-        mk_log(i, faulty,
-               {{0, {mk_var("a", rng.uniform(0, 10) + (faulty ? 8 : 0))}},
-                {1, {mk_var("b", rng.uniform(0, 10))}}}));
-  }
-  SuffStats all;
-  all.ingest(logs);
-  PredicateManager batch;
-  batch.build(all);
-
-  for (std::size_t split : {1u, 7u, 35u}) {
-    PredicateManager inc;
-    SuffStats head, tail;
-    for (std::size_t i = 0; i < logs.size(); ++i) {
-      (i < split ? head : tail).ingest(logs[i]);
-    }
-    inc.ingest(head);
-    inc.rerank();  // intermediate rerank must not perturb the final one
-    inc.ingest(tail);
-    inc.rerank();
-    ASSERT_EQ(inc.ranked().size(), batch.ranked().size());
-    for (std::size_t i = 0; i < batch.ranked().size(); ++i) {
-      const Predicate& x = inc.ranked()[i];
-      const Predicate& y = batch.ranked()[i];
-      EXPECT_EQ(x.loc, y.loc);
-      EXPECT_EQ(x.var, y.var);
-      EXPECT_EQ(x.pk, y.pk);
-      EXPECT_EQ(x.threshold, y.threshold);
-      EXPECT_EQ(x.score, y.score);        // bitwise, not approximate
-      EXPECT_EQ(x.score_lcb, y.score_lcb);
-      EXPECT_EQ(x.error, y.error);
-    }
-  }
 }
 
 TEST(PredicateManager, ThresholdKindOutranksUnreachedAtEqualScore) {
@@ -548,7 +512,7 @@ TEST(TransitionGraph, CountsAndConfidence) {
   opts.min_count = 1;
   opts.min_confidence = 0.0;
   TransitionGraph g(opts);
-  g.build(logs);
+  g.build(suff_of(logs));
   EXPECT_EQ(g.occurrences(0), 3u);
   EXPECT_EQ(g.occurrences(5), 0u);  // faulty-only mining
   const auto& succ = g.successors(0);
@@ -559,42 +523,16 @@ TEST(TransitionGraph, CountsAndConfidence) {
   EXPECT_NEAR(succ[1].confidence, 1.0 / 3.0, 1e-9);
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_FALSE(g.has_edge(2, 0));
-}
 
-TEST(TransitionGraph, IngestRerankMatchesBatchBuild) {
-  std::vector<RunLog> logs;
-  Rng rng(23);
-  for (int i = 0; i < 40; ++i) {
-    std::vector<LogRecord> recs;
-    const int len = 2 + static_cast<int>(rng.uniform(0, 4));
-    for (int k = 0; k < len; ++k) {
-      recs.push_back({static_cast<monitor::LocId>(rng.uniform(0, 5)), {}});
-    }
-    logs.push_back(mk_log(i, i % 2 == 0, std::move(recs)));
-  }
-  TransitionGraphOptions opts;
-  opts.min_count = 1;
-  opts.min_confidence = 0.0;
-  TransitionGraph batch(opts);
-  batch.build(logs);
-
-  TransitionGraph inc(opts);
-  for (const auto& log : logs) inc.ingest(log);
-  inc.rerank();
-
-  ASSERT_EQ(inc.nodes(), batch.nodes());
-  for (monitor::LocId n : batch.nodes()) {
-    EXPECT_EQ(inc.occurrences(n), batch.occurrences(n));
-    const auto& a = inc.successors(n);
-    const auto& b = batch.successors(n);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].to, b[i].to);
-      EXPECT_EQ(a[i].confidence, b[i].confidence);
-      EXPECT_EQ(a[i].count, b[i].count);
-    }
-  }
-  EXPECT_EQ(inc.entry_candidates(), batch.entry_candidates());
+  // Mining both classes adds the correct runs' transitions to the same
+  // tallies.
+  opts.faulty_only = false;
+  TransitionGraph both(opts);
+  both.build(suff_of(logs));
+  EXPECT_EQ(both.occurrences(0), 3u);
+  EXPECT_EQ(both.occurrences(5), 1u);
+  EXPECT_TRUE(both.has_edge(5, 6));
+  EXPECT_EQ(both.entry_candidates(), std::vector<monitor::LocId>{0});
 }
 
 TEST(TransitionGraph, ThresholdsFilterEdges) {
@@ -607,7 +545,7 @@ TEST(TransitionGraph, ThresholdsFilterEdges) {
   opts.min_confidence = 0.05;
   opts.min_count = 2;
   TransitionGraph g(opts);
-  g.build(logs);
+  g.build(suff_of(logs));
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(0, 9));  // count 1 < 2 and mu ~0.01 < 0.05
 }
@@ -623,7 +561,7 @@ TEST(TransitionGraph, EntryCandidateIsModalFirstRecord) {
     logs.push_back(mk_log(100 + i, true, {{1, {}}, {2, {}}}));
   }
   TransitionGraph g;
-  g.build(logs);
+  g.build(suff_of(logs));
   const auto entries = g.entry_candidates();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0], 0);
@@ -631,7 +569,7 @@ TEST(TransitionGraph, EntryCandidateIsModalFirstRecord) {
 
 TEST(TransitionGraph, EntryCandidatesFallBackWithoutLogs) {
   TransitionGraph g;
-  g.build({});
+  g.build(SuffStats{});
   EXPECT_TRUE(g.entry_candidates().empty());
 }
 
@@ -641,20 +579,13 @@ TEST(TransitionGraph, FailureNodeIsModalLastRecord) {
   logs.push_back(mk_log(1, true, {{0, {}}, {7, {}}}));
   logs.push_back(mk_log(2, true, {{0, {}}, {3, {}}}));
   logs.push_back(mk_log(3, false, {{0, {}}, {9, {}}}));  // correct ignored
-  EXPECT_EQ(TransitionGraph::failure_node(logs), 7);
-  // The sufficient-statistic overload agrees with the log-based one.
-  SuffStats s;
-  s.ingest(logs);
-  EXPECT_EQ(TransitionGraph::failure_node(s), 7);
+  EXPECT_EQ(TransitionGraph::failure_node(suff_of(logs)), 7);
 }
 
 TEST(TransitionGraph, FailureNodeNoFaultyLogs) {
   std::vector<RunLog> logs;
   logs.push_back(mk_log(0, false, {{0, {}}}));
-  EXPECT_EQ(TransitionGraph::failure_node(logs), monitor::kNoLoc);
-  SuffStats s;
-  s.ingest(logs);
-  EXPECT_EQ(TransitionGraph::failure_node(s), monitor::kNoLoc);
+  EXPECT_EQ(TransitionGraph::failure_node(suff_of(logs)), monitor::kNoLoc);
 }
 
 TEST(TransitionGraph, SelfLoopDoesNotHideEntry) {
@@ -665,7 +596,7 @@ TEST(TransitionGraph, SelfLoopDoesNotHideEntry) {
   opts.min_confidence = 0.0;
   opts.min_count = 1;
   TransitionGraph g(opts);
-  g.build(logs);
+  g.build(suff_of(logs));
   const auto entries = g.entry_nodes();
   EXPECT_NE(std::find(entries.begin(), entries.end(), 0), entries.end());
 }

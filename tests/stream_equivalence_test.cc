@@ -1,23 +1,21 @@
-// The streaming-ingestion equivalence contract (DESIGN.md §10): fitting the
-// statistics from sharded, mergeable sufficient statistics must reproduce the
-// batch fit *byte-for-byte* — same predicate set, same raw scores, same
-// score_lcb, same candidate ranking — at any shard size and any --jobs, on
-// both the randomized fuzz corpus and the four evaluation applications.
+// The one-statistics-path contract (DESIGN.md §10): the engine folds every
+// admitted log into per-cluster sufficient statistics and drops it, and the
+// fit from those statistics — predicate set, raw scores, score_lcb,
+// candidate ranking — must not depend on how the logs arrived. Checked
+// here: collection at one thread vs eight, and collect_logs vs use_logs of
+// the same logs in reverse order. The fits themselves are pinned against
+// digests recorded before the rewrite in stats_digest_test.
 //
 // Fingerprints render every float with %a (hexfloat), so the comparison is
 // bit-exact, not epsilon-close.
-//
-// STATSYM_STREAM_EQ_PROGRAMS overrides the fuzz-corpus size (default 24
-// for tier-1; CI's stream-equivalence job raises it to 200).
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "concolic/concolic.h"
 #include "fuzz/program_gen.h"
-#include "monitor/shard.h"
 #include "statsym/engine.h"
 
 namespace statsym::core {
@@ -69,125 +67,98 @@ EngineOptions base_options() {
   return o;
 }
 
-std::string run_config(const apps::AppSpec& app, bool stream,
-                       std::size_t shard_size, std::size_t jobs) {
+// Collects at `jobs` threads without keeping the logs, which must then be
+// gone; returns the fit's fingerprint.
+std::string collected_fit(const apps::AppSpec& app, std::size_t jobs) {
   EngineOptions o = base_options();
-  o.stream = stream;
-  o.log_shard_size = shard_size;
   o.num_threads = jobs;
   StatSymEngine engine(app.module, app.sym_spec, o);
   engine.collect_logs(app.workload);
-  if (stream) {
-    // Streaming must actually have dropped the raw logs.
-    EXPECT_TRUE(engine.logs().empty());
-    EXPECT_GT(engine.num_logs_collected(), 0u);
-  }
+  EXPECT_TRUE(engine.logs().empty());
+  EXPECT_GT(engine.num_logs_collected(), 0u);
   return fingerprint(engine.run());
 }
 
-constexpr std::size_t kShardSizes[] = {1, 7, 64};
-constexpr std::size_t kJobs[] = {1, 8};
-
-void expect_equivalent(const apps::AppSpec& app, const std::string& label) {
-  const std::string batch = run_config(app, /*stream=*/false, 64, 1);
-  for (const std::size_t jobs : kJobs) {
-    SCOPED_TRACE(label + " jobs=" + std::to_string(jobs));
-    EXPECT_EQ(run_config(app, /*stream=*/false, 64, jobs), batch);
-    for (const std::size_t shard : kShardSizes) {
-      SCOPED_TRACE("shard=" + std::to_string(shard));
-      EXPECT_EQ(run_config(app, /*stream=*/true, shard, jobs), batch);
-    }
+void expect_jobs_invariant(const apps::AppSpec& app, const std::string& label,
+                           std::size_t* with_predicates = nullptr) {
+  SCOPED_TRACE(label);
+  const std::string one = collected_fit(app, 1);
+  EXPECT_EQ(collected_fit(app, 8), one);
+  if (with_predicates != nullptr && one.find("pred ") != std::string::npos) {
+    ++*with_predicates;
   }
 }
 
-std::size_t fuzz_corpus_size() {
-  if (const char* env = std::getenv("STATSYM_STREAM_EQ_PROGRAMS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return 24;
-}
-
-TEST(StreamEquivalence, FuzzCorpusAnyShardSizeAnyJobs) {
-  const std::size_t n = fuzz_corpus_size();
+TEST(StreamEquivalence, FuzzCorpusAnyJobs) {
+  constexpr std::size_t kPrograms = 24;
   std::size_t with_predicates = 0;
-  for (std::size_t seed = 0; seed < n; ++seed) {
-    const fuzz::GeneratedProgram prog = fuzz::generate_program(seed);
-    SCOPED_TRACE("fuzz:" + std::to_string(seed));
-    const std::string batch =
-        run_config(prog.app, /*stream=*/false, 64, 1);
-    if (batch.find("pred ") != std::string::npos) ++with_predicates;
-    for (const std::size_t jobs : kJobs) {
-      for (const std::size_t shard : kShardSizes) {
-        SCOPED_TRACE("shard=" + std::to_string(shard) +
-                     " jobs=" + std::to_string(jobs));
-        EXPECT_EQ(run_config(prog.app, /*stream=*/true, shard, jobs), batch);
-      }
-    }
+  for (std::size_t seed = 0; seed < kPrograms; ++seed) {
+    expect_jobs_invariant(fuzz::generate_program(seed).app,
+                          "fuzz:" + std::to_string(seed), &with_predicates);
   }
   // The sweep must exercise real fits, not 0-predicate degenerate programs.
-  EXPECT_GT(with_predicates, n / 2);
+  EXPECT_GT(with_predicates, kPrograms / 2);
 }
 
 TEST(StreamEquivalence, EvaluationApps) {
   for (const std::string& name : apps::app_names()) {
-    expect_equivalent(apps::make_app(name), name);
+    expect_jobs_invariant(apps::make_app(name), name);
   }
 }
 
-TEST(StreamEquivalence, ShardReplayAndMergeOrder) {
-  // Shards serialised to text and replayed through ingest_shard — in a
-  // different order — still reproduce the batch fit: the fold is a sum, and
-  // the wire format loses nothing the statistics depend on.
+// A second engine fed the kept logs through use_logs, newest first.
+StatSymEngine replayed(const apps::AppSpec& app, const EngineOptions& o,
+                       const std::vector<monitor::RunLog>& logs) {
+  StatSymEngine replay(app.module, app.sym_spec, o);
+  replay.use_logs({logs.rbegin(), logs.rend()});
+  EXPECT_EQ(replay.num_logs_collected(), logs.size());
+  EXPECT_TRUE(replay.logs().empty());
+  return replay;
+}
+
+TEST(StreamEquivalence, UseLogsInReverseOrderMatchesCollect) {
+  // The fold is a sum, so the order the logs arrive in cannot matter.
   const fuzz::GeneratedProgram prog = fuzz::generate_program(3);
-  EngineOptions o = base_options();
-  StatSymEngine batch(prog.app.module, prog.app.sym_spec, o);
-  batch.collect_logs(prog.app.workload);
-  const std::string want = fingerprint(batch.run());
+  const EngineOptions o = base_options();
+  StatSymEngine collected(prog.app.module, prog.app.sym_spec, o);
+  collected.collect_logs(prog.app.workload, /*keep_logs=*/true);
+  ASSERT_EQ(collected.logs().size(), collected.num_logs_collected());
+  const std::string want = fingerprint(collected.run());
+  EXPECT_NE(want.find("pred "), std::string::npos);
 
-  std::vector<std::string> wire;
-  {
-    monitor::ShardedCollector c(7, [&](monitor::LogShard&& s) {
-      wire.push_back(monitor::serialize_shard(s));
-    });
-    std::vector<monitor::RunLog> logs = batch.logs();
-    for (auto& log : logs) c.add(std::move(log));
-    c.flush();
-  }
-  ASSERT_GT(wire.size(), 1u);
-
-  // Reverse replay order: schedule invariance of the merge.
-  StatSymEngine replay(prog.app.module, prog.app.sym_spec, o);
-  for (auto it = wire.rbegin(); it != wire.rend(); ++it) {
-    monitor::LogShard shard;
-    std::string error;
-    ASSERT_TRUE(monitor::deserialize_shard(*it, shard, &error)) << error;
-    replay.ingest_shard(std::move(shard));
-  }
-  EXPECT_EQ(fingerprint(replay.run()), want);
+  EXPECT_EQ(fingerprint(replayed(prog.app, o, collected.logs()).run()), want);
 }
 
-TEST(StreamEquivalence, RunAllClustersMatchBatch) {
-  // Multi-vulnerability splitting (run_all) from per-cluster sufficient
-  // statistics must mirror the batch per-cluster subsets.
-  apps::AppSpec app = apps::make_app("polymorph-multibug");
+TEST(StreamEquivalence, RunAllFromUseLogsMatchesCollect) {
+  // Multi-vulnerability splitting reads the per-cluster statistics; clusters
+  // built from reordered logs must verify the same vulns with the same
+  // witnesses.
+  const apps::AppSpec app = apps::make_app("polymorph-multibug");
   EngineOptions o = base_options();
-  StatSymEngine batch(app.module, app.sym_spec, o);
-  batch.collect_logs(app.workload);
-  // Seed an identically-optioned streaming engine with the same logs so the
-  // comparison isolates the clustering, not collection.
-  std::vector<monitor::RunLog> logs = batch.logs();
-  EngineOptions so = o;
-  so.stream = true;
-  so.log_shard_size = 7;
-  StatSymEngine streamed(app.module, app.sym_spec, so);
-  streamed.use_logs(std::move(logs));
+  o.target_correct_logs = 80;
+  o.target_faulty_logs = 80;
+  o.max_candidates_tried = 16;
+  o.candidate_timeout_seconds = 600.0;
+  o.exec.max_instructions = 2'000'000;
+  o.num_threads = 1;
+  auto render = [](const std::vector<EngineResult>& results) {
+    std::string out;
+    for (const EngineResult& r : results) {
+      out += fingerprint(r);
+      if (r.vuln.has_value()) {
+        out += r.vuln->function + " " + concolic::input_key(r.vuln->input) +
+               "\n";
+      }
+    }
+    return out;
+  };
+  StatSymEngine collected(app.module, app.sym_spec, o);
+  collected.collect_logs(app.workload, /*keep_logs=*/true);
+  const std::vector<EngineResult> want = collected.run_all();
+  EXPECT_EQ(want.size(), 2u);
 
-  // With symexec disabled run_all reports no verified vulns; compare the
-  // cluster fits directly through run() on the merged statistics plus the
-  // cluster ordering observed via run_all's (empty) result count.
-  EXPECT_EQ(batch.run_all(4).size(), streamed.run_all(4).size());
-  EXPECT_EQ(fingerprint(batch.run()), fingerprint(streamed.run()));
+  StatSymEngine replay = replayed(app, o, collected.logs());
+  EXPECT_EQ(render(replay.run_all()), render(want));
 }
 
 }  // namespace
