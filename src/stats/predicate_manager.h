@@ -3,9 +3,8 @@
 // (d)), and serves per-location score queries to the path constructor and
 // the guided symbolic executor.
 //
-// build() reads the statistics in place and keeps only the ranked
-// predicates and per-location scores; the raw logs were folded into the
-// SuffStats long before and are never consulted.
+// build() reads the sufficient statistics in place and keeps only the
+// ranked predicates and per-location scores.
 #pragma once
 
 #include <unordered_map>

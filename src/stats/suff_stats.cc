@@ -1,6 +1,6 @@
 #include "stats/suff_stats.h"
 
-#include <set>
+#include <algorithm>
 
 #include "monitor/serialize.h"
 
@@ -57,10 +57,14 @@ void SuffStats::ingest(const monitor::RunLog& log) {
   records_considered_ += static_cast<std::uint64_t>(log.records_considered);
   (log.faulty ? faulty_trans_ : correct_trans_).ingest(log);
 
-  std::set<monitor::LocId> seen_locs;
-  std::set<std::pair<monitor::LocId, std::string>> seen_vars;
+  // Per-run presence counts each location and (location, variable) once,
+  // however many records of this run mention it. Map nodes never move, so
+  // the touched statistics are collected by address and deduplicated.
+  std::vector<monitor::LocId> seen_locs;
+  std::vector<VarSuff*> seen_vars;
+  seen_locs.reserve(log.records.size());
   for (const auto& rec : log.records) {
-    seen_locs.insert(rec.loc);
+    seen_locs.push_back(rec.loc);
     for (const auto& v : rec.vars) {
       auto key = std::make_pair(rec.loc, v.key());
       auto it = vars_.find(key);
@@ -70,14 +74,21 @@ void SuffStats::ingest(const monitor::RunLog& log) {
         vs.var = key.second;
         vs.kind = v.kind;
         vs.is_len = v.is_len;
-        it = vars_.emplace(key, std::move(vs)).first;
+        it = vars_.emplace(std::move(key), std::move(vs)).first;
       }
       it->second.add(log.faulty, v.value);
-      if (seen_vars.insert(std::move(key)).second) {
-        ++(log.faulty ? it->second.faulty_runs : it->second.correct_runs);
-      }
+      seen_vars.push_back(&it->second);
     }
   }
+  std::sort(seen_vars.begin(), seen_vars.end());
+  seen_vars.erase(std::unique(seen_vars.begin(), seen_vars.end()),
+                  seen_vars.end());
+  for (VarSuff* vs : seen_vars) {
+    ++(log.faulty ? vs->faulty_runs : vs->correct_runs);
+  }
+  std::sort(seen_locs.begin(), seen_locs.end());
+  seen_locs.erase(std::unique(seen_locs.begin(), seen_locs.end()),
+                  seen_locs.end());
   for (monitor::LocId loc : seen_locs) {
     auto& [c, f] = loc_runs_[loc];
     ++(log.faulty ? f : c);

@@ -200,9 +200,9 @@ class StatSymEngine {
   // Optional structured tracing (obs/trace.h): phase begin/end, log
   // admissions, predicate fits, candidate ranks, and per-candidate symbolic
   // execution events stitched in rank order over the counted candidates.
-  // The tracer must outlive the engine. Null (the
-  // default) disables tracing; the cost of the disabled path is one pointer
-  // test per would-be event.
+  // The tracer must outlive the engine. Null (the default) disables
+  // tracing; the cost of the disabled path is one pointer test per would-be
+  // event.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   // Service mode (src/serve/): every Phase-3 solve goes through `cache`
