@@ -8,13 +8,6 @@ namespace {
 
 constexpr std::string_view kHeaderTag = "statsym-serve|";
 
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  std::int64_t v = 0;
-  if (!parse_i64(s, v) || v < 0) return false;
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 }  // namespace
 
 const char* frame_error_name(FrameError e) {

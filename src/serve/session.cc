@@ -4,27 +4,12 @@
 #include <sstream>
 
 #include "ir/printer.h"
-#include "statsym/engine.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
 namespace statsym::serve {
 
 namespace {
-
-// The request fields a `run` accepts. Anything else is a hard error — a
-// typo'd field silently falling back to a default would make the reply
-// answer a different question than the client asked.
-constexpr std::string_view kRunKeys[] = {"cmd",  "app",      "seed",
-                                         "jobs", "sampling", "trace",
-                                         "metrics"};
-
-bool known_run_key(std::string_view key) {
-  for (const std::string_view k : kRunKeys) {
-    if (k == key) return true;
-  }
-  return false;
-}
 
 std::string u64s(std::uint64_t v) { return std::to_string(v); }
 
@@ -129,17 +114,26 @@ std::string ServeSession::handle(const Frame& frame) {
 }
 
 std::string ServeSession::handle_run(const Frame& frame) {
+  // Per-request nondeterminism isolation: the effective seed is a pure
+  // function of the request, so replaying a request id in any session, at
+  // any warmth, after any request history, reproduces the same run.
+  core::RunOptions run = opts_;
+  run.seed = derive_seed(opts_.session_seed, solver::fp_hash_str(frame.id));
+  // The other fields go through the run-option validator: a typo'd field or
+  // bad value silently falling back to a default would make the reply
+  // answer a different question than the client asked.
   for (const std::string& line : frame.body) {
     const std::size_t bar = line.find('|');
-    const std::string_view key =
-        std::string_view(line).substr(0, bar == std::string::npos
-                                             ? line.size()
-                                             : bar);
-    if (bar == std::string::npos || !known_run_key(key)) {
+    const std::string_view key = std::string_view(line).substr(0, bar);
+    if (bar != std::string::npos && (key == "cmd" || key == "app")) continue;
+    const std::string_view value =
+        bar == std::string::npos ? "" : std::string_view(line).substr(bar + 1);
+    const std::string error =
+        run.set(key, value, core::RunOptions::Source::kRequest);
+    if (!error.empty()) {
       bump("serve.errors");
-      return format_error_reply(
-          frame.id, "bad-request",
-          "unknown request field '" + std::string(key) + "'");
+      return format_error_reply(frame.id, "bad-request",
+                                std::string(key) + ": " + error);
     }
   }
   const auto app_name = body_value(frame.body, "app");
@@ -149,58 +143,14 @@ std::string ServeSession::handle_run(const Frame& frame) {
                               "run request needs an 'app|<name>' field");
   }
 
-  // Per-request nondeterminism isolation: the effective seed is a pure
-  // function of the request, so replaying a request id in any session, at
-  // any warmth, after any request history, reproduces the same run.
-  std::uint64_t seed =
-      derive_seed(opts_.session_seed, solver::fp_hash_str(frame.id));
-  if (const auto v = body_value(frame.body, "seed")) {
-    std::int64_t parsed = 0;
-    if (!parse_i64(*v, parsed) || parsed < 0) {
-      bump("serve.errors");
-      return format_error_reply(frame.id, "bad-request",
-                                "bad 'seed' value '" + std::string(*v) + "'");
-    }
-    seed = static_cast<std::uint64_t>(parsed);
-  }
-  std::size_t jobs = opts_.jobs;
-  if (const auto v = body_value(frame.body, "jobs")) {
-    std::int64_t parsed = 0;
-    if (!parse_i64(*v, parsed) || parsed < 0) {
-      bump("serve.errors");
-      return format_error_reply(frame.id, "bad-request",
-                                "bad 'jobs' value '" + std::string(*v) + "'");
-    }
-    jobs = static_cast<std::size_t>(parsed);
-  }
-  double sampling = opts_.sampling;
-  if (const auto v = body_value(frame.body, "sampling")) {
-    if (!parse_double(*v, sampling) || sampling <= 0.0 || sampling > 1.0) {
-      bump("serve.errors");
-      return format_error_reply(
-          frame.id, "bad-request",
-          "bad 'sampling' value '" + std::string(*v) + "' (want (0,1])");
-    }
-  }
-  const bool want_trace = body_value(frame.body, "trace") == "1";
-  const bool want_metrics = body_value(frame.body, "metrics") == "1";
-
   const apps::AppSpec app = resolver_(std::string(*app_name));
   const CacheLease lease(*this, program_fingerprint(app.module));
   solver::SharedQueryCache& cache = lease.cache();
 
-  // Mirror statsym_cli's engine_options() defaults exactly — that identity
-  // is what the served-vs-oneshot equivalence test pins down.
-  core::EngineOptions o;
-  o.monitor.sampling_rate = sampling;
-  o.seed = seed;
-  o.candidate_timeout_seconds = opts_.time_s;
-  o.exec.max_memory_bytes = opts_.mem_mb << 20;
-  o.num_threads = jobs;
-
-  core::StatSymEngine engine(app.module, app.sym_spec, o);
+  core::StatSymEngine engine(app.module, app.sym_spec,
+                             run.to_engine_options());
   obs::Tracer tracer;  // deterministic rendering; no wall clock
-  if (want_trace) engine.set_tracer(&tracer);
+  if (run.trace) engine.set_tracer(&tracer);
   engine.set_shared_solver_cache(&cache);
 
   const auto before = cache.counters();
@@ -221,7 +171,7 @@ std::string ServeSession::handle_run(const Frame& frame) {
 
   std::vector<std::string> body;
   body.push_back("app|" + std::string(*app_name));
-  body.push_back("seed|" + u64s(seed));
+  body.push_back("seed|" + u64s(run.seed));
   body.push_back(std::string("verdict|") +
                  (res.found ? "found" : "not-found"));
   if (res.found && res.vuln.has_value()) {
@@ -244,14 +194,14 @@ std::string ServeSession::handle_run(const Frame& frame) {
   body.push_back("solver.model-reuse-hits|" + u64s(ss.model_reuse_hits));
   body.push_back("solver.canonical|" + u64s(ss.shared_cache_hits + ss.solves));
   body.push_back("solver.static-prunes|" + u64s(ss.static_prunes));
-  if (want_metrics) {
+  if (run.metrics) {
     body.push_back("beginmetrics");
     for (const std::string& l : split(res.metrics.to_json(), '\n')) {
       if (!l.empty()) body.push_back(l);
     }
     body.push_back("endmetrics");
   }
-  if (want_trace) {
+  if (run.trace) {
     body.push_back("begintrace");
     for (const std::string& l : split(tracer.to_jsonl(), '\n')) {
       if (!l.empty()) body.push_back(l);

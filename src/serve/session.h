@@ -35,6 +35,7 @@
 #include "serve/protocol.h"
 #include "solver/cache.h"
 #include "solver/cache_store.h"
+#include "statsym/run_options.h"
 
 namespace statsym::serve {
 
@@ -43,13 +44,12 @@ namespace statsym::serve {
 // IR, so any semantic edit changes it and the edited program starts cold.
 solver::Fp128 program_fingerprint(const ir::Module& m);
 
-struct ServeOptions {
-  std::uint64_t session_seed{42};
-  std::size_t jobs{0};         // default worker threads per request (0 = all)
-  double sampling{0.3};        // defaults mirror the one-shot CLI, so a
-  double time_s{300.0};        // request with only `app` set equals
-  std::size_t mem_mb{256};     // `statsym run <app>` byte-for-byte
-  std::string store_path;      // disk store; empty = in-memory only
+// The inherited run options are the defaults of every `run` request, so a
+// request with only `app` set equals `statsym run <app>` byte-for-byte. A
+// request's seed is its `seed|` field or derived from session_seed.
+struct ServeOptions : core::RunOptions {
+  std::uint64_t session_seed{seed};
+  std::string store_path;  // disk store; empty = in-memory only
 };
 
 class ServeSession {

@@ -36,13 +36,6 @@ bool parse_hex64(std::string_view s, std::uint64_t& out) {
   return true;
 }
 
-bool parse_count(std::string_view s, std::size_t& out) {
-  std::int64_t v = 0;
-  if (!parse_i64(s, v) || v < 0) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
 std::string entry_line(const PortableCacheEntry& e) {
   std::string s = "e|";
   append_hex(s, e.key.hi);

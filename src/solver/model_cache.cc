@@ -32,13 +32,13 @@ bool ModelCache::probe(const ExprPool& pool, std::span<const ExprId> cs,
 }
 
 void ModelCache::remember(const Model& m) {
-  if (cap_ == 0 || m.empty()) return;
+  if (m.empty()) return;
   if (std::any_of(models_.begin(), models_.end(),
                   [&](const Model& o) { return o == m; })) {
     return;
   }
   models_.push_front(m);
-  if (models_.size() > cap_) models_.pop_back();
+  if (models_.size() > kCapacity) models_.pop_back();
 }
 
 }  // namespace statsym::solver

@@ -24,7 +24,7 @@ namespace statsym::solver {
 
 class ModelCache {
  public:
-  explicit ModelCache(std::size_t capacity = 32) : cap_(capacity) {}
+  static constexpr std::size_t kCapacity = 32;  // models retained
 
   // Probes stored models (most recent first) against a sub-query. A model
   // is usable only when it assigns every variable of `vars`; on success
@@ -42,7 +42,6 @@ class ModelCache {
   void clear() { models_.clear(); }
 
  private:
-  std::size_t cap_;
   std::deque<Model> models_;  // front = most recent
 };
 

@@ -345,7 +345,6 @@ Fp128 options_salt(const SolverOptions& o) {
 Solver::Solver(ExprPool& pool, SolverOptions opts)
     : pool_(pool),
       opts_(opts),
-      model_cache_(opts.model_cache_size),
       fp_(pool),
       opts_salt_(options_salt(opts)),
       rng_(opts.seed) {}
@@ -677,8 +676,7 @@ SolveResult Solver::check_impl(std::span<const ExprId> constraints,
     return out;
   }
   ++stats_.sat;
-  if (opts_.enable_model_reuse && opts_.model_cache_size > 0 &&
-      slices.size() > 1) {
+  if (opts_.enable_model_reuse && slices.size() > 1) {
     // The merged assignment serves later queries whose constraints join
     // several of today's components into one slice.
     model_cache_.remember(out.model);
@@ -702,7 +700,7 @@ SolveResult Solver::solve_slice(const Slice& slice) {
   }
 
   SolveResult res;
-  if (opts_.enable_model_reuse && opts_.model_cache_size > 0 &&
+  if (opts_.enable_model_reuse &&
       model_cache_.probe(pool_, slice.cs, slice.vars, res.model)) {
     ++stats_.model_reuse_hits;
     res.sat = Sat::kSat;
@@ -749,8 +747,7 @@ SolveResult Solver::solve_slice(const Slice& slice) {
     if (proved) {
       ++stats_.shared_cache_hits;
       if (cache_ != nullptr) cache_->insert(sorted, res);
-      if (res.sat == Sat::kSat && opts_.enable_model_reuse &&
-          opts_.model_cache_size > 0) {
+      if (res.sat == Sat::kSat && opts_.enable_model_reuse) {
         model_cache_.remember(res.model);
       }
       // Level 2 ("canonical"), same as a solve: whether a sibling already
@@ -775,8 +772,7 @@ SolveResult Solver::solve_slice(const Slice& slice) {
     if (shared_ != nullptr) shared_->insert(pool_, slice_fp, sorted_fps, res);
     if (cache_ != nullptr) cache_->insert(sorted, res);
   }
-  if (res.sat == Sat::kSat && opts_.enable_model_reuse &&
-      opts_.model_cache_size > 0) {
+  if (res.sat == Sat::kSat && opts_.enable_model_reuse) {
     model_cache_.remember(res.model);
   }
   return res;

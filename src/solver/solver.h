@@ -241,11 +241,9 @@ struct SolverOptions {
   // Partition each query into variable-independence slices and decide (and
   // cache) them separately.
   bool enable_slicing{true};
-  // Re-evaluate retained satisfying assignments against new sub-queries
-  // before invoking the decision procedure.
+  // Re-evaluate the last ModelCache::kCapacity satisfying assignments
+  // against new sub-queries before invoking the decision procedure.
   bool enable_model_reuse{true};
-  // Bound on retained models (0 disables reuse outright).
-  std::size_t model_cache_size{32};
 };
 
 class Solver {

@@ -306,14 +306,8 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
   Stopwatch exec_sw;
   const std::size_t n_try =
       std::min(res.construction.candidates.size(), opts_.max_candidates_tried);
-  std::vector<EngineKind> lanes = opts_.engines;
-  if (opts_.enable_concolic &&
-      std::find(lanes.begin(), lanes.end(), EngineKind::kConcolic) ==
-          lanes.end()) {
-    lanes.push_back(EngineKind::kConcolic);
-  }
-  if (lanes.empty()) lanes.push_back(EngineKind::kGuided);
-  if (lanes.size() == 1 && lanes[0] == EngineKind::kGuided) {
+  const std::vector<EngineKind>& lanes = opts_.engines;
+  if (lanes.empty() || lanes == std::vector{EngineKind::kGuided}) {
     run_portfolio(res, failure, n_try);  // the classic Phase 3, untouched
   } else {
     run_engines(res, failure, n_try, lanes);
@@ -324,11 +318,6 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
   }
   fill_metrics(res, suff);
   return res;
-}
-
-void StatSymEngine::run_portfolio(EngineResult& res, monitor::LocId failure,
-                                  std::size_t n_try) {
-  run_portfolio(res, failure, n_try, PortfolioEnv{});
 }
 
 void StatSymEngine::run_portfolio(EngineResult& res, monitor::LocId failure,
@@ -446,7 +435,7 @@ void StatSymEngine::run_portfolio(EngineResult& res, monitor::LocId failure,
     ex.set_stop_flag(&cancel[ci]);
     if (env.stop != nullptr) ex.set_extra_stop_flag(env.stop);
     ex.set_shared_budget(&budget);
-    if (opts_.share_solver_cache) ex.set_shared_solver_cache(&shared_queries);
+    ex.set_shared_solver_cache(&shared_queries);
     if (tracer_ != nullptr) {
       slot_traces[ci].emit(obs::EventKind::kExecBegin,
                            static_cast<std::int64_t>(ci + 1));
@@ -594,12 +583,11 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         EngineResult gres;
         gres.construction = res.construction;
         gres.predicates = res.predicates;
-        PortfolioEnv env;
-        env.stop = &lane_cancel[p];
-        env.budget = &budget;
-        if (opts_.share_solver_cache) env.shared_queries = &shared_queries;
-        env.sink = lt;
-        run_portfolio(gres, failure, n_try, env);
+        run_portfolio(gres, failure, n_try,
+                      {.stop = &lane_cancel[p],
+                       .budget = &budget,
+                       .shared_queries = &shared_queries,
+                       .sink = lt});
         L.found = gres.found;
         L.vuln = std::move(gres.vuln);
         L.paths = gres.paths_explored;
@@ -628,9 +616,7 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         if (facts_.has_value()) ex.set_facts(&*facts_);
         ex.set_stop_flag(&lane_cancel[p]);
         ex.set_shared_budget(&budget);
-        if (opts_.share_solver_cache) {
-          ex.set_shared_solver_cache(&shared_queries);
-        }
+        ex.set_shared_solver_cache(&shared_queries);
         if (lt != nullptr) {
           lt->emit(obs::EventKind::kExecBegin, 0);
           ex.set_trace(lt);
@@ -650,14 +636,11 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         co.exec = opts_.exec;
         co.exec.max_seconds = opts_.candidate_timeout_seconds;
         if (co.exec.target_function.empty()) co.exec.target_function = target;
-        co.max_runs = opts_.concolic_max_runs;
         co.seed = derive_seed(opts_.exec.seed, 2000 + p);
         concolic::ConcolicExecutor ce(m_, spec_, co);
         ce.set_stop_flag(&lane_cancel[p]);
         ce.set_shared_budget(&budget);
-        if (opts_.share_solver_cache) {
-          ce.set_shared_solver_cache(&shared_queries);
-        }
+        ce.set_shared_solver_cache(&shared_queries);
         if (lt != nullptr) ce.set_trace(lt);
         concolic::ConcolicResult cr = ce.run();
         L.found = cr.termination == symexec::Termination::kFoundFault &&

@@ -75,11 +75,6 @@ struct EngineOptions {
   // is always the best-ranked successful candidate, so this only trades
   // hardware for wall-clock, never changes the answer.
   std::size_t candidate_portfolio_width{4};
-  // Share one solver query cache across the portfolio's workers, so
-  // candidate A's canonical solves warm candidate B's lookups. Only
-  // pure-function results cross workers (DESIGN.md §"Solver"), so verdicts
-  // and reports stay byte-identical at any --jobs with this on or off.
-  bool share_solver_cache{true};
 
   // --- engine race --------------------------------------------------------
   // Phase-3 lanes in priority order (`--engines` in the CLI). The default —
@@ -90,11 +85,6 @@ struct EngineOptions {
   // natural termination and the reported winner, witness, stats, and traces
   // are byte-identical at any --jobs.
   std::vector<EngineKind> engines{EngineKind::kGuided};
-  // Convenience switch (`--concolic`): appends a concolic lane after the
-  // configured engines if one is not already present.
-  bool enable_concolic{false};
-  // Concrete executions the concolic lane may perform.
-  std::size_t concolic_max_runs{512};
 
   // --- static analysis ----------------------------------------------------
   // Run the whole-program abstract interpretation (src/analysis/) once per
@@ -208,10 +198,10 @@ class StatSymEngine {
   // Service mode (src/serve/): every Phase-3 solve goes through `cache`
   // instead of a run-local one, so canonical results persist across engine
   // instances and warm later requests for the same program. Safe for
-  // determinism by the same argument as share_solver_cache: only canonical
-  // pure-function results are published, so a warm hit returns exactly the
-  // bytes a cold solve would have produced — verdicts, stats sums and traces
-  // are unchanged at any warmth (DESIGN.md §14). The cache must outlive
+  // determinism because only canonical pure-function results are published,
+  // so a warm hit returns exactly the bytes a cold solve would have produced
+  // — verdicts, stats sums and traces are unchanged at any warmth (DESIGN.md
+  // §14). The cache must outlive
   // every run()/run_all() call. Null restores the run-local default.
   void set_shared_solver_cache(solver::SharedQueryCache* cache) {
     external_queries_ = cache;
@@ -244,23 +234,21 @@ class StatSymEngine {
   EngineResult run_on(const stats::SuffStats& suff);
 
   // External resources a run_portfolio call inherits when it executes as a
-  // lane of the engine race; all-null means the portfolio owns its own (the
-  // classic single-engine Phase 3).
+  // lane of the engine race; all-null (the value-initialised `{}`) means the
+  // portfolio owns its own (the classic single-engine Phase 3).
   struct PortfolioEnv {
-    const std::atomic<bool>* stop{nullptr};    // lane-race cancel flag
-    symexec::SharedBudget* budget{nullptr};    // race-wide budget
-    solver::SharedQueryCache* shared_queries{nullptr};
-    obs::TraceBuffer* sink{nullptr};  // absorb candidate traces here
-                                      // instead of the tracer root
+    const std::atomic<bool>* stop;    // lane-race cancel flag
+    symexec::SharedBudget* budget;    // race-wide budget
+    solver::SharedQueryCache* shared_queries;
+    obs::TraceBuffer* sink;  // absorb candidate traces here instead of the
+                             // tracer root
   };
 
   // Phase 3: runs the top n_try candidates as a portfolio on the worker
   // pool, cancelling candidates ranked after the best success. Fills the
   // symbolic-execution fields of `res`.
   void run_portfolio(EngineResult& res, monitor::LocId failure,
-                     std::size_t n_try);
-  void run_portfolio(EngineResult& res, monitor::LocId failure,
-                     std::size_t n_try, const PortfolioEnv& env);
+                     std::size_t n_try, const PortfolioEnv& env = {});
 
   // Phase 3 with multiple lanes racing (lanes.size() >= 2 or a single
   // non-guided lane): first win by priority, worse lanes cancelled,

@@ -1,6 +1,7 @@
 #include "support/strings.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstdio>
 
@@ -61,6 +62,23 @@ bool parse_i64(std::string_view s, std::int64_t& out) {
   const long long v = std::strtoll(tmp.c_str(), &end, 10);
   if (errno != 0 || end != tmp.c_str() + tmp.size()) return false;
   out = v;
+  return true;
+}
+
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  // from_chars takes neither a sign nor leading whitespace, nor "".
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return false;
+  out = v;
+  return true;
+}
+
+bool parse_count(std::string_view s, std::size_t& out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(s, v)) return false;
+  out = static_cast<std::size_t>(v);
   return true;
 }
 

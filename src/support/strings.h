@@ -1,6 +1,7 @@
 // Small string helpers shared across modules.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +26,13 @@ std::string fmt_double(double v, int digits);
 
 // Parses a signed integer; returns false on malformed input or overflow.
 bool parse_i64(std::string_view s, std::int64_t& out);
+
+// Parses an unsigned 64-bit decimal integer over its full range. Strict:
+// digits only — no sign, no whitespace, no trailing junk — and false on
+// overflow (`strtoull` alone would accept "-3" as 2^64 - 3).
+bool parse_u64(std::string_view s, std::uint64_t& out);
+// parse_u64 into a count or size.
+bool parse_count(std::string_view s, std::size_t& out);
 
 // Parses a double; returns false on malformed input.
 bool parse_double(std::string_view s, double& out);

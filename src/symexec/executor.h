@@ -172,13 +172,6 @@ struct ExecOptions {
   // way are treated as known and skipped.
   std::string target_function;
   std::uint64_t seed{1};
-  // Escalate undecided quick feasibility checks to the full solver. Off by
-  // default: interval propagation decides the overwhelming majority of fork
-  // feasibility exactly for these workloads, and the optimistic mode never
-  // prunes a feasible path — it may only walk infeasible ones, which die at
-  // fault validation. Escalation buys precision at a large per-fork cost
-  // (measured: ~250 ms/query on defang-style path conditions).
-  bool escalate_unknown_forks{false};
   // When the searcher runs dry, wake suspended states and continue as pure
   // symbolic execution (the paper's worst-case-equals-pure guarantee).
   // StatSym's engine disables this and instead marks the candidate path
@@ -279,7 +272,7 @@ class SymExecutor {
   const ir::Module& module() const { return m_; }
   solver::ExprPool& pool() { return pool_; }
 
-  // Quick-then-full feasibility of pc ∧ e for a state.
+  // Feasibility of pc ∧ e: false only when interval propagation proves unsat.
   bool feasible(State& st, solver::ExprId e);
 
   // Adds e to the state's path constraints; returns false when the state

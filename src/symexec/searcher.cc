@@ -12,6 +12,14 @@ const char* searcher_kind_name(SearcherKind k) {
   return "?";
 }
 
+std::optional<SearcherKind> parse_searcher_kind(std::string_view s) {
+  if (s == "dfs") return SearcherKind::kDFS;
+  if (s == "bfs") return SearcherKind::kBFS;
+  if (s == "random") return SearcherKind::kRandomPath;
+  if (s == "coverage") return SearcherKind::kCoverageOptimized;
+  return std::nullopt;
+}
+
 State* DfsSearcher::select() {
   if (stack_.empty()) return nullptr;
   State* st = stack_.back();

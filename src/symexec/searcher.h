@@ -9,6 +9,8 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "support/rng.h"
@@ -38,6 +40,9 @@ enum class SearcherKind : std::uint8_t {
 };
 
 const char* searcher_kind_name(SearcherKind k);
+// The command-line spelling (`statsym pure --searcher`): dfs, bfs, random or
+// coverage. Any other name yields nullopt.
+std::optional<SearcherKind> parse_searcher_kind(std::string_view s);
 
 class DfsSearcher final : public Searcher {
  public:

@@ -17,14 +17,11 @@
 //       Run the whole-program static analysis and print every definite-bug
 //       diagnostic (provable OOB, division by zero, failing assert,
 //       use-before-def). Exits non-zero when anything is found.
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <type_traits>
 
 #include "analysis/facts.h"
 #include "apps/registry.h"
@@ -35,6 +32,7 @@
 #include "serve/server.h"
 #include "statsym/engine.h"
 #include "statsym/report.h"
+#include "statsym/run_options.h"
 #include "support/strings.h"
 
 using namespace statsym;
@@ -49,7 +47,7 @@ int usage() {
                "  statsym run <app> [--sampling R] [--seed N] [--logs FILE] "
                "[--all]\n"
                "             [--jobs/-j N] [--portfolio K]\n"
-               "             [--engines LIST] [--concolic]\n"
+               "             [--engines LIST]\n"
                "  statsym pure <app> [--searcher dfs|bfs|random|coverage] "
                "[--mem MB] [--time S]\n"
                "  statsym collect <app> <out-file> [--sampling R] [--seed N] "
@@ -68,7 +66,6 @@ int usage() {
                "                  comma-separated from guided|pure|concolic\n"
                "                  (default guided); first win cancels worse\n"
                "                  lanes, results identical at any --jobs\n"
-               "  --concolic      shorthand: append a concolic lane\n"
                "  --no-static-analysis  skip the whole-program static\n"
                "                  analysis (no branch pruning / candidate\n"
                "                  drops); verdicts are identical either way\n"
@@ -88,19 +85,11 @@ int usage() {
 }
 
 struct Flags {
-  double sampling{0.3};
-  std::uint64_t seed{42};
+  core::RunOptions run;  // seed, jobs, sampling, budgets, lanes
   std::string logs_file;
   bool all{false};
-  std::string searcher{"random"};
-  std::size_t mem_mb{256};
-  double time_s{300.0};
-  std::size_t jobs{0};       // 0 = hardware_concurrency
-  std::size_t portfolio{4};  // concurrent candidates in Phase 3
-  std::vector<core::EngineKind> engines{core::EngineKind::kGuided};
-  bool concolic{false};      // append a concolic lane
-  bool static_analysis{true};  // --no-static-analysis turns this off
-  bool dump_facts{false};      // lint --facts: full per-block fact dump
+  symexec::SearcherKind searcher{symexec::SearcherKind::kRandomPath};
+  bool dump_facts{false};    // lint --facts: full per-block fact dump
   std::string trace_out;     // deterministic JSONL event stream
   std::string trace_chrome;  // Chrome about://tracing JSON (wall-clocked)
   std::string metrics_out;   // metrics registry as JSON
@@ -111,49 +100,25 @@ struct Flags {
 bool parse_flags(int argc, char** argv, int start, Flags& f) {
   for (int i = start; i < argc; ++i) {
     const std::string a = argv[i];
-    // Numeric values are parsed strictly; a malformed or out-of-range value
-    // names its flag and fails the parse (exit 2) instead of running a
-    // silently different configuration.
-    auto bad_value = [&](const char* want) {
-      std::fprintf(stderr, "%s: bad value '%s' (want %s)\n", a.c_str(),
-                   argv[i], want);
-      return false;
-    };
-    auto next_count = [&](auto& out) {
+    auto next = [&](std::string& out) {
       if (i + 1 >= argc) return false;
-      std::int64_t v;
-      if (!parse_i64(argv[++i], v) || v < 0) {
-        return bad_value("a non-negative integer");
-      }
-      out = static_cast<std::remove_reference_t<decltype(out)>>(v);
+      out = argv[++i];
       return true;
     };
-    if (a == "--sampling") {
-      if (i + 1 >= argc) return false;
-      if (!parse_double(argv[++i], f.sampling) ||
-          !(f.sampling > 0.0 && f.sampling <= 1.0)) {
-        return bad_value("a rate in (0,1]");
-      }
-    } else if (a == "--seed") {
-      if (!next_count(f.seed)) return false;
-    } else if (a == "--logs") {
-      if (i + 1 >= argc) return false;
-      f.logs_file = argv[++i];
+    if (a == "--logs") {
+      if (!next(f.logs_file)) return false;
     } else if (a == "--all") {
       f.all = true;
     } else if (a == "--searcher") {
       if (i + 1 >= argc) return false;
-      f.searcher = argv[++i];
-    } else if (a == "--mem") {
-      if (!next_count(f.mem_mb)) return false;
-    } else if (a == "--time") {
-      if (i + 1 >= argc) return false;
-      if (!parse_double(argv[++i], f.time_s) || !std::isfinite(f.time_s) ||
-          f.time_s <= 0.0) {
-        return bad_value("seconds > 0");
+      const auto kind = symexec::parse_searcher_kind(argv[++i]);
+      if (!kind.has_value()) {
+        std::fprintf(stderr,
+                     "%s: bad value '%s' (want dfs|bfs|random|coverage)\n",
+                     a.c_str(), argv[i]);
+        return false;
       }
-    } else if (a == "--jobs" || a == "-j") {
-      if (!next_count(f.jobs)) return false;
+      f.searcher = *kind;
     } else if (a == "--exec-jobs" || a == "--exec-batch") {
       // Removed with the executor's intra-run worker pool: fail loudly
       // instead of silently running a different configuration.
@@ -163,49 +128,45 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
                    "candidates and engine lanes)\n",
                    a.c_str());
       return false;
-    } else if (a == "--portfolio") {
-      if (!next_count(f.portfolio)) return false;
-    } else if (a == "--engines" || a.rfind("--engines=", 0) == 0) {
-      std::string list;
-      if (a == "--engines") {
-        if (i + 1 >= argc) return false;
-        list = argv[++i];
-      } else {
-        list = a.substr(std::strlen("--engines="));
-      }
-      const auto parsed = core::parse_engines(list);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr,
-                     "--engines: bad lane list '%s' (comma-separated from "
-                     "guided|pure|concolic)\n",
-                     list.c_str());
-        return false;
-      }
-      f.engines = *parsed;
-    } else if (a == "--concolic") {
-      f.concolic = true;
     } else if (a == "--no-static-analysis") {
-      f.static_analysis = false;
+      f.run.static_analysis = false;
     } else if (a == "--facts") {
       f.dump_facts = true;
     } else if (a == "--trace-out") {
-      if (i + 1 >= argc) return false;
-      f.trace_out = argv[++i];
+      if (!next(f.trace_out)) return false;
     } else if (a == "--trace-chrome") {
-      if (i + 1 >= argc) return false;
-      f.trace_chrome = argv[++i];
+      if (!next(f.trace_chrome)) return false;
     } else if (a == "--metrics-out") {
-      if (i + 1 >= argc) return false;
-      f.metrics_out = argv[++i];
+      if (!next(f.metrics_out)) return false;
     } else if (a == "--store") {
-      if (i + 1 >= argc) return false;
-      f.store_path = argv[++i];
+      if (!next(f.store_path)) return false;
     } else if (a == "--socket") {
-      if (i + 1 >= argc) return false;
-      f.socket_path = argv[++i];
+      if (!next(f.socket_path)) return false;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return false;
+      // Every other flag is a run option (`--key value`, `--key=value`,
+      // `-j N`), checked by the validator serve requests go through. A bad
+      // value names its flag and fails the parse (exit 2).
+      const std::size_t eq = a.find('=');
+      const std::string flag = a.substr(0, eq);
+      const std::string key = flag == "-j" ? "jobs"
+                              : starts_with(flag, "--") ? flag.substr(2)
+                                                        : "";
+      if (!core::RunOptions::accepts(key, core::RunOptions::Source::kFlag)) {
+        std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
+        return false;
+      }
+      std::string value;
+      if (eq != std::string::npos) {
+        value = a.substr(eq + 1);
+      } else if (!next(value)) {
+        return false;
+      }
+      const std::string error =
+          f.run.set(key, value, core::RunOptions::Source::kFlag);
+      if (!error.empty()) {
+        std::fprintf(stderr, "%s: %s\n", flag.c_str(), error.c_str());
+        return false;
+      }
     }
   }
   return true;
@@ -249,20 +210,6 @@ int write_observability(const Flags& f, const obs::Tracer* tracer,
     std::printf("metrics -> %s\n", f.metrics_out.c_str());
   }
   return 0;
-}
-
-core::EngineOptions engine_options(const Flags& f) {
-  core::EngineOptions o;
-  o.monitor.sampling_rate = f.sampling;
-  o.seed = f.seed;
-  o.candidate_timeout_seconds = f.time_s;
-  o.exec.max_memory_bytes = f.mem_mb << 20;
-  o.num_threads = f.jobs;
-  o.candidate_portfolio_width = f.portfolio;
-  o.engines = f.engines;
-  o.enable_concolic = f.concolic;
-  o.static_analysis = f.static_analysis;
-  return o;
 }
 
 void print_result(const apps::AppSpec& app, const core::EngineResult& res) {
@@ -320,7 +267,8 @@ int cmd_list() {
 
 int cmd_run(const std::string& name, const Flags& f) {
   const apps::AppSpec app = apps::make_app(name);
-  core::StatSymEngine engine(app.module, app.sym_spec, engine_options(f));
+  core::StatSymEngine engine(app.module, app.sym_spec,
+                             f.run.to_engine_options());
   obs::TraceOptions topts;
   topts.wall_clock = !f.trace_chrome.empty();
   obs::Tracer tracer(topts);
@@ -344,7 +292,7 @@ int cmd_run(const std::string& name, const Flags& f) {
   } else {
     engine.collect_logs(app.workload);
     std::printf("collected %zu logs at %.0f%% sampling\n",
-                engine.num_logs_collected(), f.sampling * 100.0);
+                engine.num_logs_collected(), f.run.sampling * 100.0);
   }
 
   if (f.all) {
@@ -370,23 +318,14 @@ int cmd_run(const std::string& name, const Flags& f) {
 
 int cmd_pure(const std::string& name, const Flags& f) {
   const apps::AppSpec app = apps::make_app(name);
-  symexec::ExecOptions opts;
-  if (f.searcher == "dfs") {
-    opts.searcher = symexec::SearcherKind::kDFS;
-  } else if (f.searcher == "bfs") {
-    opts.searcher = symexec::SearcherKind::kBFS;
-  } else if (f.searcher == "coverage") {
-    opts.searcher = symexec::SearcherKind::kCoverageOptimized;
-  } else {
-    opts.searcher = symexec::SearcherKind::kRandomPath;
-  }
-  opts.max_memory_bytes = f.mem_mb << 20;
-  opts.max_seconds = f.time_s;
+  symexec::ExecOptions opts = f.run.to_engine_options().exec;
+  opts.searcher = f.searcher;
+  opts.max_seconds = f.run.time_s;
   obs::TraceOptions topts;
   topts.wall_clock = !f.trace_chrome.empty();
   obs::Tracer tracer(topts);
   std::optional<analysis::ProgramFacts> facts;
-  if (f.static_analysis) facts = analysis::analyze(app.module);
+  if (f.run.static_analysis) facts = analysis::analyze(app.module);
   const auto r = core::run_pure_symbolic(
       app.module, app.sym_spec, opts,
       want_trace(f) ? &tracer.buffer() : nullptr,
@@ -423,7 +362,8 @@ int cmd_pure(const std::string& name, const Flags& f) {
 int cmd_collect(const std::string& name, const std::string& out,
                 const Flags& f) {
   const apps::AppSpec app = apps::make_app(name);
-  core::StatSymEngine engine(app.module, app.sym_spec, engine_options(f));
+  core::StatSymEngine engine(app.module, app.sym_spec,
+                             f.run.to_engine_options());
   engine.collect_logs(app.workload, /*keep_logs=*/true);
   std::ofstream os(out);
   if (!os) {
@@ -463,14 +403,10 @@ int cmd_lint(const std::string& name, const Flags& f) {
 // requests and optionally persists it to --store. Diagnostics go to stderr
 // only — stdout is the protocol channel.
 int cmd_serve(const Flags& f) {
-  serve::ServeOptions so;
-  so.session_seed = f.seed;
-  so.jobs = f.jobs;
-  so.sampling = f.sampling;
-  so.time_s = f.time_s;
-  so.mem_mb = f.mem_mb;
-  so.store_path = f.store_path;
-  serve::ServeSession session(so);
+  // The run flags become the defaults of every request; --seed seeds the
+  // per-request seed derivation.
+  serve::ServeSession session(
+      serve::ServeOptions{f.run, f.run.seed, f.store_path});
   std::string err;
   if (!session.load_store(&err)) {
     std::fprintf(stderr, "serve: store rejected, starting cold: %s\n",
@@ -481,10 +417,10 @@ int cmd_serve(const Flags& f) {
   }
   int rc = 0;
   if (!f.socket_path.empty()) {
-    rc = serve::serve_unix_socket(f.socket_path, session, f.jobs);
+    rc = serve::serve_unix_socket(f.socket_path, session, f.run.jobs);
   } else {
     const std::size_t frames =
-        serve::serve_stream(std::cin, std::cout, session, f.jobs);
+        serve::serve_stream(std::cin, std::cout, session, f.run.jobs);
     std::fprintf(stderr, "serve: %zu frame(s) handled\n", frames);
   }
   if (!f.store_path.empty()) {

@@ -14,7 +14,6 @@
 //   statsym_fuzz corpus --program-seed S [--name NAME] [--expect-candidates N]
 //       Emit a tests/corpus/*.corpus entry for that seed on stdout.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "fuzz/diff_driver.h"
@@ -68,34 +67,56 @@ struct CliFlags {
 bool parse_flags(int argc, char** argv, int start, CliFlags& f) {
   for (int i = start; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next_d = [&](double& out) {
-      if (i + 1 >= argc) return false;
-      out = std::atof(argv[++i]);
-      return true;
+    // Numeric values are parsed strictly; a malformed or out-of-range value
+    // names its flag and fails the parse (exit 2) instead of running a
+    // silently different campaign.
+    auto bad_value = [&](const char* want) {
+      std::fprintf(stderr, "%s: bad value '%s' (want %s)\n", a.c_str(),
+                   argv[i], want);
+      return false;
     };
-    // Seeds are full 64-bit values (reproducers print them verbatim); going
-    // through double would silently round them to 53 bits.
+    // Seeds are full 64-bit values (reproducers print them verbatim).
     auto next_u64 = [&](std::uint64_t& out) {
       if (i + 1 >= argc) return false;
-      out = std::strtoull(argv[++i], nullptr, 10);
+      return parse_u64(argv[++i], out) ||
+             bad_value("an unsigned 64-bit integer");
+    };
+    auto next_count = [&](std::size_t& out, std::size_t min = 0) {
+      std::size_t n = 0;
+      if (i + 1 >= argc) return false;
+      if (!parse_count(argv[++i], n) || n < min) {
+        return bad_value(min == 0 ? "a non-negative integer"
+                                  : "an integer >= 1");
+      }
+      out = n;
       return true;
     };
-    double v = 0;
-    std::uint64_t u = 0;
-    if (a == "--programs" && next_d(v)) {
-      f.opts.num_programs = static_cast<std::size_t>(v);
-    } else if (a == "--seed" && next_u64(u)) {
-      f.opts.seed = u;
-    } else if ((a == "--jobs" || a == "-j") && next_d(v)) {
-      f.opts.jobs = static_cast<std::size_t>(v);
-    } else if (a == "--fault-prob" && next_d(v)) {
-      f.opts.gen.fault_probability = v;
-    } else if (a == "--sampling" && next_d(v)) {
-      f.opts.sampling_rate = v;
-    } else if (a == "--diff-inputs" && next_d(v)) {
-      f.opts.diff_inputs = static_cast<std::size_t>(v);
-    } else if (a == "--min-pipeline-rate" && next_d(v)) {
-      f.opts.min_pipeline_rate = v;
+    // A value in [0,1], or in (0,1] when zero is meaningless (`zero_ok`).
+    auto next_unit = [&](double& out, bool zero_ok) {
+      double d = 0.0;
+      if (i + 1 >= argc) return false;
+      if (!parse_double(argv[++i], d) || !(zero_ok ? d >= 0.0 : d > 0.0) ||
+          !(d <= 1.0)) {
+        return bad_value(zero_ok ? "a value in [0,1]" : "a rate in (0,1]");
+      }
+      out = d;
+      return true;
+    };
+    bool ok = true;
+    if (a == "--programs") {
+      ok = next_count(f.opts.num_programs, 1);
+    } else if (a == "--seed") {
+      ok = next_u64(f.opts.seed);
+    } else if (a == "--jobs" || a == "-j") {
+      ok = next_count(f.opts.jobs);
+    } else if (a == "--fault-prob") {
+      ok = next_unit(f.opts.gen.fault_probability, true);
+    } else if (a == "--sampling") {
+      ok = next_unit(f.opts.sampling_rate, false);
+    } else if (a == "--diff-inputs") {
+      ok = next_count(f.opts.diff_inputs);
+    } else if (a == "--min-pipeline-rate") {
+      ok = next_unit(f.opts.min_pipeline_rate, true);
     } else if (a == "--no-shrink") {
       f.opts.shrink = false;
     } else if (a == "--no-pipeline") {
@@ -123,17 +144,18 @@ bool parse_flags(int argc, char** argv, int start, CliFlags& f) {
       f.opts.repro_dir = argv[++i];
     } else if (a == "--print-programs") {
       f.print_programs = true;
-    } else if (a == "--program-seed" && next_u64(u)) {
-      f.program_seed = u;
+    } else if (a == "--program-seed") {
+      ok = next_u64(f.program_seed);
       f.have_program_seed = true;
     } else if (a == "--name" && i + 1 < argc) {
       f.corpus_name = argv[++i];
-    } else if (a == "--expect-candidates" && next_d(v)) {
-      f.expect_candidates = static_cast<std::size_t>(v);
+    } else if (a == "--expect-candidates") {
+      ok = next_count(f.expect_candidates);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }

@@ -177,5 +177,15 @@ TEST(MakeSearcher, BuildsEveryKindAndNamesThem) {
                "coverage");
 }
 
+TEST(MakeSearcher, ParsesTheCommandLineNamesOnly) {
+  EXPECT_EQ(parse_searcher_kind("dfs"), SearcherKind::kDFS);
+  EXPECT_EQ(parse_searcher_kind("bfs"), SearcherKind::kBFS);
+  EXPECT_EQ(parse_searcher_kind("random"), SearcherKind::kRandomPath);
+  EXPECT_EQ(parse_searcher_kind("coverage"), SearcherKind::kCoverageOptimized);
+  for (const char* bad : {"dfz", "", "DFS", "random-path", "dfs "}) {
+    EXPECT_FALSE(parse_searcher_kind(bad).has_value()) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace statsym::symexec

@@ -23,6 +23,7 @@
 #include "serve/protocol.h"
 #include "serve/session.h"
 #include "statsym/engine.h"
+#include "statsym/run_options.h"
 #include "support/strings.h"
 
 namespace statsym::serve {
@@ -33,16 +34,14 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kSeed = 424242;
 constexpr double kSampling = 0.3;
 
-// The one-shot side: exactly the EngineOptions mapping ServeSession
-// documents (which itself mirrors statsym_cli's engine_options()).
+// The one-shot side: the run options a request carrying these fields
+// stands for, through the one mapping the session and the CLI share.
 core::EngineOptions oneshot_opts(std::size_t jobs) {
-  core::EngineOptions o;
-  o.monitor.sampling_rate = kSampling;
-  o.seed = kSeed;
-  o.candidate_timeout_seconds = 300.0;
-  o.exec.max_memory_bytes = 256ull << 20;
-  o.num_threads = jobs;
-  return o;
+  core::RunOptions run;
+  run.sampling = kSampling;
+  run.seed = kSeed;
+  run.jobs = jobs;
+  return run.to_engine_options();
 }
 
 struct OneShot {

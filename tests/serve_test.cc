@@ -14,6 +14,8 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "solver/fp128.h"
+#include "support/rng.h"
 #include "support/strings.h"
 
 namespace statsym::serve {
@@ -203,6 +205,7 @@ TEST(ServeSession, BadRequestsAreErrorsAndSessionSurvives) {
       {{"cmd|run", "app|fig2", "seed|abc"}, "bad seed"},
       {{"cmd|run", "app|fig2", "jobs|-2"}, "bad jobs"},
       {{"cmd|run", "app|fig2", "sampling|7"}, "bad sampling"},
+      {{"cmd|run", "app|fig2", "trace|yes"}, "trace is 0 or 1"},
       {{"cmd|launch-missiles"}, "unknown cmd"},
       {{"cmd|save"}, "save without store path"},
   };
@@ -218,6 +221,32 @@ TEST(ServeSession, BadRequestsAreErrorsAndSessionSurvives) {
   EXPECT_EQ(body_value(ok.body, "verdict"), "found");
   EXPECT_EQ(s.metrics().counter("serve.requests"),
             std::size(cases) + 1);
+}
+
+// Echoed seeds are full 64-bit values: sending one back replays the request.
+// About half of all derived seeds are >= 2^63.
+TEST(ServeSession, EchoedSeedAboveTwoToThe63Replays) {
+  ServeSession s{ServeOptions{}};
+  std::string id;
+  for (int i = 0; id.empty(); ++i) {
+    const std::string candidate = "high-" + std::to_string(i);
+    const std::uint64_t seed = derive_seed(ServeOptions{}.session_seed,
+                                           solver::fp_hash_str(candidate));
+    if (seed >> 63 != 0) id = candidate;
+  }
+  const Reply first = handle(s, make_frame(id, {"cmd|run", "app|fig2"}));
+  ASSERT_TRUE(first.ok);
+  const auto echoed = body_value(first.body, "seed");
+  ASSERT_TRUE(echoed.has_value());
+  std::uint64_t seed = 0;
+  ASSERT_TRUE(parse_u64(*echoed, seed));
+  EXPECT_GE(seed, std::uint64_t{1} << 63);
+
+  const Reply replay =
+      handle(s, make_frame("replay", {"cmd|run", "app|fig2",
+                                      "seed|" + std::string(*echoed)}));
+  ASSERT_TRUE(replay.ok);
+  EXPECT_EQ(replay.body, first.body);
 }
 
 TEST(ServeSession, ShutdownFlagSticks) {

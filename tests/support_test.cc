@@ -153,6 +153,22 @@ TEST(Strings, ParseI64) {
   EXPECT_FALSE(parse_i64("999999999999999999999999", v));
 }
 
+TEST(Strings, ParseU64TakesTheFullRangeAndNothingElse) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(parse_u64("18446744073709551615", v));
+  EXPECT_EQ(v, ~0ull);
+  EXPECT_TRUE(parse_u64("11716865273979742174", v));  // >= 2^63
+  EXPECT_EQ(v, 11716865273979742174ull);
+  EXPECT_TRUE(parse_u64("0", v));
+  EXPECT_EQ(v, 0u);
+  v = 7;
+  for (const char* bad : {"", "-3", "+3", " 3", "3 ", "3x", "0x10", "1e3",
+                          "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_u64(bad, v)) << bad;
+    EXPECT_EQ(v, 7u) << bad;  // untouched on failure
+  }
+}
+
 TEST(Strings, ParseDouble) {
   double v = 0;
   EXPECT_TRUE(parse_double("3.5", v));
