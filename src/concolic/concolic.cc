@@ -98,7 +98,7 @@ ConcolicResult ConcolicExecutor::run() {
       break;
     }
     if (cs.runs >= opts_.max_runs) {
-      term = symexec::Termination::kInstrLimit;
+      term = symexec::Termination::kRunLimit;
       break;
     }
 

@@ -23,6 +23,7 @@ const char* termination_name(Termination t) {
     case Termination::kInstrLimit: return "instr-limit";
     case Termination::kTimeout: return "timeout";
     case Termination::kCancelled: return "cancelled";
+    case Termination::kRunLimit: return "run-limit";
   }
   return "?";
 }

@@ -81,6 +81,7 @@ enum class Termination : std::uint8_t {
   kInstrLimit,
   kTimeout,
   kCancelled,     // cooperative stop (portfolio sibling already won)
+  kRunLimit,      // concolic lane: ConcolicOptions::max_runs spent
 };
 
 const char* termination_name(Termination t);

@@ -316,7 +316,7 @@ TEST(Concolic, MaxRunsCapsTheSearch) {
   opts.max_runs = 3;
   ConcolicExecutor ce(m, {}, opts);
   const auto r = ce.run();
-  EXPECT_EQ(r.termination, symexec::Termination::kInstrLimit);
+  EXPECT_EQ(r.termination, symexec::Termination::kRunLimit);
   EXPECT_EQ(r.stats.runs, 3u);
 }
 

@@ -128,7 +128,7 @@ constexpr std::size_t kPrograms = 150;
 
 TEST(EngineDigest, GeneratedFleetConcolic) {
   EXPECT_EQ(fleet_digest(EngineKind::kConcolic, kPrograms),
-            0xda8879c8eb9df4ebULL);
+            0x27cc4b3d1bb40ba0ULL);
 }
 
 TEST(EngineDigest, GeneratedFleetGuided) {
@@ -164,13 +164,13 @@ TEST(EngineDigest, PaperApps) {
       {"polymorph", EngineKind::kConcolic, 0xa53aa6d3482e28ecULL},
       {"polymorph", EngineKind::kGuided, 0xa57c20045f19a033ULL},
       {"polymorph", EngineKind::kPure, 0x188dcd67d39c7889ULL},
-      {"ctree", EngineKind::kConcolic, 0xe7bda0c22a1da5c9ULL},
+      {"ctree", EngineKind::kConcolic, 0xc771f5fe815cfd80ULL},
       {"ctree", EngineKind::kGuided, 0x67bfd0dc78c13732ULL},
       {"ctree", EngineKind::kPure, 0xbeedff93c96fca10ULL},
       {"grep", EngineKind::kConcolic, 0xfdbd39b68ded5201ULL},
       {"grep", EngineKind::kGuided, 0x8576d6de13f8fe0cULL},
       {"grep", EngineKind::kPure, 0x05cbbc040e86b04dULL},
-      {"thttpd", EngineKind::kConcolic, 0x2523d74afb1213c5ULL},
+      {"thttpd", EngineKind::kConcolic, 0x51a291fae012ce42ULL},
       {"thttpd", EngineKind::kGuided, 0x8117357d164e7444ULL},
       {"thttpd", EngineKind::kPure, 0xe9e60a3929ae0bccULL},
   };
