@@ -933,36 +933,39 @@ bool parse_corpus(const std::string& text, CorpusEntry& out) {
     if (sp == std::string::npos) return false;
     const std::string key = line.substr(0, sp);
     const std::string val = line.substr(sp + 1);
-    auto as_u64 = [&] { return std::stoull(val); };
-    auto as_i64 = [&] { return std::stoll(val); };
-    auto as_size = [&] { return static_cast<std::size_t>(std::stoull(val)); };
-    auto as_bool = [&] { return val != "0"; };
-    try {
-      if (key == "name") out.name = val;
-      else if (key == "seed") { out.seed = as_u64(); have_seed = true; }
-      else if (key == "min_chain") out.gen.min_chain = as_size();
-      else if (key == "max_chain") out.gen.max_chain = as_size();
-      else if (key == "min_leaves") out.gen.min_leaves = as_size();
-      else if (key == "max_leaves") out.gen.max_leaves = as_size();
-      else if (key == "max_segments") out.gen.max_segments = as_size();
-      else if (key == "num_int_globals") out.gen.num_int_globals = as_size();
-      else if (key == "fault_probability")
-        out.gen.fault_probability = std::stod(val);
-      else if (key == "assert_fault_probability")
-        out.gen.assert_fault_probability = std::stod(val);
-      else if (key == "min_threshold") out.gen.min_threshold = as_i64();
-      else if (key == "max_threshold") out.gen.max_threshold = as_i64();
-      else if (key == "capacity_slack") out.gen.capacity_slack = as_i64();
-      else if (key == "allow_loops") out.gen.allow_loops = as_bool();
-      else if (key == "allow_memory_ops") out.gen.allow_memory_ops = as_bool();
-      else if (key == "expect_fault") out.expect_fault = as_bool();
-      else if (key == "expect_kind") out.expect_kind = val;
-      else if (key == "min_candidates") out.min_candidates = as_size();
-      else if (key == "note") out.note = val;
-      else return false;  // unknown key: refuse rather than silently drift
-    } catch (const std::exception&) {
-      return false;
-    }
+    // Strict values (support/strings.h): no sign on unsigned fields, no
+    // surrounding whitespace, no trailing junk; booleans are 0 or 1.
+    auto as_bool = [&](bool& b) {
+      if (val != "0" && val != "1") return false;
+      b = val == "1";
+      return true;
+    };
+    bool ok = true;
+    if (key == "name") out.name = val;
+    else if (key == "seed") ok = have_seed = parse_u64(val, out.seed);
+    else if (key == "min_chain") ok = parse_count(val, out.gen.min_chain);
+    else if (key == "max_chain") ok = parse_count(val, out.gen.max_chain);
+    else if (key == "min_leaves") ok = parse_count(val, out.gen.min_leaves);
+    else if (key == "max_leaves") ok = parse_count(val, out.gen.max_leaves);
+    else if (key == "max_segments") ok = parse_count(val, out.gen.max_segments);
+    else if (key == "num_int_globals")
+      ok = parse_count(val, out.gen.num_int_globals);
+    else if (key == "fault_probability")
+      ok = parse_double(val, out.gen.fault_probability);
+    else if (key == "assert_fault_probability")
+      ok = parse_double(val, out.gen.assert_fault_probability);
+    else if (key == "min_threshold") ok = parse_i64(val, out.gen.min_threshold);
+    else if (key == "max_threshold") ok = parse_i64(val, out.gen.max_threshold);
+    else if (key == "capacity_slack")
+      ok = parse_i64(val, out.gen.capacity_slack);
+    else if (key == "allow_loops") ok = as_bool(out.gen.allow_loops);
+    else if (key == "allow_memory_ops") ok = as_bool(out.gen.allow_memory_ops);
+    else if (key == "expect_fault") ok = as_bool(out.expect_fault);
+    else if (key == "expect_kind") out.expect_kind = val;
+    else if (key == "min_candidates") ok = parse_count(val, out.min_candidates);
+    else if (key == "note") out.note = val;
+    else return false;  // unknown key: refuse rather than silently drift
+    if (!ok) return false;
   }
   return have_seed;
 }

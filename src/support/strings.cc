@@ -1,5 +1,6 @@
 #include "support/strings.h"
 
+#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cstdlib>
@@ -55,7 +56,10 @@ std::string fmt_double(double v, int digits) {
 }
 
 bool parse_i64(std::string_view s, std::int64_t& out) {
-  if (s.empty()) return false;
+  // strtoll would skip leading whitespace; the value must be the whole text.
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s.front()))) {
+    return false;
+  }
   std::string tmp(s);
   errno = 0;
   char* end = nullptr;
@@ -83,7 +87,9 @@ bool parse_count(std::string_view s, std::size_t& out) {
 }
 
 bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s.front()))) {
+    return false;
+  }
   std::string tmp(s);
   errno = 0;
   char* end = nullptr;

@@ -24,7 +24,8 @@ bool ends_with(std::string_view s, std::string_view suffix);
 // Formats a double with `digits` decimals (fixed notation).
 std::string fmt_double(double v, int digits);
 
-// Parses a signed integer; returns false on malformed input or overflow.
+// Parses a signed integer; returns false on malformed input (including
+// surrounding whitespace) or overflow.
 bool parse_i64(std::string_view s, std::int64_t& out);
 
 // Parses an unsigned 64-bit decimal integer over its full range. Strict:
@@ -34,7 +35,8 @@ bool parse_u64(std::string_view s, std::uint64_t& out);
 // parse_u64 into a count or size.
 bool parse_count(std::string_view s, std::size_t& out);
 
-// Parses a double; returns false on malformed input.
+// Parses a double; returns false on malformed input (including surrounding
+// whitespace).
 bool parse_double(std::string_view s, double& out);
 
 }  // namespace statsym

@@ -118,6 +118,26 @@ TEST(FuzzCorpus, ParseRejectsMalformed) {
   EXPECT_EQ(e.seed, 7u);
 }
 
+// Values parse strictly: std::stoull took "-3" as 2^64 - 3, and the stoX
+// family skipped leading whitespace and ignored trailing junk.
+TEST(FuzzCorpus, ParseRejectsLenientValues) {
+  for (const char* bad :
+       {"seed -3\n", "seed  7\n", "seed 7 \n",
+        "seed 7\nfault_probability 0.5x\n", "seed 7\nfault_probability  0.5\n",
+        "seed 7\nmin_threshold  5\n", "seed 7\nmax_chain -1\n",
+        "seed 7\nallow_loops yes\n"}) {
+    CorpusEntry e;
+    EXPECT_FALSE(parse_corpus(bad, e)) << bad;
+  }
+  CorpusEntry e;
+  ASSERT_TRUE(parse_corpus(
+      "seed 7\nfault_probability 0.5\nmin_threshold -5\nallow_loops 0\n", e));
+  EXPECT_EQ(e.seed, 7u);
+  EXPECT_DOUBLE_EQ(e.gen.fault_probability, 0.5);
+  EXPECT_EQ(e.gen.min_threshold, -5);
+  EXPECT_FALSE(e.gen.allow_loops);
+}
+
 // The campaign contract: per-program verdicts are a pure function of
 // (campaign seed, index) — the worker count must not leak into any field.
 TEST(FuzzCampaign, DeterministicAcrossJobs) {

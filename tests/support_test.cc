@@ -151,6 +151,8 @@ TEST(Strings, ParseI64) {
   EXPECT_FALSE(parse_i64("12x", v));
   EXPECT_FALSE(parse_i64("", v));
   EXPECT_FALSE(parse_i64("999999999999999999999999", v));
+  EXPECT_FALSE(parse_i64(" 5", v));
+  EXPECT_FALSE(parse_i64("5 ", v));
 }
 
 TEST(Strings, ParseU64TakesTheFullRangeAndNothingElse) {
@@ -175,6 +177,8 @@ TEST(Strings, ParseDouble) {
   EXPECT_DOUBLE_EQ(v, 3.5);
   EXPECT_TRUE(parse_double("-inf", v));
   EXPECT_FALSE(parse_double("abc", v));
+  EXPECT_FALSE(parse_double(" 0.5", v));
+  EXPECT_FALSE(parse_double("0.5x", v));
 }
 
 TEST(Strings, FmtDouble) {
