@@ -1,7 +1,7 @@
 #include "concolic/concolic.h"
 
 #include <algorithm>
-#include <deque>
+#include <map>
 #include <set>
 #include <span>
 #include <sstream>
@@ -53,18 +53,22 @@ ConcolicResult ConcolicExecutor::run() {
 
   // A queued concrete input plus its generation bound: decisions before the
   // bound were already negated by an ancestor run and are not re-negated —
-  // the standard generational-search de-duplication.
+  // the standard generational-search de-duplication. The frontier is keyed
+  // by (gap vector, enqueue sequence number): the ranker's order first, FIFO
+  // among equal gaps, and plain FIFO when there is no ranker.
   struct WorkItem {
     interp::RuntimeInput input;
     std::size_t bound{0};
   };
-  std::deque<WorkItem> frontier;
+  using Key = std::pair<std::vector<double>, std::uint64_t>;
+  std::map<Key, WorkItem> frontier;
+  std::uint64_t enqueued = 0;
   std::set<std::string> seen;
 
   {
     interp::RuntimeInput seed = seed_input(spec_);
     seen.insert(input_key(seed));
-    frontier.push_back(WorkItem{std::move(seed), 0});
+    frontier.emplace(Key{{}, enqueued++}, WorkItem{std::move(seed), 0});
   }
   cs.frontier_peak = 1;
 
@@ -102,8 +106,7 @@ ConcolicResult ConcolicExecutor::run() {
       break;
     }
 
-    WorkItem item = std::move(frontier.front());
-    frontier.pop_front();
+    WorkItem item = std::move(frontier.extract(frontier.begin()).mapped());
 
     // --- one concrete execution under the symbolic shadow ------------------
     symexec::ExecOptions eo = opts_.exec;
@@ -139,8 +142,9 @@ ConcolicResult ConcolicExecutor::run() {
       break;
     }
     if (faulted) {
-      // FIFO order makes the first faulting run canonical: this is the
-      // lane's deterministic winner at any thread count.
+      // The frontier order is a pure function of the inputs, so the first
+      // faulting run is canonical: the lane's deterministic winner at any
+      // thread count.
       result.vuln = std::move(er.vuln);
       term = symexec::Termination::kFoundFault;
       break;
@@ -183,7 +187,10 @@ ConcolicResult ConcolicExecutor::run() {
         ++cs.negations_sat;
         interp::RuntimeInput next = ex.input_from_model(res.model);
         if (seen.insert(input_key(next)).second) {
-          frontier.push_back(WorkItem{std::move(next), i + 1});
+          std::vector<double> gaps;
+          if (ranker_ != nullptr) gaps = ranker_->gaps(next);
+          frontier.emplace(Key{std::move(gaps), enqueued++},
+                           WorkItem{std::move(next), i + 1});
           cs.frontier_peak =
               std::max<std::uint64_t>(cs.frontier_peak, frontier.size());
         } else {

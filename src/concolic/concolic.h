@@ -8,16 +8,20 @@
 // solver queries), then for every decision index >= the input's generation
 // bound, solve `path-prefix ∧ ¬condition` and turn each model into a new
 // concrete input one branch away from the followed path. The worklist is a
-// FIFO queue seeded with the all-defaults input, so the search expands
-// generation by generation in a canonical order.
+// priority frontier seeded with the all-defaults input. A FrontierRanker
+// keys each derived input by its gap vector (how far it falls from the
+// statistics' predicates); smaller vectors run first and equal ones run in
+// enqueue order. Without a ranker every vector is empty, so the search
+// expands generation by generation in plain FIFO order.
 //
 // Determinism contract: the driver is internally sequential, the worklist
-// order is a pure function of the followed paths, negation queries go
-// through the probe cascade whose canonical solves are pure functions of the
-// slice (solver/solver.h), and every per-run RNG stream derives from
-// (options.seed, run index). Results are therefore byte-identical at any
-// thread count of the surrounding engine — racing concolic in the portfolio
-// never perturbs what it reports.
+// order is a pure function of the followed paths and the ranker's gaps
+// (themselves pure functions of input, predicates and module), negation
+// queries go through the probe cascade whose canonical solves are pure
+// functions of the slice (solver/solver.h), and every per-run RNG stream
+// derives from (options.seed, run index). Results are therefore
+// byte-identical at any thread count of the surrounding engine — racing
+// concolic in the portfolio never perturbs what it reports.
 //
 // Resource integration mirrors SymExecutor: a SharedBudget bounds the whole
 // lane (each follow run publishes its instructions there), a stop flag
@@ -30,6 +34,7 @@
 #include <atomic>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "obs/trace.h"
 #include "solver/cache.h"
@@ -74,6 +79,15 @@ struct ConcolicResult {
   solver::SolverStats solver_stats;
 };
 
+// Orders the concolic frontier: one gap per guiding predicate for a derived
+// input, compared lexicographically, smaller first. Must be a pure function
+// of the input (the frontier order, and so the lane's result, depends on it).
+class FrontierRanker {
+ public:
+  virtual ~FrontierRanker() = default;
+  virtual std::vector<double> gaps(const interp::RuntimeInput& in) const = 0;
+};
+
 // Renders a RuntimeInput as a canonical single-line key (used for worklist
 // dedup; exposed for tests).
 std::string input_key(const interp::RuntimeInput& in);
@@ -97,6 +111,8 @@ class ConcolicExecutor {
     shared_cache_ = cache;
   }
   void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
+  // Null (the default) keeps the plain FIFO order.
+  void set_ranker(const FrontierRanker* ranker) { ranker_ = ranker; }
 
   ConcolicResult run();
 
@@ -108,6 +124,7 @@ class ConcolicExecutor {
   symexec::SharedBudget* budget_{nullptr};
   solver::SharedQueryCache* shared_cache_{nullptr};
   obs::TraceBuffer* trace_{nullptr};
+  const FrontierRanker* ranker_{nullptr};
 };
 
 }  // namespace statsym::concolic

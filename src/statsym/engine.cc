@@ -638,6 +638,14 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         if (co.exec.target_function.empty()) co.exec.target_function = target;
         co.seed = derive_seed(opts_.exec.seed, 2000 + p);
         concolic::ConcolicExecutor ce(m_, spec_, co);
+        // The top candidate path's gated predicates order the frontier;
+        // without a candidate the lane keeps its plain FIFO order.
+        std::optional<FrontierRanker> ranker;
+        if (!res.construction.candidates.empty()) {
+          ranker.emplace(m_, res.construction.candidates[0],
+                         res.predicates, opts_.guidance, opts_.monitor);
+          ce.set_ranker(&*ranker);
+        }
         ce.set_stop_flag(&lane_cancel[p]);
         ce.set_shared_budget(&budget);
         ce.set_shared_solver_cache(&shared_queries);

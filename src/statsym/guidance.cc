@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace statsym::core {
 
@@ -18,20 +19,75 @@ const bool kDebugSched = std::getenv("STATSYM_DEBUG_SCHED") != nullptr;
 
 }  // namespace
 
+std::optional<double> gate_score_lcb(const stats::Predicate& p,
+                                     const GuidanceOptions& opts) {
+  if (!opts.inject_predicates) return std::nullopt;
+  if (p.pk == stats::PredKind::kUnreached) return std::nullopt;  // negative
+  // Confidence-adjusted score, recomputed from the recorded support via the
+  // shared Wilson helper (predicates without support — hand-built in tests
+  // or deserialised from older runs — keep their stored bound).
+  const double lcb = p.n_correct + p.n_faulty > 0
+                         ? p.recompute_score_lcb(opts.confidence_z)
+                         : p.score_lcb;
+  if (lcb < opts.predicate_score_floor) return std::nullopt;
+  return lcb;
+}
+
+FrontierRanker::FrontierRanker(const ir::Module& m,
+                               const stats::CandidatePath& path,
+                               const std::vector<stats::Predicate>& predicates,
+                               const GuidanceOptions& opts,
+                               monitor::MonitorOptions monitor)
+    : program_(m), monitor_(std::move(monitor)) {
+  monitor_.sampling_rate = 1.0;
+  std::vector<std::pair<double, const stats::Predicate*>> gated;
+  for (const stats::Predicate& p : predicates) {
+    if (std::find(path.nodes.begin(), path.nodes.end(), p.loc) ==
+        path.nodes.end()) {
+      continue;
+    }
+    if (const auto lcb = gate_score_lcb(p, opts)) gated.emplace_back(*lcb, &p);
+  }
+  std::stable_sort(gated.begin(), gated.end(), [](const auto& a,
+                                                  const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second->score > b.second->score;
+  });
+  preds_.reserve(gated.size());
+  for (const auto& [lcb, p] : gated) preds_.push_back(*p);
+}
+
+std::vector<double> FrontierRanker::gaps(
+    const interp::RuntimeInput& in) const {
+  std::vector<double> out(preds_.size(),
+                          std::numeric_limits<double>::infinity());
+  if (preds_.empty()) return out;
+  const monitor::RunLog log =
+      monitor::run_monitored(program_, in, monitor_, Rng(0), 0).log;
+  for (const monitor::LogRecord& rec : log.records) {
+    for (std::size_t i = 0; i < preds_.size(); ++i) {
+      const stats::Predicate& p = preds_[i];
+      if (p.loc != rec.loc || out[i] == 0.0) continue;
+      for (const monitor::VarSample& v : rec.vars) {
+        if (v.kind != p.kind || v.is_len != p.is_len || v.key() != p.var) {
+          continue;
+        }
+        out[i] = p.holds(v.value)
+                     ? 0.0
+                     : std::min(out[i], 1.0 + std::abs(v.value - p.threshold));
+      }
+    }
+  }
+  return out;
+}
+
 CandidateGuidance::CandidateGuidance(const ir::Module& m,
                                      stats::CandidatePath path,
                                      std::vector<stats::Predicate> predicates,
                                      GuidanceOptions opts)
     : m_(m), path_(std::move(path)), opts_(opts) {
   for (auto& p : predicates) {
-    if (p.pk == stats::PredKind::kUnreached) continue;  // negative evidence
-    // Confidence-adjusted score, recomputed from the recorded support via
-    // the shared Wilson helper (predicates without support — hand-built in
-    // tests or deserialised from older runs — keep their stored bound).
-    const double lcb = p.n_correct + p.n_faulty > 0
-                           ? p.recompute_score_lcb(opts_.confidence_z)
-                           : p.score_lcb;
-    if (lcb < opts_.predicate_score_floor) continue;
+    if (!gate_score_lcb(p, opts_).has_value()) continue;
     preds_by_loc_[p.loc].push_back(std::move(p));
   }
   for (std::size_t i = 0; i < path_.nodes.size(); ++i) {
@@ -79,7 +135,7 @@ symexec::GuidanceHook::Action CandidateGuidance::on_location(
               (unsigned long long)st.id, st.guide.matched,
               monitor::loc_name(m_, loc).c_str());
     }
-    if (opts_.inject_predicates && !inject_at(ex, st, loc)) {
+    if (!inject_at(ex, st, loc)) {
       conflict_susp_.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lock(conflict_mu_);

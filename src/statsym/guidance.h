@@ -19,9 +19,13 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "concolic/concolic.h"
+#include "interp/program.h"
+#include "monitor/monitor.h"
 #include "stats/path_builder.h"
 #include "symexec/executor.h"
 
@@ -50,6 +54,39 @@ struct GuidanceOptions {
   // (matches the monitor's skip prefix — the statistics never saw them, so
   // they must not count as diverted hops either).
   std::string skip_function_prefix{"__"};
+};
+
+// The predicate gate both lanes act on: with opts.inject_predicates, a
+// fitted threshold predicate (not the kUnreached negative evidence) whose
+// confidence-adjusted score clears opts.predicate_score_floor. Returns that
+// score_lcb, recomputed at opts.confidence_z, or nullopt when the predicate
+// is not acted on.
+std::optional<double> gate_score_lcb(const stats::Predicate& p,
+                                     const GuidanceOptions& opts);
+
+// Orders the concolic lane's frontier by the statistics (DESIGN.md §11).
+// Holds the gated predicates at locations on the candidate path, highest
+// score_lcb first (ties by score, then by the input order). gaps() replays an
+// input concretely, on the module decoded once at construction, under a
+// monitor that keeps every record, and returns one gap per predicate: 0 when
+// the predicate holds for some value observed at its location, else
+// 1 + |v − σ| for the closest value v, and +∞ when the location never
+// records the variable.
+class FrontierRanker final : public concolic::FrontierRanker {
+ public:
+  // `m` must outlive the ranker; `monitor` must match the options the
+  // predicates' logs were recorded with (its sampling rate is ignored).
+  FrontierRanker(const ir::Module& m, const stats::CandidatePath& path,
+                 const std::vector<stats::Predicate>& predicates,
+                 const GuidanceOptions& opts, monitor::MonitorOptions monitor);
+
+  std::vector<double> gaps(const interp::RuntimeInput& in) const override;
+  const std::vector<stats::Predicate>& predicates() const { return preds_; }
+
+ private:
+  interp::Program program_;
+  std::vector<stats::Predicate> preds_;
+  monitor::MonitorOptions monitor_;
 };
 
 class CandidateGuidance final : public symexec::GuidanceHook {

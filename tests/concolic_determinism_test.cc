@@ -1,7 +1,8 @@
-// Concolic determinism property tests (ISSUE 7 satellite): the multi-engine
-// race (guided | pure | concolic lanes) must be byte-identical at every
-// worker count — witness inputs, the concolic negation schedule, and the
-// portfolio winner included — across three generator-corpus seeds. Mirrors
+// Concolic determinism property tests: the multi-engine race (guided | pure |
+// concolic lanes) and the predicate-ranked concolic lane alone must be
+// byte-identical at every worker count — witness inputs, the concolic
+// negation schedule, and the portfolio winner included — across three
+// generator-corpus seeds. Mirrors
 // parallel_test.cc, which pins the same contract for the candidate
 // portfolio inside the guided lane.
 #include <gtest/gtest.h>
@@ -143,6 +144,27 @@ TEST(ConcolicDeterminism, ConcolicLaneFirstStillDeterministic) {
   ASSERT_TRUE(one.res.found);
   ASSERT_FALSE(one.concolic_schedule.empty());
   expect_identical(one, eight);
+}
+
+TEST(ConcolicDeterminism, RankedConcolicLaneMatchesAtJobs1_4_8) {
+  // The concolic lane alone, its frontier ranked by the top candidate
+  // path's predicates: the ranked negation schedule, witness and counts
+  // must not depend on the worker count.
+  for (const char* file : {"oob-basic.corpus", "assert-two-candidates.corpus",
+                           "oob-deep-paths.corpus"}) {
+    const fuzz::CorpusEntry e = load_corpus(file);
+    const fuzz::GeneratedProgram prog = fuzz::generate_program(e.seed, e.gen);
+    EngineOptions o = race_opts(1);
+    o.engines = {EngineKind::kConcolic};
+    const RaceRun one = run_race(prog.app, o);
+    ASSERT_FALSE(one.res.construction.candidates.empty()) << file;
+    ASSERT_FALSE(one.concolic_schedule.empty()) << file;
+    for (const std::size_t jobs : {4, 8}) {
+      o.num_threads = jobs;
+      SCOPED_TRACE(std::string(file) + " at jobs " + std::to_string(jobs));
+      expect_identical(one, run_race(prog.app, o));
+    }
+  }
 }
 
 TEST(ConcolicDeterminism, CampaignVerdictsMatchAcrossJobCounts) {

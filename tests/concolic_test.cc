@@ -1,9 +1,11 @@
 // Tests for the concolic backend: symexec follow mode (concrete-driven
 // single-path execution with shadow-recorded decisions), the generational
-// search driver, witness replayability, and lane-level resource controls.
+// search driver, the statistics-ranked frontier, witness replayability, and
+// lane-level resource controls.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
 #include "apps/registry.h"
 #include "apps/stdlib.h"
@@ -11,6 +13,7 @@
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 #include "obs/trace.h"
+#include "statsym/guidance.h"
 #include "support/rng.h"
 #include "symexec/executor.h"
 
@@ -318,6 +321,107 @@ TEST(Concolic, MaxRunsCapsTheSearch) {
   const auto r = ce.run();
   EXPECT_EQ(r.termination, symexec::Termination::kRunLimit);
   EXPECT_EQ(r.stats.runs, 3u);
+}
+
+// Six independent symbolic-int branches (chaff), then copy(argv[1]) into a
+// 20-byte buffer: the overflow needs len(argv[1]) >= 20. Every chaff subset
+// is a distinct input, and each run can lengthen the string by only one
+// byte, so the FIFO generational search drowns in chaff before it reaches
+// the fault depth.
+ir::Module length_behind_chaff() {
+  ModuleBuilder mb("chaff");
+  apps::emit_stdlib(mb);
+  {
+    auto f = mb.func("copy", {"s"});
+    const Reg dst = f.alloca_buf(20);
+    f.call_void("__strcpy", {dst, f.param(0)});
+    f.ret();
+  }
+  auto f = mb.func("main", {});
+  const Reg acc = f.reg();
+  f.assign(acc, f.ci(0));
+  for (int j = 0; j < 6; ++j) {
+    const Reg x = f.reg();
+    f.make_sym_int(x, "c" + std::to_string(j), 0, 15);
+    const auto lo = f.block();
+    const auto hi = f.block();
+    const auto join = f.block();
+    f.br(f.lti(x, 8), lo, hi);
+    f.at(lo);
+    f.assign(acc, f.addi(acc, 1));
+    f.jmp(join);
+    f.at(hi);
+    f.assign(acc, f.addi(acc, 2));
+    f.jmp(join);
+    f.at(join);
+  }
+  f.call_void("copy", {f.arg(f.ci(1))});
+  f.ret(acc);
+  return mb.build();
+}
+
+symexec::SymInputSpec chaff_spec() {
+  symexec::SymInputSpec spec;
+  spec.argv = {symexec::SymStr::fixed("p"), symexec::SymStr::sym("s", 32)};
+  return spec;
+}
+
+// The ranker the engine would build from logs of this module:
+// len(s) > 19.5 at copy():enter, on a main -> copy candidate path.
+core::FrontierRanker chaff_ranker(const ir::Module& m) {
+  const ir::FuncId copy = m.find_function("copy");
+  stats::CandidatePath path;
+  path.nodes = {monitor::enter_loc(m.find_function("main")),
+                monitor::enter_loc(copy)};
+  stats::Predicate p;
+  p.loc = monitor::enter_loc(copy);
+  p.var = "len(s FUNCPARAM)";
+  p.kind = monitor::VarKind::kParam;
+  p.is_len = true;
+  p.pk = stats::PredKind::kGt;
+  p.threshold = 19.5;
+  p.score = p.score_lcb = 0.9;
+  return core::FrontierRanker(m, path, {p}, {}, {});
+}
+
+TEST(Concolic, RankedFrontierReachesTheLengthFaultBehindChaff) {
+  const ir::Module m = length_behind_chaff();
+  const core::FrontierRanker ranker = chaff_ranker(m);
+  ASSERT_EQ(ranker.predicates().size(), 1u);
+
+  ConcolicExecutor fifo(m, chaff_spec(), {});
+  const auto rf = fifo.run();
+  ConcolicExecutor ranked(m, chaff_spec(), {});
+  ranked.set_ranker(&ranker);
+  const auto rr = ranked.run();
+
+  ASSERT_EQ(rr.termination, symexec::Termination::kFoundFault);
+  EXPECT_EQ(rr.vuln->kind, interp::FaultKind::kOobStore);
+  EXPECT_GE(rr.vuln->input.argv[1].size(), 20u);
+  interp::Interpreter replay(m, rr.vuln->input);
+  EXPECT_EQ(replay.run().outcome, interp::RunOutcome::kFault);
+  // One run per byte of the string, plus the seed.
+  EXPECT_LE(rr.stats.runs, 30u);
+  // The plain FIFO spends the whole run budget on chaff and misses.
+  EXPECT_FALSE(rf.vuln.has_value());
+  EXPECT_EQ(rf.termination, symexec::Termination::kRunLimit);
+  EXPECT_EQ(rf.stats.runs, ConcolicOptions{}.max_runs);
+}
+
+TEST(Concolic, RankedFrontierIsDeterministic) {
+  const ir::Module m = length_behind_chaff();
+  const core::FrontierRanker ranker = chaff_ranker(m);
+  ConcolicExecutor a(m, chaff_spec(), {});
+  a.set_ranker(&ranker);
+  ConcolicExecutor b(m, chaff_spec(), {});
+  b.set_ranker(&ranker);
+  const auto ra = a.run();
+  const auto rb = b.run();
+  ASSERT_TRUE(ra.vuln.has_value());
+  ASSERT_TRUE(rb.vuln.has_value());
+  EXPECT_EQ(input_key(ra.vuln->input), input_key(rb.vuln->input));
+  EXPECT_EQ(ra.stats.runs, rb.stats.runs);
+  EXPECT_EQ(ra.stats.negations_tried, rb.stats.negations_tried);
 }
 
 TEST(Concolic, SharedBudgetStopsTheLane) {

@@ -1,9 +1,11 @@
 // Tests for statistics-guided search: candidate-path matching, hop-diversion
 // suspension (τ), benign revisits, predicate injection (including the
 // per-byte lowering of string-length predicates), conflict suspension, the
-// guided scheduler's priorities, and the worst-case fallback to pure
-// symbolic execution.
+// guided scheduler's priorities, the worst-case fallback to pure symbolic
+// execution, and the concolic frontier ranker's gap vectors.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "apps/stdlib.h"
 #include "ir/builder.h"
@@ -392,6 +394,93 @@ TEST(GuidedSearcher, WokenStatesRankLast) {
   s.add(&guided);
   EXPECT_EQ(s.select(), &guided);
   EXPECT_EQ(s.select(), &woken);
+}
+
+// ---------------------------------------------------------------------------
+// The concolic frontier ranker.
+
+// main calls f(a) and f(a + 5); `never` is on the candidate path but is
+// never called.
+ir::Module ranker_module() {
+  ModuleBuilder mb("ranker");
+  {
+    auto f = mb.func("f", {"a"});
+    f.ret();
+  }
+  {
+    auto f = mb.func("never", {"b"});
+    f.ret();
+  }
+  auto f = mb.func("main", {});
+  const Reg a = f.reg();
+  f.make_sym_int(a, "a", 0, 100);
+  f.call_void("f", {a});
+  f.call_void("f", {f.addi(a, 5)});
+  f.ret(f.ci(0));
+  return mb.build();
+}
+
+stats::Predicate param_pred(monitor::LocId loc, const std::string& name,
+                            stats::PredKind pk, double threshold, double lcb,
+                            double score) {
+  stats::Predicate p;
+  p.loc = loc;
+  p.var = name + " FUNCPARAM";
+  p.kind = monitor::VarKind::kParam;
+  p.pk = pk;
+  p.threshold = threshold;
+  p.score_lcb = lcb;
+  p.score = score;
+  return p;
+}
+
+TEST(FrontierRanker, GapsPerPredicateInScoreOrder) {
+  const ir::Module m = ranker_module();
+  using stats::PredKind;
+  const std::vector<stats::Predicate> preds = {
+      // Near miss: a < 3.5 against observations 12 and 17.
+      param_pred(enter(m, "f"), "a", PredKind::kLt, 3.5, 0.8, 0.85),
+      // Unreached: never() is not called.
+      param_pred(enter(m, "never"), "b", PredKind::kGt, 0.5, 0.7, 0.7),
+      // Satisfied by the second call (17 > 15.5).
+      param_pred(enter(m, "f"), "a", PredKind::kGt, 15.5, 0.9, 0.9),
+      // Same score_lcb as the near miss, higher score: ranks before it.
+      param_pred(enter(m, "f"), "a", PredKind::kGt, 30.5, 0.8, 0.95),
+      // Gated out: below the score_lcb floor, negative evidence, off path.
+      param_pred(enter(m, "f"), "a", PredKind::kGt, 1.5, 0.3, 0.9),
+      param_pred(enter(m, "f"), "a", PredKind::kUnreached, 0, 0.9, 0.9),
+      param_pred(monitor::leave_loc(m.find_function("f")), "a", PredKind::kGt,
+                 1.5, 0.9, 0.9),
+  };
+  const FrontierRanker ranker(
+      m, {.nodes = {enter(m, "main"), enter(m, "f"), enter(m, "never")}},
+      preds, {}, {});
+  ASSERT_EQ(ranker.predicates().size(), 4u);
+  EXPECT_EQ(ranker.predicates()[0].threshold, 15.5);
+  EXPECT_EQ(ranker.predicates()[1].threshold, 30.5);
+  EXPECT_EQ(ranker.predicates()[2].threshold, 3.5);
+  EXPECT_EQ(ranker.predicates()[3].threshold, 0.5);
+
+  interp::RuntimeInput in;
+  in.sym_ints["a"] = 12;
+  const std::vector<double> gaps = ranker.gaps(in);
+  ASSERT_EQ(gaps.size(), 4u);
+  EXPECT_EQ(gaps[0], 0.0);                  // 17 > 15.5 holds
+  EXPECT_EQ(gaps[1], 1.0 + (30.5 - 17.0));  // closest observation wins
+  EXPECT_EQ(gaps[2], 1.0 + (12.0 - 3.5));
+  EXPECT_EQ(gaps[3], std::numeric_limits<double>::infinity());
+}
+
+TEST(FrontierRanker, NoPredicatesWithoutInjection) {
+  const ir::Module m = ranker_module();
+  GuidanceOptions opts;
+  opts.inject_predicates = false;
+  const FrontierRanker ranker(
+      m, {.nodes = {enter(m, "f")}},
+      {param_pred(enter(m, "f"), "a", stats::PredKind::kGt, 1.5, 0.9, 0.9)},
+      opts, {});
+  EXPECT_TRUE(ranker.predicates().empty());
+  EXPECT_TRUE(ranker.gaps({}).empty());
 }
 
 }  // namespace
