@@ -637,15 +637,15 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         co.exec.max_seconds = opts_.candidate_timeout_seconds;
         if (co.exec.target_function.empty()) co.exec.target_function = target;
         co.seed = derive_seed(opts_.exec.seed, 2000 + p);
-        concolic::ConcolicExecutor ce(m_, spec_, co);
         // The top candidate path's gated predicates order the frontier;
         // without a candidate the lane keeps its plain FIFO order.
         std::optional<FrontierRanker> ranker;
         if (!res.construction.candidates.empty()) {
           ranker.emplace(m_, res.construction.candidates[0],
                          res.predicates, opts_.guidance, opts_.monitor);
-          ce.set_ranker(&*ranker);
         }
+        concolic::ConcolicExecutor ce(m_, spec_, co);
+        if (ranker.has_value()) ce.set_ranker(&*ranker);
         ce.set_stop_flag(&lane_cancel[p]);
         ce.set_shared_budget(&budget);
         ce.set_shared_solver_cache(&shared_queries);

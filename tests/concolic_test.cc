@@ -408,22 +408,6 @@ TEST(Concolic, RankedFrontierReachesTheLengthFaultBehindChaff) {
   EXPECT_EQ(rf.stats.runs, ConcolicOptions{}.max_runs);
 }
 
-TEST(Concolic, RankedFrontierIsDeterministic) {
-  const ir::Module m = length_behind_chaff();
-  const core::FrontierRanker ranker = chaff_ranker(m);
-  ConcolicExecutor a(m, chaff_spec(), {});
-  a.set_ranker(&ranker);
-  ConcolicExecutor b(m, chaff_spec(), {});
-  b.set_ranker(&ranker);
-  const auto ra = a.run();
-  const auto rb = b.run();
-  ASSERT_TRUE(ra.vuln.has_value());
-  ASSERT_TRUE(rb.vuln.has_value());
-  EXPECT_EQ(input_key(ra.vuln->input), input_key(rb.vuln->input));
-  EXPECT_EQ(ra.stats.runs, rb.stats.runs);
-  EXPECT_EQ(ra.stats.negations_tried, rb.stats.negations_tried);
-}
-
 TEST(Concolic, SharedBudgetStopsTheLane) {
   const ir::Module m = needle();
   symexec::SharedBudget budget;
