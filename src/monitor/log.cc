@@ -26,11 +26,30 @@ const char* var_kind_name(VarKind k) {
   return "?";
 }
 
-std::string VarSample::display() const {
-  std::string base = name + " " + var_kind_name(kind);
-  return is_len ? "len(" + base + ")" : base;
+std::string var_key(std::string_view name, VarKind kind, bool is_len) {
+  std::string key;
+  if (is_len) key += "len(";
+  key += name;
+  key += ' ';
+  key += var_kind_name(kind);
+  if (is_len) key += ')';
+  return key;
 }
 
-std::string VarSample::key() const { return display(); }
+std::optional<std::string_view> var_key_name(std::string_view key,
+                                             VarKind kind, bool is_len) {
+  if (is_len) {
+    if (!key.starts_with("len(") || !key.ends_with(')')) return std::nullopt;
+    key = key.substr(4, key.size() - 5);
+  }
+  const std::string_view suffix = var_kind_name(kind);
+  if (key.size() <= suffix.size() || !key.ends_with(suffix) ||
+      key[key.size() - suffix.size() - 1] != ' ') {
+    return std::nullopt;
+  }
+  return key.substr(0, key.size() - suffix.size() - 1);
+}
+
+std::string VarSample::display() const { return var_key(name, kind, is_len); }
 
 }  // namespace statsym::monitor

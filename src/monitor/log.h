@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/module.h"
@@ -40,6 +42,18 @@ enum class VarKind : std::uint8_t { kGlobal, kParam, kReturn };
 
 const char* var_kind_name(VarKind k);
 
+// Display key of a logged variable in the paper's style, e.g.
+// "len(suspect FUNCPARAM)". Statistics identify a variable by (name, kind,
+// is_len); this string is how predicates show and carry that identity.
+std::string var_key(std::string_view name, VarKind kind, bool is_len);
+
+// Inverse of var_key for a known kind and lens-ness: the name `key` was
+// built from, or nullopt when var_key(name, kind, is_len) == key holds for
+// no name. Lets a caller holding a key match samples by name without
+// building a key per sample.
+std::optional<std::string_view> var_key_name(std::string_view key,
+                                             VarKind kind, bool is_len);
+
 // One observed variable value. `is_len` marks string-typed variables logged
 // as their C-string length.
 struct VarSample {
@@ -48,11 +62,8 @@ struct VarSample {
   bool is_len{false};
   double value{0.0};
 
-  // Display key in the paper's style, e.g. "len(suspect FUNCPARAM)".
+  // var_key(name, kind, is_len), e.g. "len(suspect FUNCPARAM)".
   std::string display() const;
-  // Identity key for statistics: variable name + kind + lens-ness (the same
-  // variable at different *locations* is distinguished by the record's loc).
-  std::string key() const;
 
   bool operator==(const VarSample& o) const = default;
 };

@@ -1,5 +1,6 @@
 #include "monitor/serialize.h"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -33,15 +34,32 @@ std::string serialize(const std::vector<RunLog>& logs) {
 
 namespace {
 
+std::size_t digits(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 10; v /= 10) ++n;
+  return n;
+}
+
+// Length of `os << v` for an integer: its decimal digits and a sign.
 std::size_t int_len(std::int64_t v) {
-  char buf[24];
-  return static_cast<std::size_t>(std::snprintf(buf, sizeof buf, "%lld",
-                                                static_cast<long long>(v)));
+  // Negate in unsigned arithmetic so INT64_MIN has a magnitude too.
+  const auto mag = v < 0 ? 0 - static_cast<std::uint64_t>(v)
+                         : static_cast<std::uint64_t>(v);
+  return (v < 0 ? 1 : 0) + digits(mag);
 }
 
 // ostream's default double insertion is specified to format as if by
-// printf("%g") at the stream's precision (6), so this length is exact.
+// printf("%g") at the stream's precision (6). Every monitored value is an
+// integer or a string length, and %.6g prints an integral |v| < 1e6 as its
+// plain digits (with the sign of -0); anything else is measured by printing.
 std::size_t double_len(double v) {
+  if (v > -1e6 && v < 1e6) {
+    const auto i = static_cast<std::int64_t>(v);
+    if (static_cast<double>(i) == v) {
+      return (std::signbit(v) ? 1 : 0) +
+             digits(static_cast<std::uint64_t>(i < 0 ? -i : i));
+    }
+  }
   char buf[40];
   return static_cast<std::size_t>(std::snprintf(buf, sizeof buf, "%.6g", v));
 }

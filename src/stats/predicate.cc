@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 
 #include "support/strings.h"
 
@@ -20,22 +19,6 @@ std::string Predicate::display() const {
   }
   return var;
 }
-
-namespace {
-
-// Counts samples (with multiplicity) satisfying a candidate predicate.
-std::uint64_t count_holds(const ValueHist& hist, PredKind pk, double thr) {
-  Predicate tmp;
-  tmp.pk = pk;
-  tmp.threshold = thr;
-  std::uint64_t n = 0;
-  for (const auto& [v, cnt] : hist) {
-    if (tmp.holds(v)) n += cnt;
-  }
-  return n;
-}
-
-}  // namespace
 
 double Predicate::recompute_score_lcb(double confidence_z) const {
   if (pk == PredKind::kUnreached) {
@@ -98,29 +81,59 @@ bool fit_predicate(const VarSuff& vs, std::size_t num_correct_runs,
   }
 
   // Candidate thresholds: midpoints between adjacent distinct values of the
-  // pooled sample. The histogram keys are exactly the distinct values.
-  std::set<double> distinct;
-  for (const auto& [v, cnt] : vs.correct) distinct.insert(v);
-  for (const auto& [v, cnt] : vs.faulty) distinct.insert(v);
-  if (distinct.size() < 2) return false;  // identical distributions
-
-  std::vector<double> cuts;
-  cuts.reserve(distinct.size() - 1);
-  double prev = 0.0;
-  bool first = true;
-  for (double v : distinct) {
-    if (!first) cuts.push_back((prev + v) / 2.0);
-    prev = v;
-    first = false;
+  // pooled sample. The histogram keys are exactly the distinct values; one
+  // merged sweep pools them with each class's multiplicity.
+  struct Point {
+    double v;
+    std::uint64_t c, f;
+  };
+  std::vector<Point> pts;
+  pts.reserve(vs.correct.size() + vs.faulty.size());
+  std::uint64_t c_all = 0, f_all = 0;
+  auto ci = vs.correct.begin();
+  auto fi = vs.faulty.begin();
+  while (ci != vs.correct.end() || fi != vs.faulty.end()) {
+    if (fi == vs.faulty.end() ||
+        (ci != vs.correct.end() && ci->first < fi->first)) {
+      pts.push_back({ci->first, ci->second, 0});
+      ++ci;
+    } else if (ci == vs.correct.end() || fi->first < ci->first) {
+      pts.push_back({fi->first, 0, fi->second});
+      ++fi;
+    } else {
+      pts.push_back({ci->first, ci->second, fi->second});
+      ++ci;
+      ++fi;
+    }
+    c_all += pts.back().c;
+    f_all += pts.back().f;
   }
+  if (pts.size() < 2) return false;  // identical distributions
 
+  // The cuts ascend with the points, so the points strictly below a cut
+  // (`lt`) and those not above it (`le`) are prefixes that only grow. A
+  // cut can round onto one of its two points, so both are tracked against
+  // the actual cut; the counts equal rescanning each histogram per cut.
+  // (The one NaN cut, -inf next to +inf, has no other points: both
+  // prefixes give it empty sides, as the strict tests do.)
+  std::size_t lt = 0, le = 0;
+  std::uint64_t c_lt = 0, f_lt = 0, c_le = 0, f_le = 0;
   bool found = false;
   std::size_t best_err = 0;
   double best_score = 0.0;
-  for (double thr : cuts) {
+  for (std::size_t k = 0; k + 1 < pts.size(); ++k) {
+    const double thr = (pts[k].v + pts[k + 1].v) / 2.0;
+    for (; lt < pts.size() && pts[lt].v < thr; ++lt) {
+      c_lt += pts[lt].c;
+      f_lt += pts[lt].f;
+    }
+    for (; le < pts.size() && !(pts[le].v > thr); ++le) {
+      c_le += pts[le].c;
+      f_le += pts[le].f;
+    }
     for (PredKind pk : {PredKind::kGt, PredKind::kLt}) {
-      const std::uint64_t c_in = count_holds(vs.correct, pk, thr);
-      const std::uint64_t f_in = count_holds(vs.faulty, pk, thr);
+      const std::uint64_t c_in = pk == PredKind::kGt ? c_all - c_le : c_lt;
+      const std::uint64_t f_in = pk == PredKind::kGt ? f_all - f_le : f_lt;
       // Eq. 1: correct samples captured by P plus faulty samples missed.
       const std::size_t err =
           static_cast<std::size_t>(c_in + (vs.faulty_total - f_in));

@@ -6,19 +6,50 @@
 
 namespace statsym::stats {
 
+void ValueHist::add(double value, std::uint64_t n) {
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), value,
+      [](const Entry& e, double v) { return e.first < v; });
+  if (it != entries_.end() && !(value < it->first)) {
+    it->second += n;
+  } else {
+    entries_.insert(it, {value, n});
+  }
+}
+
+void ValueHist::merge(const ValueHist& o) {
+  if (o.entries_.empty()) return;
+  std::vector<Entry> out;
+  out.reserve(entries_.size() + o.entries_.size());
+  auto a = entries_.begin();
+  auto b = o.entries_.begin();
+  while (a != entries_.end() || b != o.entries_.end()) {
+    if (b == o.entries_.end() || (a != entries_.end() && a->first < b->first)) {
+      out.push_back(*a++);
+    } else if (a == entries_.end() || b->first < a->first) {
+      out.push_back(*b++);
+    } else {
+      out.emplace_back(a->first, a->second + b->second);
+      ++a;
+      ++b;
+    }
+  }
+  entries_ = std::move(out);
+}
+
 void VarSuff::add(bool faulty_class, double value, std::uint64_t n) {
   if (faulty_class) {
-    faulty[value] += n;
+    faulty.add(value, n);
     faulty_total += n;
   } else {
-    correct[value] += n;
+    correct.add(value, n);
     correct_total += n;
   }
 }
 
 void VarSuff::merge(const VarSuff& o) {
-  for (const auto& [v, n] : o.correct) correct[v] += n;
-  for (const auto& [v, n] : o.faulty) faulty[v] += n;
+  correct.merge(o.correct);
+  faulty.merge(o.faulty);
   correct_total += o.correct_total;
   faulty_total += o.faulty_total;
   correct_runs += o.correct_runs;
@@ -66,15 +97,17 @@ void SuffStats::ingest(const monitor::RunLog& log) {
   for (const auto& rec : log.records) {
     seen_locs.push_back(rec.loc);
     for (const auto& v : rec.vars) {
-      auto key = std::make_pair(rec.loc, v.key());
+      const VarKeyView key{rec.loc, v.kind, v.is_len, v.name};
       auto it = vars_.find(key);
       if (it == vars_.end()) {
         VarSuff vs;
         vs.loc = rec.loc;
-        vs.var = key.second;
+        vs.var = monitor::var_key(v.name, v.kind, v.is_len);
         vs.kind = v.kind;
         vs.is_len = v.is_len;
-        it = vars_.emplace(std::move(key), std::move(vs)).first;
+        it = vars_.emplace(VarKey{rec.loc, v.kind, v.is_len, v.name},
+                           std::move(vs))
+                 .first;
       }
       it->second.add(log.faulty, v.value);
       seen_vars.push_back(&it->second);

@@ -10,9 +10,9 @@
 //     retained memory is bounded by the number of *distinct* observed
 //     values, not the number of runs;
 //   * merge(other) is associative and commutative (all containers are
-//     ordered maps of counts), so per-cluster statistics built in any order
-//     fold into bit-identical totals — the same schedule-invariant merge
-//     discipline MetricsRegistry established;
+//     sorted by key and hold counts), so per-cluster statistics built in
+//     any order fold into bit-identical totals — the same
+//     schedule-invariant merge discipline MetricsRegistry established;
 //   * a fit from SuffStats(logs) is byte-identical to the historical fit
 //     from the raw log vector (all divisions see the same integers).
 //
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,15 +33,63 @@
 
 namespace statsym::stats {
 
-// value -> multiplicity. Ordered so iteration (threshold-cut scanning,
-// merging) is deterministic regardless of insertion order.
-using ValueHist = std::map<double, std::uint64_t>;
+// value -> multiplicity, as (value, count) entries in one vector sorted by
+// value, so iteration (threshold-cut scanning, merging) is deterministic
+// regardless of insertion order. Values equal under `<` share an entry.
+class ValueHist {
+ public:
+  using Entry = std::pair<double, std::uint64_t>;
+
+  void add(double value, std::uint64_t n);
+  void merge(const ValueHist& o);
+
+  std::size_t size() const { return entries_.size(); }
+  std::vector<Entry>::const_iterator begin() const { return entries_.begin(); }
+  std::vector<Entry>::const_iterator end() const { return entries_.end(); }
+  bool operator==(const ValueHist& o) const = default;
+
+ private:
+  std::vector<Entry> entries_;
+};
+
+// Identity of one per-variable statistic: the instrumented location and
+// the variable's name, kind and lens-ness, compared field by field.
+// VarKeyView holds the same fields over a borrowed name, so a sample's
+// statistic is found from the sample's own fields without building a key.
+struct VarKeyView {
+  monitor::LocId loc{monitor::kNoLoc};
+  monitor::VarKind kind{monitor::VarKind::kGlobal};
+  bool is_len{false};
+  std::string_view name;
+
+  auto operator<=>(const VarKeyView& o) const = default;
+};
+
+struct VarKey {
+  monitor::LocId loc{monitor::kNoLoc};
+  monitor::VarKind kind{monitor::VarKind::kGlobal};
+  bool is_len{false};
+  std::string name;
+};
+
+// Transparent order over VarKey and VarKeyView alike.
+struct VarKeyLess {
+  using is_transparent = void;  // NOLINT(readability-identifier-naming)
+  static VarKeyView view(const VarKey& k) {
+    return {k.loc, k.kind, k.is_len, k.name};
+  }
+  static VarKeyView view(const VarKeyView& k) { return k; }
+  template <class A, class B>
+  bool operator()(const A& a, const B& b) const {
+    return view(a) < view(b);
+  }
+};
 
 // Per-(location, variable) sufficient statistics: the class-conditional
 // value histograms behind one predicate fit.
 struct VarSuff {
   monitor::LocId loc{monitor::kNoLoc};
-  std::string var;  // identity key, e.g. "suspect FUNCPARAM"
+  std::string var;  // display key, e.g. "suspect FUNCPARAM"
   monitor::VarKind kind{monitor::VarKind::kGlobal};
   bool is_len{false};
   ValueHist correct;
@@ -55,6 +104,8 @@ struct VarSuff {
   void add(bool faulty_class, double value, std::uint64_t n = 1);
   void merge(const VarSuff& o);
 };
+
+using VarTable = std::map<VarKey, VarSuff, VarKeyLess>;
 
 // Transition-mining tallies for one run class (correct or faulty): the
 // counts Eq. 3's µ(ei,ej) = o(ei→ej)/o(ei) is computed from, plus the
@@ -80,10 +131,7 @@ class SuffStats {
   void merge(const SuffStats& o);
 
   // --- per-variable statistics (the Eq. 1 / Eq. 2 inputs) -----------------
-  const std::map<std::pair<monitor::LocId, std::string>, VarSuff>& vars()
-      const {
-    return vars_;
-  }
+  const VarTable& vars() const { return vars_; }
 
   std::size_t num_correct_runs() const {
     return static_cast<std::size_t>(num_correct_);
@@ -117,7 +165,7 @@ class SuffStats {
   std::uint64_t records_considered() const { return records_considered_; }
 
  private:
-  std::map<std::pair<monitor::LocId, std::string>, VarSuff> vars_;
+  VarTable vars_;
   std::map<monitor::LocId, std::pair<std::uint64_t, std::uint64_t>> loc_runs_;
   TransSuff correct_trans_;
   TransSuff faulty_trans_;

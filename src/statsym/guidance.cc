@@ -54,7 +54,12 @@ FrontierRanker::FrontierRanker(const ir::Module& m,
     return a.second->score > b.second->score;
   });
   preds_.reserve(gated.size());
-  for (const auto& [lcb, p] : gated) preds_.push_back(*p);
+  names_.reserve(gated.size());
+  for (const auto& [lcb, p] : gated) {
+    preds_.push_back(*p);
+    const auto name = monitor::var_key_name(p->var, p->kind, p->is_len);
+    names_.push_back(name ? std::optional<std::string>(*name) : std::nullopt);
+  }
 }
 
 std::vector<double> FrontierRanker::gaps(
@@ -67,9 +72,9 @@ std::vector<double> FrontierRanker::gaps(
   for (const monitor::LogRecord& rec : log.records) {
     for (std::size_t i = 0; i < preds_.size(); ++i) {
       const stats::Predicate& p = preds_[i];
-      if (p.loc != rec.loc || out[i] == 0.0) continue;
+      if (p.loc != rec.loc || out[i] == 0.0 || !names_[i]) continue;
       for (const monitor::VarSample& v : rec.vars) {
-        if (v.kind != p.kind || v.is_len != p.is_len || v.key() != p.var) {
+        if (v.kind != p.kind || v.is_len != p.is_len || v.name != *names_[i]) {
           continue;
         }
         out[i] = p.holds(v.value)
@@ -182,6 +187,8 @@ bool CandidateGuidance::inject_at(symexec::SymExecutor& ex,
   if (it == preds_by_loc_.end()) return true;
 
   for (const stats::Predicate& p : it->second) {
+    const auto name = monitor::var_key_name(p.var, p.kind, p.is_len);
+    if (!name) continue;
     symexec::SymValue val;
     bool have = false;
     switch (p.kind) {
@@ -189,14 +196,8 @@ bool CandidateGuidance::inject_at(symexec::SymExecutor& ex,
         // Parameter values are only available at entry (the frame is gone
         // by the time the leave event fires).
         if (leave) break;
-        // p.var is the display key, e.g. "len(suspect FUNCPARAM)"; compare
-        // against the raw parameter name.
         for (std::int32_t i = 0; i < fn.num_params; ++i) {
-          monitor::VarSample probe;
-          probe.name = fn.param_names[static_cast<std::size_t>(i)];
-          probe.kind = monitor::VarKind::kParam;
-          probe.is_len = p.is_len;
-          if (probe.key() == p.var) {
+          if (fn.param_names[static_cast<std::size_t>(i)] == *name) {
             val = st.top().params[static_cast<std::size_t>(i)];
             have = true;
             break;
@@ -206,11 +207,7 @@ bool CandidateGuidance::inject_at(symexec::SymExecutor& ex,
       }
       case monitor::VarKind::kGlobal: {
         for (std::size_t g = 0; g < m_.globals().size(); ++g) {
-          monitor::VarSample probe;
-          probe.name = m_.globals()[g].name;
-          probe.kind = monitor::VarKind::kGlobal;
-          probe.is_len = p.is_len;
-          if (probe.key() == p.var) {
+          if (m_.globals()[g].name == *name) {
             val = st.globals[g];
             have = true;
             break;

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -86,6 +87,9 @@ class FrontierRanker final : public concolic::FrontierRanker {
  private:
   interp::Program program_;
   std::vector<stats::Predicate> preds_;
+  // Variable name each predicate's display key was built from (nullopt when
+  // its key names no variable), so samples match by name.
+  std::vector<std::optional<std::string>> names_;
   monitor::MonitorOptions monitor_;
 };
 

@@ -3,6 +3,9 @@
 // round-trips, serialized-size accounting and corrupted-log rejection.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "ir/builder.h"
 #include "monitor/monitor.h"
 #include "monitor/serialize.h"
@@ -222,15 +225,22 @@ TEST(Serialize, SerializedSizeMatchesSerialize) {
   // SuffStats accounts log bytes via serialized_size without building the
   // text; it must agree with the real serialisation for every value shape
   // the monitor can log (including awkward %g cases).
+  // Integral values below 1e6 in magnitude are sized without printing;
+  // the rest (fractions, +-1e6 and beyond, 2^53, infinities, NaN) by %g.
+  const double inf = std::numeric_limits<double>::infinity();
   const double values[] = {0.0,    -0.0,   1.0,      -1.0,     0.1,
                            1e-7,   -1e-7,  123456.0, 1234567.0, 1e20,
                            -1e20,  0.5,    536.5,    1e-300,   1e300,
-                           1.0 / 3.0};
+                           1.0 / 3.0,      999999.0, -999999.0, 1e6,
+                           -1e6,   999999.5, 9007199254740992.0,  inf,
+                           -inf,   std::numeric_limits<double>::quiet_NaN()};
+  // run_id / records_considered pairs across digit-count boundaries.
+  const std::pair<std::int32_t, std::int64_t> header[] = {
+      {123456, 42},       {9, 9},     {10, 10},     {999999999, 999999999},
+      {1000000000, 1000000000},       {-1, 1},      {-1000000000, 0}};
   RunLog log;
-  log.run_id = 123456;
   log.faulty = true;
   log.fault_function = "sink";
-  log.records_considered = 42;
   int i = 0;
   for (const double v : values) {
     VarSample s;
@@ -240,7 +250,12 @@ TEST(Serialize, SerializedSizeMatchesSerialize) {
     s.value = v;
     log.records.push_back({static_cast<LocId>(i++), {s}});
   }
-  EXPECT_EQ(serialized_size(log), serialize(log).size());
+  for (const auto& [run_id, seen] : header) {
+    log.run_id = run_id;
+    log.records_considered = seen;
+    EXPECT_EQ(serialized_size(log), serialize(log).size())
+        << "run " << run_id << " seen " << seen;
+  }
 
   RunLog ok;  // minimal correct log, no seen line, no records
   ok.run_id = 0;

@@ -3,6 +3,11 @@
 // math, ranking, and transition mining (Eq. 3).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <set>
+
 #include "stats/predicate_manager.h"
 #include "stats/transition_graph.h"
 #include "stats/wilson.h"
@@ -57,8 +62,9 @@ TEST(SuffStats, BucketsByLocationAndVariable) {
   EXPECT_EQ(s.num_faulty_runs(), 1u);
   // Same variable at different locations is kept separate (§V-A).
   ASSERT_EQ(s.vars().size(), 2u);
-  const auto it = s.vars().find({2, "x FUNCPARAM"});
+  const auto it = s.vars().find(VarKeyView{2, VarKind::kParam, false, "x"});
   ASSERT_NE(it, s.vars().end());
+  EXPECT_EQ(it->second.var, "x FUNCPARAM");
   EXPECT_EQ(it->second.correct_total, 1u);
   EXPECT_EQ(it->second.faulty_total, 1u);
   EXPECT_EQ(s.loc_correct_runs(2), 1u);
@@ -73,9 +79,13 @@ TEST(SuffStats, HistogramsCarryMultiplicity) {
   vs.add(true, 5.0, /*n=*/3);
   EXPECT_EQ(vs.correct_total, 3u);
   EXPECT_EQ(vs.faulty_total, 3u);
-  ASSERT_EQ(vs.correct.size(), 2u);  // two distinct values
-  EXPECT_EQ(vs.correct.at(5.0), 2u);
-  EXPECT_EQ(vs.faulty.at(5.0), 3u);
+  vs.add(false, 3.0);
+  using Entries = std::vector<ValueHist::Entry>;
+  // One entry per distinct value, sorted by value whatever the insertion
+  // order.
+  EXPECT_EQ(Entries(vs.correct.begin(), vs.correct.end()),
+            (Entries{{3.0, 1}, {5.0, 2}, {7.0, 1}}));
+  EXPECT_EQ(Entries(vs.faulty.begin(), vs.faulty.end()), (Entries{{5.0, 3}}));
 }
 
 TEST(SuffStats, MergeIsScheduleInvariant) {
@@ -325,6 +335,124 @@ TEST(Predicate, TiedThresholdsBreakDeterministically) {
   EXPECT_DOUBLE_EQ(p.score, 0.5);
   EXPECT_EQ(p.pk, PredKind::kGt);
   EXPECT_DOUBLE_EQ(p.threshold, 1.5);
+}
+
+// The threshold scan as first written: every cut rescans both histograms.
+// O(D^2), kept as the reference the linear sweep in fit_predicate must match.
+struct ReferenceFit {
+  bool found{false};
+  PredKind pk{PredKind::kGt};
+  double threshold{0.0};
+  double p_correct{0.0};
+  double p_faulty{0.0};
+  double score{0.0};
+  std::size_t error{0};
+};
+
+ReferenceFit reference_threshold_fit(const VarSuff& vs) {
+  std::set<double> distinct;
+  for (const auto& [v, cnt] : vs.correct) distinct.insert(v);
+  for (const auto& [v, cnt] : vs.faulty) distinct.insert(v);
+  ReferenceFit best;
+  if (distinct.size() < 2) return best;
+  std::vector<double> cuts;
+  double prev = 0.0;
+  bool first = true;
+  for (double v : distinct) {
+    if (!first) cuts.push_back((prev + v) / 2.0);
+    prev = v;
+    first = false;
+  }
+  for (double thr : cuts) {
+    for (PredKind pk : {PredKind::kGt, PredKind::kLt}) {
+      Predicate tmp;
+      tmp.pk = pk;
+      tmp.threshold = thr;
+      std::uint64_t c_in = 0, f_in = 0;
+      for (const auto& [v, cnt] : vs.correct) c_in += tmp.holds(v) ? cnt : 0;
+      for (const auto& [v, cnt] : vs.faulty) f_in += tmp.holds(v) ? cnt : 0;
+      const std::size_t err =
+          static_cast<std::size_t>(c_in + (vs.faulty_total - f_in));
+      const double pc =
+          static_cast<double>(c_in) / static_cast<double>(vs.correct_total);
+      const double pf =
+          static_cast<double>(f_in) / static_cast<double>(vs.faulty_total);
+      const double score = std::abs(pc - pf);
+      if (!best.found || err < best.error ||
+          (err == best.error && score > best.score)) {
+        best = {true, pk, thr, pc, pf, score, err};
+      }
+    }
+  }
+  return best;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Predicate, SweepMatchesReferenceScan) {
+  // Random class histograms drawn from a pool of awkward values, listed so
+  // that neighbours in the pool are the interesting pairs: adjacent doubles
+  // whose midpoint rounds onto one of them, signed zeros next to the
+  // smallest subnormal, neighbours near the largest double whose sum
+  // overflows to a +inf cut, and -inf next to +inf (a NaN cut). Most trials
+  // draw from a window of two to four neighbours; every fourth from the
+  // whole pool. Every field the scan decides must match the reference bit
+  // for bit.
+  const double big = std::numeric_limits<double>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double pool[] = {std::nextafter(1.0, 0.0),
+                         1.0,
+                         std::nextafter(1.0, 2.0),
+                         3.0,
+                         std::nextafter(3.0, 4.0),
+                         536.5,
+                         537.0,
+                         -2.0,
+                         std::nextafter(-2.0, -3.0),
+                         0.0,
+                         -0.0,
+                         std::numeric_limits<double>::denorm_min(),
+                         1e6,
+                         std::nextafter(big, 0.0),
+                         big,
+                         -big,
+                         -inf,
+                         inf};
+  const auto n_pool = static_cast<std::int64_t>(sizeof pool / sizeof pool[0]);
+  Rng rng(20261017);
+  int fitted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    VarSuff vs;
+    vs.loc = 0;
+    vs.var = "x FUNCPARAM";
+    std::int64_t lo = 0, hi = n_pool - 1;
+    if (trial % 4 != 0) {
+      lo = rng.uniform(0, n_pool - 2);
+      hi = std::min(n_pool - 1, lo + rng.uniform(1, 3));
+    }
+    for (bool faulty : {false, true}) {
+      const auto draws = rng.uniform(1, 6);
+      for (std::int64_t i = 0; i < draws; ++i) {
+        const auto at = static_cast<std::size_t>(rng.uniform(lo, hi));
+        vs.add(faulty, pool[at], static_cast<std::uint64_t>(rng.uniform(1, 3)));
+      }
+    }
+    vs.correct_runs = vs.correct_total;
+    vs.faulty_runs = vs.faulty_total;
+    const ReferenceFit ref = reference_threshold_fit(vs);
+    Predicate p;
+    const bool ok = fit_predicate(vs, vs.correct_runs, vs.faulty_runs, p);
+    EXPECT_EQ(ok, ref.found && ref.score > 0.0) << "trial " << trial;
+    if (!ref.found) continue;
+    ++fitted;
+    EXPECT_EQ(p.pk, ref.pk) << "trial " << trial;
+    EXPECT_EQ(bits(p.threshold), bits(ref.threshold)) << "trial " << trial;
+    EXPECT_EQ(bits(p.p_correct), bits(ref.p_correct)) << "trial " << trial;
+    EXPECT_EQ(bits(p.p_faulty), bits(ref.p_faulty)) << "trial " << trial;
+    EXPECT_EQ(bits(p.score), bits(ref.score)) << "trial " << trial;
+    EXPECT_EQ(p.error, ref.error) << "trial " << trial;
+  }
+  EXPECT_GT(fitted, 2000);
 }
 
 TEST(Wilson, BoundsBracketAndConverge) {
