@@ -5,10 +5,10 @@
 // sampling rates.
 //
 // On top of the google-benchmark suite, a custom main runs a fork-heavy
-// solver workload in two configurations — the full query-optimization
-// pipeline (slicing + model reuse + cache) vs. the monolithic baseline —
-// checks their verdicts agree query-by-query, and writes the comparison to
-// a machine-readable JSON file (CI's bench-smoke gate):
+// solver workload in two configurations — independence slicing vs. the
+// monolithic baseline (neither has a query cache, so this measures slicing
+// alone) — checks their verdicts agree query-by-query, and writes the
+// comparison to a machine-readable JSON file (CI's bench-smoke gate):
 //
 //   bench_micro_engine --quick                 # solver suite only
 //   bench_micro_engine --json out.json         # default BENCH_solver.json
@@ -93,13 +93,12 @@ BENCHMARK(BM_SolverQuery)->Arg(0)->Arg(1);
 
 void BM_SolverSlicing(benchmark::State& state) {
   // Many independent variable groups in one conjunction: slicing decides
-  // each group once and caches it; the monolithic baseline re-solves the
-  // full 3G-variable query. Arg: 1 = slicing+model reuse, 0 = baseline.
+  // each small group on its own; the monolithic baseline re-solves the full
+  // 3G-variable query. Arg: 1 = slicing, 0 = baseline.
   const bool optimized = state.range(0) == 1;
   solver::ExprPool pool;
   solver::SolverOptions opts;
   opts.enable_slicing = optimized;
-  opts.enable_model_reuse = optimized;
   solver::Solver solver(pool, opts);
   std::vector<solver::ExprId> cs;
   std::vector<solver::ExprId> knobs;
@@ -272,7 +271,6 @@ SuiteRun run_fork_suite(bool optimized, std::size_t forks) {
   solver::ExprPool pool;
   solver::SolverOptions opts;
   opts.enable_slicing = optimized;
-  opts.enable_model_reuse = optimized;
   solver::Solver solver(pool, opts);
 
   std::vector<solver::ExprId> base;
@@ -315,7 +313,6 @@ void write_json(const std::string& path, std::size_t forks,
        << "      \"queries_per_second\": " << qps << ",\n"
        << "      \"slices\": " << r.stats.slices << ",\n"
        << "      \"cache_hits\": " << r.stats.cache_hits << ",\n"
-       << "      \"model_reuse_hits\": " << r.stats.model_reuse_hits << ",\n"
        << "      \"shared_cache_hits\": " << r.stats.shared_cache_hits
        << ",\n"
        << "      \"solves\": " << r.stats.solves << ",\n"
@@ -355,13 +352,10 @@ int run_solver_comparison(const std::string& json_path, bool quick,
   std::printf("solver fork-heavy suite: %zu queries\n", forks);
   std::printf("  baseline : %.3fs (%llu solves)\n", base.seconds,
               static_cast<unsigned long long>(base.stats.solves));
-  std::printf("  optimized: %.3fs (%llu solves, %llu cache + %llu model "
-              "reuse hits, %.0f%% fast path)\n",
+  std::printf("  optimized: %.3fs (%llu solves over %llu slices)\n",
               opt.seconds,
               static_cast<unsigned long long>(opt.stats.solves),
-              static_cast<unsigned long long>(opt.stats.cache_hits),
-              static_cast<unsigned long long>(opt.stats.model_reuse_hits),
-              100.0 * opt.stats.fast_path_rate());
+              static_cast<unsigned long long>(opt.stats.slices));
   std::printf("  speedup  : %.2fx (gate: %.2fx)\n", speedup, min_speedup);
 
   write_json(json_path, forks, opt, base, speedup);

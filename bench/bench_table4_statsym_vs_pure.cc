@@ -72,8 +72,6 @@ void write_json(const std::vector<AppSweep>& sweeps, const std::string& path) {
          << ", \"solver_queries\": " << run.result.solver_stats.queries
          << ", \"solver_slices\": " << run.result.solver_stats.slices
          << ", \"solver_cache_hits\": " << run.result.solver_stats.cache_hits
-         << ", \"solver_model_reuse_hits\": "
-         << run.result.solver_stats.model_reuse_hits
          << ", \"solver_shared_cache_hits\": "
          << run.result.solver_stats.shared_cache_hits
          << ", \"solver_solves\": " << run.result.solver_stats.solves

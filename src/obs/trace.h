@@ -41,7 +41,7 @@ enum class EventKind : std::uint8_t {
   kStateWake,        // a = state id
   kStateTerminate,   // a = state id, b = reason (0 ok, 1 infeasible, 2 fault)
   kSolverQuery,      // a = verdict (0 sat, 1 unsat, 2 unknown), b = slices
-  kSolverSlice,      // a = level (0 local, 1 model-reuse, 2 canonical),
+  kSolverSlice,      // a = level (0 local, 2 canonical; 1 is retired),
                      // b = verdict
   kExecEnd,          // a = termination code, b = live left, c = suspended left
   kEngineLaneBegin,  // a = priority, b = kind code; name = engine name

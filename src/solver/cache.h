@@ -18,10 +18,9 @@
 //    orders. Shards with independent locks keep worker contention low.
 //
 // Only *canonical* results enter the shared cache — results computed by the
-// deterministic per-query decision procedure, never model-reuse fast-path
-// answers and never budget-limited kUnknowns — so a shared hit is
-// bit-identical to the solve the worker would otherwise have performed.
-// That invariant is what keeps verdicts independent of worker timing; see
+// deterministic per-query decision procedure, never budget-limited
+// kUnknowns — so a shared hit is bit-identical to the solve the worker would
+// otherwise have performed. That invariant is what keeps verdicts independent of worker timing; see
 // DESIGN.md §"Solver".
 #pragma once
 

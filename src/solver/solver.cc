@@ -639,7 +639,7 @@ SolveResult Solver::check_impl(std::span<const ExprId> constraints,
   }
 
   // Partition into independence slices and decide each one through the
-  // fast-path cascade. Slices are conjoined: the first unsat decides the
+  // cache cascade. Slices are conjoined: the first unsat decides the
   // query; any unknown degrades the verdict; otherwise the per-slice models
   // merge (var sets are disjoint) into the whole-query model.
   const std::span<const Slice> slices = opts_.enable_slicing
@@ -676,11 +676,6 @@ SolveResult Solver::check_impl(std::span<const ExprId> constraints,
     return out;
   }
   ++stats_.sat;
-  if (opts_.enable_model_reuse && slices.size() > 1) {
-    // The merged assignment serves later queries whose constraints join
-    // several of today's components into one slice.
-    model_cache_.remember(out.model);
-  }
   return out;
 }
 
@@ -697,21 +692,6 @@ SolveResult Solver::solve_slice(const Slice& slice) {
       }
       return *hit;
     }
-  }
-
-  SolveResult res;
-  if (opts_.enable_model_reuse &&
-      model_cache_.probe(pool_, slice.cs, slice.vars, res.model)) {
-    ++stats_.model_reuse_hits;
-    res.sat = Sat::kSat;
-    if (trace_ != nullptr) {
-      trace_->emit(obs::EventKind::kSolverSlice, 1, verdict_code(res.sat));
-    }
-    // Local-history fast path: memoise locally, but never publish to the
-    // shared cache — other workers have different model histories and must
-    // not observe this worker's.
-    if (cache_ != nullptr) cache_->insert(sorted, res);
-    return res;
   }
 
   // Canonical form: constraints ordered by structural digest, combined into
@@ -731,6 +711,7 @@ SolveResult Solver::solve_slice(const Slice& slice) {
   for (std::size_t i = 0; i < order.size(); ++i) sorted_fps[i] = fps[order[i]];
   const Fp128 slice_fp = ExprFingerprinter::combine(sorted_fps, opts_salt_);
 
+  SolveResult res;
   if (shared_ != nullptr && shared_->lookup(pool_, slice_fp, sorted_fps, res)) {
     // Defense in depth: a SAT model is re-proved by concrete evaluation, so
     // even a digest collision cannot smuggle in a wrong model. A failed
@@ -747,9 +728,6 @@ SolveResult Solver::solve_slice(const Slice& slice) {
     if (proved) {
       ++stats_.shared_cache_hits;
       if (cache_ != nullptr) cache_->insert(sorted, res);
-      if (res.sat == Sat::kSat && opts_.enable_model_reuse) {
-        model_cache_.remember(res.model);
-      }
       // Level 2 ("canonical"), same as a solve: whether a sibling already
       // published this slice is the one schedule-dependent fork in the
       // cascade, and the result is bit-identical either way.
@@ -771,9 +749,6 @@ SolveResult Solver::solve_slice(const Slice& slice) {
     // inherit a smaller budget's give-up.
     if (shared_ != nullptr) shared_->insert(pool_, slice_fp, sorted_fps, res);
     if (cache_ != nullptr) cache_->insert(sorted, res);
-  }
-  if (res.sat == Sat::kSat && opts_.enable_model_reuse) {
-    model_cache_.remember(res.model);
   }
   return res;
 }

@@ -11,12 +11,13 @@
 //
 // A query-optimization layer sits between check()/check_with() and that
 // decision procedure: independence slicing (solver/slicer.h) partitions each
-// query into variable-disjoint sub-queries, and every slice runs a fast-path
-// cascade — per-slice local cache → model reuse (solver/model_cache.h) →
-// cross-worker shared cache (solver/cache.h) — before the procedure is
-// invoked. Canonical solves are pure functions of the slice structure (RNG
-// seeded from the slice digest), so any cache hit is bit-identical to the
-// solve it replaces; see DESIGN.md §"Solver" for the determinism argument.
+// query into variable-disjoint sub-queries, and every slice probes the
+// per-owner local cache, then the cross-worker shared cache (both
+// solver/cache.h), before the procedure is invoked. Canonical solves are pure
+// functions of the slice structure (RNG seeded from the slice digest), so
+// any cache hit is bit-identical to the solve it replaces and a slice's
+// answer never depends on the solver's query history; see DESIGN.md
+// §"Solver" for the determinism argument.
 #pragma once
 
 #include <memory>
@@ -28,7 +29,6 @@
 #include "solver/cache.h"
 #include "solver/expr.h"
 #include "solver/interval.h"
-#include "solver/model_cache.h"
 #include "solver/result.h"
 #include "solver/slicer.h"
 #include "support/rng.h"
@@ -172,7 +172,9 @@ struct SolverStats {
   std::uint64_t unknown{0};
   // Query-optimization layer (per sliced sub-query, in probe order):
   std::uint64_t cache_hits{0};        // local per-slice cache hits
-  std::uint64_t model_reuse_hits{0};  // stored-model fast-path proofs
+  // Always 0: model reuse is gone. Kept only because perfbench reads it;
+  // remove with that read in the next benchmark-defining change.
+  std::uint64_t model_reuse_hits{0};
   std::uint64_t shared_cache_hits{0};  // cross-worker shared cache hits
   std::uint64_t slices{0};             // sliced sub-queries decided
   std::uint64_t multi_slice_queries{0};  // queries that split into >1 slice
@@ -190,7 +192,6 @@ struct SolverStats {
     unsat += o.unsat;
     unknown += o.unknown;
     cache_hits += o.cache_hits;
-    model_reuse_hits += o.model_reuse_hits;
     shared_cache_hits += o.shared_cache_hits;
     slices += o.slices;
     multi_slice_queries += o.multi_slice_queries;
@@ -204,8 +205,7 @@ struct SolverStats {
 
   // Fraction of sliced sub-queries answered without the decision procedure.
   double fast_path_rate() const {
-    const std::uint64_t hits =
-        cache_hits + model_reuse_hits + shared_cache_hits;
+    const std::uint64_t hits = cache_hits + shared_cache_hits;
     return slices == 0 ? 0.0
                        : static_cast<double>(hits) /
                              static_cast<double>(slices);
@@ -213,8 +213,7 @@ struct SolverStats {
   // Estimated solver wall time the fast paths avoided (hits × mean solve).
   double solve_seconds_saved() const {
     if (solves == 0) return 0.0;
-    const std::uint64_t hits =
-        cache_hits + model_reuse_hits + shared_cache_hits;
+    const std::uint64_t hits = cache_hits + shared_cache_hits;
     return static_cast<double>(hits) * (solve_seconds /
                                         static_cast<double>(solves));
   }
@@ -241,9 +240,6 @@ struct SolverOptions {
   // Partition each query into variable-independence slices and decide (and
   // cache) them separately.
   bool enable_slicing{true};
-  // Re-evaluate the last ModelCache::kCapacity satisfying assignments
-  // against new sub-queries before invoking the decision procedure.
-  bool enable_model_reuse{true};
 };
 
 class Solver {
@@ -253,10 +249,6 @@ class Solver {
   // Optional per-owner query cache (see solver/cache.h). Entries record
   // this solver's own returned results; safe for any single-threaded owner.
   void set_cache(QueryCache* cache) { cache_ = cache; }
-  // Forgets the retained models (the model-reuse history). Together with
-  // clearing the local QueryCache this gives a reused solver the fast-path
-  // state of a fresh one; counters keep accumulating.
-  void clear_models() { model_cache_.clear(); }
   // Optional cross-worker cache. Receives only canonical solve results and
   // must outlive the solver; safe to share across threads.
   void set_shared_cache(SharedQueryCache* cache) { shared_ = cache; }
@@ -291,10 +283,9 @@ class Solver {
   // when it is kNoExpr), then slices and decides.
   SolveResult check_impl(std::span<const ExprId> constraints, ExprId extra);
 
-  // Decides one independence slice through the fast-path cascade: local
-  // cache → model reuse → shared cache → canonical solve. Probe order is
-  // deterministic-history-first, which the cross-worker determinism
-  // argument relies on (DESIGN.md §"Solver").
+  // Decides one independence slice: local cache, then shared cache, then
+  // canonical solve. Every step returns the canonical answer, so the result
+  // is a pure function of the slice (DESIGN.md §"Solver").
   SolveResult solve_slice(const Slice& slice);
 
   // The canonical decision procedure on one slice: constraints in
@@ -337,7 +328,6 @@ class Solver {
   QueryCache* cache_{nullptr};
   SharedQueryCache* shared_{nullptr};
   obs::TraceBuffer* trace_{nullptr};
-  ModelCache model_cache_;
   ExprFingerprinter fp_;
   Fp128 opts_salt_;  // namespaces shared-cache keys by option tier
   // Reseeded per canonical solve from the slice digest, so every solve is a

@@ -903,9 +903,8 @@ void SymExecutor::destroy_state(State* st) {
 
 void SymExecutor::run_slice(State* st, ExecResult& result, Termination& term,
                             bool& done) {
-  // Every slice starts with empty local caches, as a fresh solver would.
+  // Every slice starts with an empty local cache, as a fresh solver would.
   cache_.clear();
-  solver_.clear_models();
   StepResult last = StepResult::kContinue;
   for (std::uint32_t k = 0; k < opts_.slice && last == StepResult::kContinue;
        ++k) {

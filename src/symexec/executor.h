@@ -376,9 +376,9 @@ class SymExecutor {
   // Run-local fallback shared cache (created by run() when no cross-worker
   // cache was injected) so slices still reuse each other's solves.
   std::unique_ptr<solver::SharedQueryCache> own_shared_cache_;
-  // Fork-time solver and its local query cache. Both start every slice
-  // empty (clear(), clear_models()): a slice's answers then depend only on
-  // the slice and on canonical solves, never on which slices ran before it.
+  // Fork-time solver and its local query cache. The cache starts every slice
+  // empty, so which of a slice's queries hit it (trace level 0) rather than
+  // the canonical layer (level 2) depends only on that slice.
   solver::QueryCache cache_;
   solver::Solver solver_;
   // Fault-validation solver counters and static prunes.

@@ -7,7 +7,10 @@
 // follow runs. The concolic digests (and the polymorph race trace, whose
 // concolic lane is counted) were re-recorded when the concolic frontier
 // became ordered by predicate gaps; the guided and pure ones were not. The
-// deterministic trace JSONL of two paper apps is pinned the same way.
+// concolic fleet and the ctree and grep concolic rows were re-recorded when
+// solver model reuse was deleted: only their shared-hit, solve and
+// propagation counters moved. The deterministic trace JSONL of two paper
+// apps is pinned the same way.
 //
 // The digests fold 150 generated fault-planted programs (chains and segments
 // up to 8, as the concolic-fleet benchmark builds them) and the five paper
@@ -130,7 +133,7 @@ constexpr std::size_t kPrograms = 150;
 
 TEST(EngineDigest, GeneratedFleetConcolic) {
   EXPECT_EQ(fleet_digest(EngineKind::kConcolic, kPrograms),
-            0x1dc5ab9ade6ac307ULL);
+            0xd628c0d3da661deeULL);
 }
 
 TEST(EngineDigest, GeneratedFleetGuided) {
@@ -166,10 +169,10 @@ TEST(EngineDigest, PaperApps) {
       {"polymorph", EngineKind::kConcolic, 0xfd913e2c861ea838ULL},
       {"polymorph", EngineKind::kGuided, 0xa57c20045f19a033ULL},
       {"polymorph", EngineKind::kPure, 0x188dcd67d39c7889ULL},
-      {"ctree", EngineKind::kConcolic, 0x25c179cb8c6ed590ULL},
+      {"ctree", EngineKind::kConcolic, 0x9ac67c83cdb33c0fULL},
       {"ctree", EngineKind::kGuided, 0x67bfd0dc78c13732ULL},
       {"ctree", EngineKind::kPure, 0xbeedff93c96fca10ULL},
-      {"grep", EngineKind::kConcolic, 0x927b9c9898fc88bcULL},
+      {"grep", EngineKind::kConcolic, 0x2fd4a35770ed4e06ULL},
       {"grep", EngineKind::kGuided, 0x8576d6de13f8fe0cULL},
       {"grep", EngineKind::kPure, 0x05cbbc040e86b04dULL},
       {"thttpd", EngineKind::kConcolic, 0x9443312f2abe96a5ULL},

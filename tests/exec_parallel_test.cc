@@ -77,7 +77,6 @@ void expect_identical(const RunOutput& a, const RunOutput& b,
   EXPECT_EQ(qa.slices, qb.slices);
   EXPECT_EQ(qa.static_prunes, qb.static_prunes);
   EXPECT_EQ(qa.cache_hits, qb.cache_hits);
-  EXPECT_EQ(qa.model_reuse_hits, qb.model_reuse_hits);
   EXPECT_EQ(qa.shared_cache_hits, qb.shared_cache_hits);
   EXPECT_EQ(qa.solves, qb.solves);
 

@@ -79,8 +79,6 @@ void expect_identical(const PipelineRun& a, const PipelineRun& b) {
   EXPECT_EQ(a.res.solver_stats.multi_slice_queries,
             b.res.solver_stats.multi_slice_queries);
   EXPECT_EQ(a.res.solver_stats.cache_hits, b.res.solver_stats.cache_hits);
-  EXPECT_EQ(a.res.solver_stats.model_reuse_hits,
-            b.res.solver_stats.model_reuse_hits);
   EXPECT_EQ(
       a.res.solver_stats.shared_cache_hits + a.res.solver_stats.solves,
       b.res.solver_stats.shared_cache_hits + b.res.solver_stats.solves);

@@ -1,5 +1,5 @@
 // Differential property test for the solver query-optimization layer
-// (ISSUE 4): slicing, model reuse and caching must be semantically
+// (ISSUE 4): slicing and caching must be semantically
 // invisible. Sliced `check` verdicts must equal unsliced verdicts — on
 // randomly generated constraint systems and on the symbolic execution of
 // ≥500 fuzz-generated programs (src/fuzz/program_gen.h), where every fork
@@ -17,7 +17,6 @@ namespace {
 solver::SolverOptions baseline_opts() {
   solver::SolverOptions o;
   o.enable_slicing = false;
-  o.enable_model_reuse = false;
   return o;
 }
 
@@ -125,9 +124,9 @@ TEST(SolverEquivalence, ReusedSolverMatchesFreshSolvers) {
   // One solver answering long, short, long, ... queries through check and
   // check_with must answer each exactly as a fresh solver does: its slicer,
   // canonical-order stamps and key buffers carry nothing between queries.
-  // Model reuse is off, so every slice is a canonical solve on both sides.
-  solver::SolverOptions o;
-  o.enable_model_reuse = false;
+  // Default options: every slice is a canonical solve on both sides, so a
+  // slice's answer cannot depend on the reused solver's query history.
+  const solver::SolverOptions o;
   std::size_t compared = 0;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     Rng rng(derive_seed(90005, seed));
@@ -173,9 +172,7 @@ symexec::ExecResult run_config(const apps::AppSpec& app, bool optimized) {
   opts.max_instructions = 150'000;
   opts.max_seconds = 30.0;
   opts.solver_opts.enable_slicing = optimized;
-  opts.solver_opts.enable_model_reuse = optimized;
   opts.fault_solver_opts.enable_slicing = optimized;
-  opts.fault_solver_opts.enable_model_reuse = optimized;
   symexec::SymExecutor ex(app.module, app.sym_spec, opts);
   return ex.run();
 }

@@ -372,35 +372,6 @@ TEST(QueryCache, ForcedCollisionResolvesPerQuery) {
   EXPECT_EQ(cache.lookup_with_key(forced_key, q3), nullptr);
 }
 
-TEST(Solver, ModelReuseAnswersCompatibleQueries) {
-  ExprPool p;
-  Solver s = make_solver(p);
-  const VarId x = p.new_var("x", 0, 255);
-  const std::vector<ExprId> q1{p.lt(p.var_expr(x), p.constant(10))};
-  ASSERT_EQ(s.check(q1).sat, Sat::kSat);
-  EXPECT_EQ(s.stats().model_reuse_hits, 0u);
-  // Any model of x<10 also satisfies x<10 ∧ x≠200, so the retained model
-  // answers the second query without the decision procedure.
-  const std::vector<ExprId> q2{q1[0], p.ne(p.var_expr(x), p.constant(200))};
-  const auto r2 = s.check(q2);
-  ASSERT_EQ(r2.sat, Sat::kSat);
-  EXPECT_EQ(s.stats().model_reuse_hits, 1u);
-  for (ExprId c : q2) EXPECT_EQ(p.eval(c, r2.model), 1);
-}
-
-TEST(Solver, ModelReuseDisabledByOption) {
-  ExprPool p;
-  SolverOptions opts;
-  opts.enable_model_reuse = false;
-  Solver s(p, opts);
-  const VarId x = p.new_var("x", 0, 255);
-  const std::vector<ExprId> q1{p.lt(p.var_expr(x), p.constant(10))};
-  const std::vector<ExprId> q2{q1[0], p.ne(p.var_expr(x), p.constant(200))};
-  ASSERT_EQ(s.check(q1).sat, Sat::kSat);
-  ASSERT_EQ(s.check(q2).sat, Sat::kSat);
-  EXPECT_EQ(s.stats().model_reuse_hits, 0u);
-}
-
 TEST(Solver, SlicingSplitsIndependentGroups) {
   ExprPool p;
   Solver s = make_solver(p);
@@ -436,7 +407,6 @@ TEST(Solver, SlicingDisabledSameVerdicts) {
   ExprPool p;
   SolverOptions off;
   off.enable_slicing = false;
-  off.enable_model_reuse = false;
   Solver sliced(p, {});
   Solver mono(p, off);
   const VarId x = p.new_var("x", 0, 255);
@@ -565,7 +535,8 @@ TEST(Solver, CheckWithAppendsConstraint) {
 // field added to the struct but forgotten in operator+= silently drops its
 // counts from every report, so the round-trip below exercises *every* field
 // with a distinct value and the static_assert forces whoever grows the
-// struct to visit this test (and operator+=) deliberately.
+// struct to visit this test (and operator+=) deliberately. The one field
+// left out is model_reuse_hits, which is always 0 and never summed.
 TEST(SolverStats, SumRoundTripCoversEveryField) {
   static_assert(sizeof(SolverStats) == 14 * 8,
                 "SolverStats gained or lost a field: update operator+= and "
@@ -576,7 +547,6 @@ TEST(SolverStats, SumRoundTripCoversEveryField) {
   a.unsat = 5;
   a.unknown = 7;
   a.cache_hits = 11;
-  a.model_reuse_hits = 13;
   a.shared_cache_hits = 17;
   a.slices = 19;
   a.multi_slice_queries = 23;
@@ -592,7 +562,6 @@ TEST(SolverStats, SumRoundTripCoversEveryField) {
   b.unsat = 300;
   b.unknown = 400;
   b.cache_hits = 500;
-  b.model_reuse_hits = 600;
   b.shared_cache_hits = 700;
   b.slices = 800;
   b.multi_slice_queries = 900;
@@ -610,7 +579,7 @@ TEST(SolverStats, SumRoundTripCoversEveryField) {
   EXPECT_EQ(sum.unsat, 305u);
   EXPECT_EQ(sum.unknown, 407u);
   EXPECT_EQ(sum.cache_hits, 511u);
-  EXPECT_EQ(sum.model_reuse_hits, 613u);
+  EXPECT_EQ(sum.model_reuse_hits, 0u);
   EXPECT_EQ(sum.shared_cache_hits, 717u);
   EXPECT_EQ(sum.slices, 819u);
   EXPECT_EQ(sum.multi_slice_queries, 923u);
