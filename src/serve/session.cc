@@ -191,7 +191,6 @@ std::string ServeSession::handle_run(const Frame& frame) {
   body.push_back("solver.queries|" + u64s(ss.queries));
   body.push_back("solver.slices|" + u64s(ss.slices));
   body.push_back("solver.local-hits|" + u64s(ss.cache_hits));
-  body.push_back("solver.model-reuse-hits|" + u64s(ss.model_reuse_hits));
   body.push_back("solver.canonical|" + u64s(ss.shared_cache_hits + ss.solves));
   body.push_back("solver.static-prunes|" + u64s(ss.static_prunes));
   if (run.metrics) {

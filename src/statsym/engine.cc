@@ -97,7 +97,6 @@ void StatSymEngine::fill_metrics(EngineResult& res,
   m.add("solver.slices", ss.slices);
   m.add("solver.multi_slice_queries", ss.multi_slice_queries);
   m.add("solver.local_cache_hits", ss.cache_hits);
-  m.add("solver.model_reuse_hits", ss.model_reuse_hits);
   m.add("solver.canonical", ss.shared_cache_hits + ss.solves);
   m.add("solver.static_prunes", ss.static_prunes);
 

@@ -90,18 +90,16 @@ std::string format_solver_stats(const solver::SolverStats& s) {
   // report prints their schedule-invariant sum; only the wall-time figures
   // on the last line may differ between runs (like the stat/exec timings).
   std::ostringstream os;
-  const std::uint64_t local_hits = s.cache_hits + s.model_reuse_hits;
   const std::uint64_t canonical = s.shared_cache_hits + s.solves;
   const double local_rate =
       s.slices == 0 ? 0.0
-                    : static_cast<double>(local_hits) /
+                    : static_cast<double>(s.cache_hits) /
                           static_cast<double>(s.slices);
   os << "Solver: " << s.queries << " queries (" << s.sat << " sat, " << s.unsat
      << " unsat, " << s.unknown << " unknown), " << s.slices << " slices ("
      << s.multi_slice_queries << " queries split)\n";
-  os << "  fast paths: " << s.cache_hits << " cache, " << s.model_reuse_hits
-     << " model-reuse (" << fmt_double(100.0 * local_rate, 1)
-     << "% of slices)\n";
+  os << "  local cache: " << s.cache_hits << " hits ("
+     << fmt_double(100.0 * local_rate, 1) << "% of slices)\n";
   os << "  canonical: " << canonical
      << " decided (shared-cache or solve), "
      << fmt_double(s.solve_seconds, 3) << "s solving; est. "

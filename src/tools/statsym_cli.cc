@@ -348,7 +348,6 @@ int cmd_pure(const std::string& name, const Flags& f) {
   pm.add("solver.queries", r.solver_stats.queries);
   pm.add("solver.slices", r.solver_stats.slices);
   pm.add("solver.local_cache_hits", r.solver_stats.cache_hits);
-  pm.add("solver.model_reuse_hits", r.solver_stats.model_reuse_hits);
   pm.add("solver.canonical",
          r.solver_stats.shared_cache_hits + r.solver_stats.solves);
   pm.add("solver.static_prunes", r.solver_stats.static_prunes);

@@ -567,7 +567,6 @@ TEST(Report, FormatsSolverStats) {
   s.slices = 20;
   s.multi_slice_queries = 3;
   s.cache_hits = 8;
-  s.model_reuse_hits = 2;
   s.shared_cache_hits = 4;
   s.solves = 6;
   s.solve_seconds = 0.5;
@@ -575,7 +574,7 @@ TEST(Report, FormatsSolverStats) {
   EXPECT_NE(out.find("10 queries (6 sat, 4 unsat, 0 unknown)"),
             std::string::npos);
   EXPECT_NE(out.find("20 slices (3 queries split)"), std::string::npos);
-  EXPECT_NE(out.find("8 cache, 2 model-reuse (50.0% of slices)"),
+  EXPECT_NE(out.find("local cache: 8 hits (40.0% of slices)"),
             std::string::npos);
   // Shared hits and solves print as their schedule-invariant sum.
   EXPECT_NE(out.find("10 decided"), std::string::npos);
