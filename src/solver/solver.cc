@@ -645,7 +645,6 @@ SolveResult Solver::check_impl(std::span<const ExprId> constraints,
   const std::span<const Slice> slices = opts_.enable_slicing
                                             ? slicer_.slice(pool_, cs)
                                             : slicer_.whole(pool_, cs);
-  stats_.slices += slices.size();
   if (slices.size() > 1) ++stats_.multi_slice_queries;
 
   SolveResult out;
@@ -680,6 +679,7 @@ SolveResult Solver::check_impl(std::span<const ExprId> constraints,
 }
 
 SolveResult Solver::solve_slice(const Slice& slice) {
+  ++stats_.slices;
   std::vector<ExprId>& sorted = sorted_buf_;
   sorted.assign(slice.cs.begin(), slice.cs.end());
   std::sort(sorted.begin(), sorted.end());

@@ -176,7 +176,9 @@ struct SolverStats {
   // remove with that read in the next benchmark-defining change.
   std::uint64_t model_reuse_hits{0};
   std::uint64_t shared_cache_hits{0};  // cross-worker shared cache hits
-  std::uint64_t slices{0};             // sliced sub-queries decided
+  // Sliced sub-queries decided; a query stops at its first unsat slice, so
+  // slices == cache_hits + shared_cache_hits + solves.
+  std::uint64_t slices{0};
   std::uint64_t multi_slice_queries{0};  // queries that split into >1 slice
   std::uint64_t solves{0};            // full decision-procedure invocations
   double solve_seconds{0.0};          // wall time inside those invocations

@@ -4,14 +4,19 @@
 // every SolverStats counter, the executor's fork and clone-byte accounting
 // and the metrics counters — is pinned by digests recorded before the
 // expression pool became single-owner and shared across a concolic lane's
-// follow runs. The concolic digests (and the polymorph race trace, whose
-// concolic lane is counted) were re-recorded when the concolic frontier
-// became ordered by predicate gaps; the guided and pure ones were not. The
-// concolic fleet and the ctree and grep concolic rows were re-recorded when
-// solver model reuse was deleted: only their shared-hit, solve and
-// propagation counters moved. Every digest was then re-recorded when the
-// always-0 model-reuse counter and metric left the rendered line. The
-// deterministic trace JSONL of two paper apps is pinned the same way.
+// follow runs. Re-recorded since:
+//  * the concolic digests (and the polymorph race trace, whose concolic lane
+//    is counted) when the concolic frontier became ordered by predicate
+//    gaps;
+//  * the concolic fleet and the ctree and grep concolic rows when solver
+//    model reuse was deleted (only shared-hit, solve and propagation
+//    counters moved);
+//  * every digest when the always-0 model-reuse counter and metric left the
+//    rendered line;
+//  * the concolic fleet and the polymorph, ctree and grep concolic rows when
+//    SolverStats::slices began counting decided slices (only `sl` and
+//    solver.slices moved; every rendered `sl` equals ch + sh + so).
+// The deterministic trace JSONL of two paper apps is pinned the same way.
 //
 // The digests fold 150 generated fault-planted programs (chains and segments
 // up to 8, as the concolic-fleet benchmark builds them) and the five paper
@@ -134,7 +139,7 @@ constexpr std::size_t kPrograms = 150;
 
 TEST(EngineDigest, GeneratedFleetConcolic) {
   EXPECT_EQ(fleet_digest(EngineKind::kConcolic, kPrograms),
-            0x59c6788c1b15aef0ULL);
+            0xf6635aaea3352159ULL);
 }
 
 TEST(EngineDigest, GeneratedFleetGuided) {
@@ -167,13 +172,13 @@ TEST(EngineDigest, PaperApps) {
       {"fig2", EngineKind::kConcolic, 0x431ea944d73722c5ULL},
       {"fig2", EngineKind::kGuided, 0x99fa9cc4f4bd6e4cULL},
       {"fig2", EngineKind::kPure, 0x3eaa322f648d6de2ULL},
-      {"polymorph", EngineKind::kConcolic, 0xb34183d4ff51f329ULL},
+      {"polymorph", EngineKind::kConcolic, 0x31d965caa3b46f79ULL},
       {"polymorph", EngineKind::kGuided, 0x3e5b8bc184be7ca9ULL},
       {"polymorph", EngineKind::kPure, 0x23b377fdd7ec5794ULL},
-      {"ctree", EngineKind::kConcolic, 0x9fd3258f93b18daeULL},
+      {"ctree", EngineKind::kConcolic, 0x58c00edef857c739ULL},
       {"ctree", EngineKind::kGuided, 0xe7fc1b7f5bbd1c30ULL},
       {"ctree", EngineKind::kPure, 0xb2b72d821e288f6bULL},
-      {"grep", EngineKind::kConcolic, 0x36b1fefc89306691ULL},
+      {"grep", EngineKind::kConcolic, 0xee8331cec79563cfULL},
       {"grep", EngineKind::kGuided, 0x8cf56a8b27c3abdeULL},
       {"grep", EngineKind::kPure, 0xee756cf70b45b5feULL},
       {"thttpd", EngineKind::kConcolic, 0x55355396c5a9e5daULL},

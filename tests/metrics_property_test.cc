@@ -64,9 +64,8 @@ TEST(MetricsProperty, PureExecutionTraceMatchesStats) {
               r.stats.paths_completed + static_cast<std::uint64_t>(end.b));
 
     EXPECT_EQ(n[obs::EventKind::kSolverQuery], r.solver_stats.queries);
-    // An unsat slice short-circuits its query, so slice events can trail the
-    // up-front slice count, never exceed it.
-    EXPECT_LE(n[obs::EventKind::kSolverSlice], r.solver_stats.slices);
+    // One event per decided slice; level 1 (model reuse) is retired.
+    EXPECT_EQ(n[obs::EventKind::kSolverSlice], r.solver_stats.slices);
     std::uint64_t level0 = 0;
     std::uint64_t level1 = 0;
     std::uint64_t level2 = 0;
@@ -76,8 +75,8 @@ TEST(MetricsProperty, PureExecutionTraceMatchesStats) {
       if (ev.a == 1) ++level1;
       if (ev.a == 2) ++level2;
     }
+    EXPECT_EQ(level1, 0u);
     EXPECT_EQ(level0, r.solver_stats.cache_hits);
-    EXPECT_EQ(level1, r.solver_stats.model_reuse_hits);
     EXPECT_EQ(level2,
               r.solver_stats.shared_cache_hits + r.solver_stats.solves);
   }
@@ -137,6 +136,9 @@ TEST(MetricsProperty, EngineMetricsMatchResultAndTrace) {
     EXPECT_EQ(m.counters().count("solver.model_reuse_hits"), 0u);
     EXPECT_EQ(m.counter("solver.canonical"),
               ss.shared_cache_hits + ss.solves);
+    EXPECT_EQ(m.counter("solver.slices"),
+              m.counter("solver.local_cache_hits") +
+                  m.counter("solver.canonical"));
 
     // Phase wall times exist and sum consistently.
     EXPECT_TRUE(m.has_gauge("phase.total.seconds"));

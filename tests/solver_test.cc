@@ -403,6 +403,26 @@ TEST(Solver, UnsatSliceMakesQueryUnsat) {
   EXPECT_EQ(s.check(cs).sat, Sat::kUnsat);
 }
 
+TEST(Solver, CountsDecidedSlicesOnly) {
+  ExprPool p;
+  Solver s = make_solver(p);
+  const VarId x = p.new_var("x", 0, 255);
+  const VarId a = p.new_var("a", 0, 255);
+  // Slices are decided in first-constraint order: the unsat {a} slice
+  // decides the query, and the {x} slice is never decided.
+  const std::vector<ExprId> cs{
+      p.lt(p.var_expr(a), p.constant(3)),
+      p.lt(p.constant(7), p.var_expr(a)),
+      p.lt(p.var_expr(x), p.constant(5)),
+  };
+  EXPECT_EQ(s.check(cs).sat, Sat::kUnsat);
+  EXPECT_EQ(s.stats().multi_slice_queries, 1u);
+  EXPECT_EQ(s.stats().slices, 1u);
+  EXPECT_EQ(s.stats().slices, s.stats().cache_hits +
+                                  s.stats().shared_cache_hits +
+                                  s.stats().solves);
+}
+
 TEST(Solver, SlicingDisabledSameVerdicts) {
   ExprPool p;
   SolverOptions off;
