@@ -22,7 +22,6 @@ void VarMarks::begin(std::size_t num_vars) {
 
 void Slicer::begin(std::size_t num_vars) {
   first_seen_.begin(num_vars);
-  in_slice_.begin(num_vars);
   if (first_.size() < num_vars) first_.resize(num_vars);
   used_ = 0;
 }
@@ -31,18 +30,7 @@ Slice& Slicer::add_slice() {
   if (used_ == slices_.size()) slices_.emplace_back();
   Slice& s = slices_[used_++];
   s.cs.clear();
-  s.vars.clear();
   return s;
-}
-
-void Slicer::add_vars(const ExprPool& pool, ExprId c, Slice& s) {
-  // Components are variable-disjoint, so one pass of marks per query
-  // suffices: a variable seen anywhere in this query was seen in this slice.
-  // The result is the first-occurrence order over the slice's constraints —
-  // a pure function of the constraint sequence, never of VarId numbering.
-  for (const VarId v : pool.vars_of(c)) {
-    if (in_slice_.mark(v)) s.vars.push_back(v);
-  }
 }
 
 std::uint32_t Slicer::find(std::uint32_t x) {
@@ -56,9 +44,7 @@ std::uint32_t Slicer::find(std::uint32_t x) {
 std::span<const Slice> Slicer::whole(const ExprPool& pool,
                                      std::span<const ExprId> cs) {
   begin(pool.num_vars());
-  Slice& s = add_slice();
-  s.cs.assign(cs.begin(), cs.end());
-  for (const ExprId c : cs) add_vars(pool, c, s);
+  add_slice().cs.assign(cs.begin(), cs.end());
   return {slices_.data(), used_};
 }
 
@@ -92,9 +78,7 @@ std::span<const Slice> Slicer::slice(const ExprPool& pool,
       root_slice_[root] = static_cast<std::uint32_t>(used_);
       add_slice();
     }
-    Slice& s = slices_[root_slice_[root]];
-    s.cs.push_back(cs[i]);
-    add_vars(pool, cs[i], s);
+    slices_[root_slice_[root]].cs.push_back(cs[i]);
   }
   return {slices_.data(), used_};
 }

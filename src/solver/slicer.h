@@ -21,11 +21,9 @@
 namespace statsym::solver {
 
 // One independent sub-query. Constraints keep their original (path) order
-// within the slice; `vars` is deduplicated in first-occurrence order across
-// the slice's constraints (each constraint contributing ExprPool::vars_of).
+// within the slice; their variables come from ExprPool::vars_of.
 struct Slice {
   std::vector<ExprId> cs;
-  std::vector<VarId> vars;
 };
 
 // Per-VarId marks for one pass over a query, reset in O(1) by bumping an
@@ -62,7 +60,7 @@ class Slicer {
                                std::span<const ExprId> cs);
 
   // The degenerate single-slice partition (slicing disabled): everything in
-  // one slice, with the whole-set variables still computed.
+  // one slice.
   std::span<const Slice> whole(const ExprPool& pool,
                                std::span<const ExprId> cs);
 
@@ -70,17 +68,14 @@ class Slicer {
   // Starts a query over a pool with `num_vars` variables.
   void begin(std::size_t num_vars);
   Slice& add_slice();
-  // Appends the variables of `c` that this query has not seen yet.
-  void add_vars(const ExprPool& pool, ExprId c, Slice& s);
   std::uint32_t find(std::uint32_t x);
 
   std::vector<Slice> slices_;  // [0, used_) are the current result
   std::size_t used_{0};
   // Per VarId: the first constraint mentioning it (valid once marked in
-  // first_seen_), and whether it already joined a slice's var list.
+  // first_seen_).
   VarMarks first_seen_;
   std::vector<std::uint32_t> first_;
-  VarMarks in_slice_;
   // Per constraint index: union-find parent, and the slice its root maps to.
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> root_slice_;

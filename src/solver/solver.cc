@@ -767,10 +767,10 @@ SolveResult Solver::solve_canonical(const Slice& slice,
   ctx.cs.clear();
   for (const std::size_t idx : order) ctx.cs.push_back(slice.cs[idx]);
   // Canonical variable order: first occurrence across the *digest-sorted*
-  // constraint sequence. slice.vars carries the caller's constraint order,
-  // which differs between callers that reached this slice along different
-  // paths; rebuilding from the sorted constraints makes the model-guess and
-  // branch-variable iteration a pure function of the slice's structure.
+  // constraint sequence, not the caller's constraint order (which differs
+  // between callers that reached this slice along different paths), so the
+  // model-guess and branch-variable iteration are a pure function of the
+  // slice's structure.
   var_marks_.begin(pool_.num_vars());
   ctx.all_vars.clear();
   for (const ExprId c : ctx.cs) {

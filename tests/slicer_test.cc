@@ -49,7 +49,6 @@ TEST(Slicer, SingleComponentChainStaysTogether) {
   const auto slices = slice_constraints(t.pool, cs);
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_EQ(slices[0].cs, cs);
-  EXPECT_EQ(slices[0].vars, (std::vector<VarId>{t.x, t.y, t.z}));
 }
 
 TEST(Slicer, FullyDisjointConstraintsSplit) {
@@ -61,13 +60,10 @@ TEST(Slicer, FullyDisjointConstraintsSplit) {
   };
   const auto slices = slice_constraints(t.pool, cs);
   ASSERT_EQ(slices.size(), 3u);
-  // Ordered by first-constraint index; each slice holds exactly its var.
+  // Ordered by first-constraint index.
   EXPECT_EQ(slices[0].cs, (std::vector<ExprId>{cs[0]}));
   EXPECT_EQ(slices[1].cs, (std::vector<ExprId>{cs[1]}));
   EXPECT_EQ(slices[2].cs, (std::vector<ExprId>{cs[2]}));
-  EXPECT_EQ(slices[0].vars, (std::vector<VarId>{t.x}));
-  EXPECT_EQ(slices[1].vars, (std::vector<VarId>{t.y}));
-  EXPECT_EQ(slices[2].vars, (std::vector<VarId>{t.z}));
 }
 
 TEST(Slicer, BridgingConstraintMergesComponents) {
@@ -82,7 +78,6 @@ TEST(Slicer, BridgingConstraintMergesComponents) {
   const auto slices = slice_constraints(t.pool, cs);
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_EQ(slices[0].cs, cs);  // original order preserved
-  EXPECT_EQ(slices[0].vars, (std::vector<VarId>{t.x, t.z}));
 }
 
 TEST(Slicer, VariableFreeConstraintIsItsOwnSlice) {
@@ -96,7 +91,6 @@ TEST(Slicer, VariableFreeConstraintIsItsOwnSlice) {
   const auto slices = slice_constraints(t.pool, cs);
   ASSERT_EQ(slices.size(), 2u);
   EXPECT_EQ(slices[1].cs, (std::vector<ExprId>{t.pool.false_expr()}));
-  EXPECT_TRUE(slices[1].vars.empty());
 }
 
 TEST(Slicer, DuplicateConstraintsRideAlong) {
@@ -118,8 +112,8 @@ TEST(Slicer, OrderFollowsFirstConstraintIndex) {
   };
   const auto slices = slice_constraints(t.pool, cs);
   ASSERT_EQ(slices.size(), 2u);
-  EXPECT_EQ(slices[0].vars, (std::vector<VarId>{t.z}));
-  EXPECT_EQ(slices[1].vars, (std::vector<VarId>{t.x}));
+  EXPECT_EQ(slices[0].cs, (std::vector<ExprId>{cs[0]}));
+  EXPECT_EQ(slices[1].cs, (std::vector<ExprId>{cs[1]}));
 }
 
 TEST(Slicer, WholeSliceKeepsEverythingTogether) {
@@ -130,7 +124,6 @@ TEST(Slicer, WholeSliceKeepsEverythingTogether) {
   };
   const Slice w = whole_slice(t.pool, cs);
   EXPECT_EQ(w.cs, cs);
-  EXPECT_EQ(w.vars, (std::vector<VarId>{t.x, t.y}));
 }
 
 TEST(Slicer, PerConstraintVarsComeFromThePoolMemo) {
@@ -159,7 +152,6 @@ void expect_same_slices(const std::vector<Slice>& a,
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].cs, b[i].cs) << "slice " << i;
-    EXPECT_EQ(a[i].vars, b[i].vars) << "slice " << i;
   }
 }
 
@@ -206,7 +198,6 @@ TEST(Slicer, DeterministicAcrossCalls) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].cs, b[i].cs);
-    EXPECT_EQ(a[i].vars, b[i].vars);
   }
 }
 
