@@ -20,8 +20,8 @@
 // Only *canonical* results enter the shared cache — results computed by the
 // deterministic per-query decision procedure, never budget-limited
 // kUnknowns — so a shared hit is bit-identical to the solve the worker would
-// otherwise have performed. That invariant is what keeps verdicts independent of worker timing; see
-// DESIGN.md §"Solver".
+// otherwise have performed. That invariant is what keeps verdicts
+// independent of worker timing; see DESIGN.md §"Solver".
 #pragma once
 
 #include <cstdint>

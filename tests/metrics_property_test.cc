@@ -133,7 +133,6 @@ TEST(MetricsProperty, EngineMetricsMatchResultAndTrace) {
     EXPECT_EQ(n[obs::EventKind::kSolverQuery], ss.queries);
     EXPECT_EQ(m.counter("solver.slices"), ss.slices);
     EXPECT_EQ(m.counter("solver.local_cache_hits"), ss.cache_hits);
-    EXPECT_EQ(m.counters().count("solver.model_reuse_hits"), 0u);
     EXPECT_EQ(m.counter("solver.canonical"),
               ss.shared_cache_hits + ss.solves);
     EXPECT_EQ(m.counter("solver.slices"),

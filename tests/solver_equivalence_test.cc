@@ -1,9 +1,9 @@
-// Differential property test for the solver query-optimization layer
-// (ISSUE 4): slicing and caching must be semantically
-// invisible. Sliced `check` verdicts must equal unsliced verdicts — on
-// randomly generated constraint systems and on the symbolic execution of
-// ≥500 fuzz-generated programs (src/fuzz/program_gen.h), where every fork
-// decision and fault validation flows through the solver.
+// Differential property test for the solver query-optimization layer:
+// slicing and caching must be semantically invisible. Sliced `check`
+// verdicts must equal unsliced verdicts — on randomly generated constraint
+// systems and on the symbolic execution of ≥500 fuzz-generated programs
+// (src/fuzz/program_gen.h), where every fork decision and fault validation
+// flows through the solver.
 #include <gtest/gtest.h>
 
 #include "fuzz/program_gen.h"
