@@ -49,14 +49,10 @@ struct StatSymRun {
 };
 
 inline StatSymRun run_statsym(const std::string& name, double sampling,
-                              std::uint64_t seed = 424242,
-                              std::size_t jobs = 0,
-                              std::size_t portfolio = 4) {
+                              std::uint64_t seed = 424242) {
   StatSymRun out{.result = {}, .app = apps::make_app(name)};
-  core::EngineOptions o = engine_options(sampling, seed);
-  o.num_threads = jobs;
-  o.candidate_portfolio_width = portfolio;
-  core::StatSymEngine engine(out.app.module, out.app.sym_spec, o);
+  core::StatSymEngine engine(out.app.module, out.app.sym_spec,
+                             engine_options(sampling, seed));
   engine.collect_logs(out.app.workload);
   out.result = engine.run();
   return out;

@@ -1,5 +1,5 @@
-// Concolic (dynamic symbolic) execution backend — the portfolio's third
-// engine (DESIGN.md §11).
+// Concolic (dynamic symbolic) execution backend — the engine race's third
+// lane (DESIGN.md §11).
 //
 // Exploration runs the SAGE-style generational search the symbolic-execution
 // survey describes as the complement of static forking: execute the program
@@ -20,8 +20,8 @@
 // queries go through the probe cascade whose canonical solves are pure
 // functions of the slice (solver/solver.h), and every per-run RNG stream
 // derives from (options.seed, run index). Results are therefore
-// byte-identical at any thread count of the surrounding engine — racing
-// concolic in the portfolio never perturbs what it reports.
+// byte-identical from run to run, and lanes that ran before it (warming the
+// shared query cache) never perturb what it reports.
 //
 // Resource integration mirrors SymExecutor: a SharedBudget bounds the whole
 // lane (each follow run publishes its instructions there), a stop flag

@@ -151,13 +151,9 @@ core::EngineOptions engine_options(const GeneratedProgram& prog,
   eo.exec.max_memory_bytes = 128ull << 20;
   eo.candidate_timeout_seconds = opts.engine_max_seconds;
   eo.max_candidates_tried = 8;
-  // Determinism across --jobs comes from one engine per program; programs
-  // are the parallelism axis, so each engine runs single-threaded.
-  eo.num_threads = 1;
-  eo.candidate_portfolio_width = 1;
   eo.seed = derive_seed(prog.seed, 0x10adu);
   // The engine list drives the Phase-3 lane race; with the default single
-  // guided entry the classic portfolio path runs unchanged.
+  // guided entry the classic candidate loop runs unchanged.
   eo.engines = opts.engines;
   return eo;
 }

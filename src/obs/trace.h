@@ -1,10 +1,11 @@
-// Structured pipeline tracing (ISSUE 5 observability layer).
+// Structured pipeline tracing.
 //
 // A TraceBuffer is a bounded in-memory ring of typed events; a Tracer owns
-// the run's root buffer plus per-worker buffers that are stitched back in
-// *admission order* (Phase-1 attempt order, Phase-3 candidate rank order
-// over the counted candidates), so the final event stream is byte-identical
-// at any --jobs — which is what makes traces goldenable.
+// the run's root buffer plus one buffer per Phase-3 candidate and engine
+// lane, each stitched back when it finishes, in rank and priority order.
+// Every event is a pure function of the analysis's inputs, so the stream
+// is byte-identical from run to run — which is what makes traces
+// goldenable.
 //
 // Determinism contract (DESIGN.md §"Observability"):
 //   * every event payload is integers + strings derived from deterministic
@@ -12,9 +13,9 @@
 //   * wall-clock stamps are opt-in (set_clock) and excluded from the
 //     deterministic JSONL rendering — they exist for the Chrome export;
 //   * solver events collapse "shared-cache hit" and "canonical solve" into
-//     one level, because which of the two answers a slice is the only
-//     schedule-dependent part of the solver cascade (the results themselves
-//     are bit-identical by construction).
+//     one level, because which of the two answers a slice depends on cache
+//     warmth (a serve session's cache outlives its requests); the results
+//     themselves are bit-identical by construction.
 //
 // The disabled path is a null pointer check at every call site: no event is
 // constructed, no clock is read.
@@ -125,7 +126,7 @@ class Tracer {
   TraceBuffer& buffer() { return root_; }
   const TraceBuffer& buffer() const { return root_; }
 
-  // A fresh buffer for one worker/candidate; stitch it back with absorb().
+  // A fresh buffer for one candidate or lane; stitch it back with absorb().
   TraceBuffer make_worker_buffer(std::uint32_t lane) const;
   void absorb(TraceBuffer&& b) { root_.append(std::move(b)); }
 

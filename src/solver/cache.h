@@ -8,8 +8,10 @@
 //    store the full id vector and verify it on lookup: a 64-bit hash
 //    collision returns a miss, never another query's result.
 //
-//  * SharedQueryCache — one instance shared by every worker of a parallel
-//    portfolio. ExprIds are pool-local, so keys are 128-bit *structural
+//  * SharedQueryCache — one instance shared by every executor of an
+//    analysis (its candidates and engine lanes) and, in service mode, by
+//    every request for the same program, which the serve pool may run
+//    concurrently. ExprIds are pool-local, so keys are 128-bit *structural
 //    fingerprints* of the sliced sub-query: a digest over the expression
 //    DAG in which variables contribute (name, domain) — never VarId. Stored
 //    models are therefore keyed by variable fingerprint and re-bound to the
@@ -103,7 +105,8 @@ struct PortableCacheEntry {
   std::vector<std::pair<Fp128, std::int64_t>> model;  // sorted by var fp
 };
 
-// Thread-safe sharded cache shared across the workers of a portfolio.
+// Thread-safe sharded cache shared across executors and across concurrent
+// serve requests.
 class SharedQueryCache {
  public:
   explicit SharedQueryCache(std::size_t shards = 16);

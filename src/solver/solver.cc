@@ -391,19 +391,15 @@ bool Solver::repair_model(const QueryCtx& ctx, const DomainMap& d, Model& m) {
       if (op != ExprOp::kLe && op != ExprOp::kLt) return false;
       ExprId sum = solver::kNoExpr;
       bool increase = false;
-      std::int64_t bound = 0;
       if (pool_.is_const(pool_.lhs(c))) {
         sum = pool_.rhs(c);
-        bound = pool_.const_val(pool_.lhs(c));
         increase = true;  // K <= S: S is too small
       } else if (pool_.is_const(pool_.rhs(c))) {
         sum = pool_.lhs(c);
-        bound = pool_.const_val(pool_.rhs(c));
         increase = false;  // S <= K: S is too large
       } else {
         return false;
       }
-      (void)bound;
       std::vector<ExprId> terms;
       flatten_sum(pool_, sum, terms);
       for (ExprId t : terms) {
@@ -419,7 +415,6 @@ bool Solver::repair_model(const QueryCtx& ctx, const DomainMap& d, Model& m) {
         const Interval iv = d.get(v, pool_);
         const bool term_true = pool_.eval(t, m) != 0;
         // Make the term contribute in the desired direction.
-        const bool want_true = increase ? !term_true : term_true && !increase;
         if (increase && !term_true) {
           // Need the indicator true: Eq -> var := k; Ne -> any other value.
           if (top == ExprOp::kEq && iv.contains(k)) {
@@ -437,7 +432,6 @@ bool Solver::repair_model(const QueryCtx& ctx, const DomainMap& d, Model& m) {
             m[v] = k;
           }
         }
-        (void)want_true;
       }
     }
     if (all_ok) return true;

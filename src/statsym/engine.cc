@@ -1,15 +1,11 @@
 #include "statsym/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
-#include <future>
-#include <mutex>
 
 #include "concolic/concolic.h"
 #include "statsym/guided_searcher.h"
 #include "support/stopwatch.h"
-#include "support/thread_pool.h"
+#include "support/rng.h"
 
 namespace statsym::core {
 
@@ -135,99 +131,53 @@ void StatSymEngine::collect_logs(const WorkloadGen& gen, bool keep_logs) {
   Stopwatch sw;
   std::size_t correct = 0;
   std::size_t faulty = 0;
-  std::int32_t run_id = 0;
   if (tracer_ != nullptr) {
     tracer_->emit(obs::EventKind::kPhaseBegin, 0, 0, 0, "collect-logs");
   }
 
-  // The module is decoded once; every attempt on every worker runs the
-  // same read-only program.
+  // The module is decoded once; every attempt runs the same read-only
+  // program.
   const interp::Program program(m_);
 
-  // Every attempt owns a private RNG stream derived from (seed, attempt),
-  // so the input it generates and the sampling decisions its monitor makes
-  // do not depend on which worker runs it or in what order.
-  //
-  // Over-target attempts: once a class is full, an attempt whose run lands
-  // in it cannot be admitted, so its log is never needed. While a class is
-  // full the attempt first runs unmonitored (the monitor only observes, so
-  // the outcome is the same) and is re-run monitored — same input, same
-  // sampling stream — only when its outcome falls in a class still open.
-  // `gen` is called exactly once per attempt either way. Returns no log
-  // for an attempt that cannot be admitted.
-  auto run_attempt = [&](std::size_t attempt, bool correct_open,
-                         bool faulty_open) -> std::optional<monitor::RunLog> {
+  for (std::size_t attempt = 0; attempt < opts_.max_workload_runs; ++attempt) {
+    const bool correct_open = correct < opts_.target_correct_logs;
+    const bool faulty_open = faulty < opts_.target_faulty_logs;
+    if (!correct_open && !faulty_open) break;
+    // Every attempt owns a private RNG stream derived from (seed, attempt),
+    // so the input it generates and the sampling decisions its monitor
+    // makes depend on nothing but its index.
     Rng rng(derive_seed(opts_.seed, attempt));
     Rng input_rng = rng.split();
     interp::RuntimeInput input = gen(input_rng);
+    // Over-target attempts: once a class is full, an attempt whose run
+    // lands in it cannot be admitted, so its log is never needed. While a
+    // class is full the attempt first runs unmonitored (the monitor only
+    // observes, so the outcome is the same) and is re-run monitored — same
+    // input, same sampling stream — only when its outcome falls in a class
+    // still open. `gen` is called exactly once per attempt either way.
     if (!correct_open || !faulty_open) {
       interp::Interpreter plain(program, input);
-      const bool faulty =
+      const bool is_faulty =
           plain.run().outcome == interp::RunOutcome::kFault;
-      if (!(faulty ? faulty_open : correct_open)) return std::nullopt;
+      if (!(is_faulty ? faulty_open : correct_open)) continue;
     }
-    return monitor::run_monitored(program, std::move(input), opts_.monitor,
-                                  rng.split(), /*run_id=*/0)
-        .log;
-  };
-  auto correct_open = [&] { return correct < opts_.target_correct_logs; };
-  auto faulty_open = [&] { return faulty < opts_.target_faulty_logs; };
-  // Keep only as many logs per class as the target asks for — the paper
-  // randomly samples 100 correct + 100 faulty logs from a large pool. The
-  // run id is stamped at admission so it counts kept logs, as before.
-  // Admission decides which runs belong to the set, so the fold happens
-  // here, on the collecting thread, in admission order.
-  auto admit = [&](std::optional<monitor::RunLog>&& attempt_log) {
-    if (!attempt_log.has_value()) return;
-    monitor::RunLog& log = *attempt_log;
-    const bool is_faulty = log.faulty;
-    const bool take = is_faulty ? faulty < opts_.target_faulty_logs
-                                : correct < opts_.target_correct_logs;
-    if (!take) return;
-    log.run_id = run_id++;
+    // Keep only as many logs per class as the target asks for — the paper
+    // randomly samples 100 correct + 100 faulty logs from a large pool. The
+    // run id counts kept logs, and the log is folded into the statistics
+    // here, in admission order.
+    monitor::RunLog log =
+        monitor::run_monitored(program, std::move(input), opts_.monitor,
+                               rng.split(),
+                               static_cast<std::int32_t>(correct + faulty))
+            .log;
     if (tracer_ != nullptr) {
       tracer_->emit(obs::EventKind::kLogAdmitted, log.run_id,
-                    is_faulty ? 1 : 0,
+                    log.faulty ? 1 : 0,
                     static_cast<std::int64_t>(log.records.size()));
     }
     fold(log);
+    ++(log.faulty ? faulty : correct);
     if (keep_logs) logs_.push_back(std::move(log));
-    ++(is_faulty ? faulty : correct);
-  };
-  auto targets_met = [&] { return !correct_open() && !faulty_open(); };
-
-  const std::size_t nthreads = effective_threads(opts_.num_threads);
-  if (nthreads <= 1) {
-    for (std::size_t attempt = 0;
-         attempt < opts_.max_workload_runs && !targets_met(); ++attempt) {
-      admit(run_attempt(attempt, correct_open(), faulty_open()));
-    }
-  } else {
-    // Waves of independent attempts fan out across the pool and merge in
-    // attempt order, so the admitted set is bit-identical to the sequential
-    // build. A wave may overshoot the point where the sequential loop would
-    // have stopped — that is wasted work, never a semantic difference. The
-    // over-target rule reads the class counts at wave start: a class full
-    // then stays full, and attempts in a class that fills mid-wave are
-    // monitored and then refused at merge, as the sequential loop would.
-    ThreadPool pool(nthreads);
-    const std::size_t wave = nthreads * 8;
-    std::size_t next_attempt = 0;
-    while (next_attempt < opts_.max_workload_runs && !targets_met()) {
-      const std::size_t n =
-          std::min(wave, opts_.max_workload_runs - next_attempt);
-      const std::size_t base = next_attempt;
-      const bool c_open = correct_open();
-      const bool f_open = faulty_open();
-      std::vector<std::optional<monitor::RunLog>> batch(n);
-      pool.parallel_for(n, [&](std::size_t i) {
-        batch[i] = run_attempt(base + i, c_open, f_open);
-      });
-      for (std::size_t i = 0; i < n && !targets_met(); ++i) {
-        admit(std::move(batch[i]));
-      }
-      next_attempt += n;
-    }
   }
   log_seconds_ = sw.elapsed_seconds();
   if (tracer_ != nullptr) {
@@ -307,7 +257,7 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
       std::min(res.construction.candidates.size(), opts_.max_candidates_tried);
   const std::vector<EngineKind>& lanes = opts_.engines;
   if (lanes.empty() || lanes == std::vector{EngineKind::kGuided}) {
-    run_portfolio(res, failure, n_try);  // the classic Phase 3, untouched
+    run_candidates(res, failure, n_try);  // the classic Phase 3
   } else {
     run_engines(res, failure, n_try, lanes);
   }
@@ -319,33 +269,15 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
   return res;
 }
 
-void StatSymEngine::run_portfolio(EngineResult& res, monitor::LocId failure,
-                                  std::size_t n_try,
-                                  const PortfolioEnv& env) {
+void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
+                                   std::size_t n_try,
+                                   const CandidateEnv& env) {
   if (n_try == 0) return;
-  const std::size_t nthreads = effective_threads(opts_.num_threads);
-  const std::size_t width = std::max<std::size_t>(
-      1, std::min(opts_.candidate_portfolio_width, nthreads));
 
-  struct Slot {
-    bool completed{false};  // ran to its natural termination (not cancelled)
-    bool pruned{false};     // dropped by static analysis, never executed
-    symexec::ExecResult result;
-  };
-  std::vector<Slot> slots(n_try);
-  // Per-candidate cancel flags (deque: atomics are immovable). A candidate
-  // is cancelled only when a *better-ranked* one has already verified the
-  // vuln, so every candidate ranked at or before the eventual winner runs
-  // to completion and the winner is the same at any thread count — the
-  // sequential one-at-a-time semantics, minus the wall-clock.
-  std::deque<std::atomic<bool>> cancel(n_try);
-  std::atomic<std::size_t> best{n_try};  // best-ranked success so far
-  std::mutex best_mu;                    // orders best updates + fan-out
-
-  // Machine-global budget across the whole portfolio (Table IV "Failed"
-  // semantics): memory and live states describe the machine, so concurrent
-  // candidates share one pool; the instruction budget is the sequential
-  // total (each of the n_try candidates brought its own cap).
+  // One budget across the whole candidate loop (Table IV "Failed"
+  // semantics): memory and live states describe the machine; the
+  // instruction budget is the sequential total (each of the n_try
+  // candidates brings its own cap).
   symexec::SharedBudget own_budget;
   own_budget.max_memory_bytes = opts_.exec.max_memory_bytes;
   own_budget.max_live_states = opts_.exec.max_live_states;
@@ -356,9 +288,9 @@ void StatSymEngine::run_portfolio(EngineResult& res, monitor::LocId failure,
   symexec::SharedBudget& budget =
       env.budget != nullptr ? *env.budget : own_budget;
 
-  // One query cache across the whole portfolio: a candidate's canonical
-  // solver results warm its siblings' lookups. Safe for determinism because
-  // only pure-function results are published (DESIGN.md §"Solver"). In the
+  // One query cache across the candidates: a candidate's canonical solver
+  // results warm its successors' lookups. Safe for determinism because only
+  // pure-function results are published (DESIGN.md §"Solver"). In the
   // engine race the cache comes from outside and additionally spans lanes.
   solver::SharedQueryCache own_queries;
   solver::SharedQueryCache& shared_queries =
@@ -366,32 +298,26 @@ void StatSymEngine::run_portfolio(EngineResult& res, monitor::LocId failure,
           ? *env.shared_queries
           : (external_queries_ != nullptr ? *external_queries_ : own_queries);
 
-  // Per-candidate trace buffers (lane = 1-based rank). Each is written only
-  // by the worker running that candidate; after the join, the buffers of the
-  // *counted* candidates are stitched into the root stream in rank order —
-  // the same order-and-subset rule the stats sums follow — so the stream is
-  // identical at any thread count. Cancelled candidates' events are dropped.
-  std::vector<obs::TraceBuffer> slot_traces;
-  if (tracer_ != nullptr) {
-    slot_traces.reserve(n_try);
-    for (std::size_t ci = 0; ci < n_try; ++ci) {
-      slot_traces.push_back(
+  // Candidates run one at a time in rank order until one verifies the vuln.
+  // The candidates ranked after the winner never start and are reported as
+  // cancelled.
+  for (std::size_t ci = 0; ci < n_try && !res.found; ++ci) {
+    ++res.candidates_tried;
+    // Each candidate writes its own trace buffer (lane = 1-based rank),
+    // stitched into the stream in rank order once it finishes.
+    std::optional<obs::TraceBuffer> cand_trace;
+    if (tracer_ != nullptr) {
+      cand_trace.emplace(
           tracer_->make_worker_buffer(static_cast<std::uint32_t>(ci + 1)));
     }
-  }
-
-  auto attempt = [&](std::size_t ci) {
-    if (cancel[ci].load(std::memory_order_relaxed)) return;
-    if (env.stop != nullptr && env.stop->load(std::memory_order_relaxed)) {
-      return;
-    }
+    symexec::ExecResult er;
     // Candidate pre-filter: a path that visits a function the static
-    // analysis proved unreachable can never replay, so racing it is pure
+    // analysis proved unreachable can never replay, so running it is pure
     // waste. The candidate keeps its rank slot (and its derived seed), it
     // just completes instantly with empty stats — pruning never shifts any
-    // sibling's identity, which is what keeps traces jobs-invariant.
+    // later candidate's identity.
+    ir::FuncId dead_fn = -1;
     if (facts_.has_value()) {
-      ir::FuncId dead_fn = -1;
       for (const monitor::LocId loc : res.construction.candidates[ci].nodes) {
         const ir::FuncId fid = monitor::loc_function(loc);
         if (!facts_->function_reachable(fid)) {
@@ -399,101 +325,64 @@ void StatSymEngine::run_portfolio(EngineResult& res, monitor::LocId failure,
           break;
         }
       }
-      if (dead_fn >= 0) {
-        slots[ci].completed = true;
-        slots[ci].pruned = true;
-        if (tracer_ != nullptr) {
-          slot_traces[ci].emit(obs::EventKind::kStaticPrune,
-                               static_cast<std::int64_t>(dead_fn), -1,
-                               static_cast<std::int64_t>(ci + 1), "candidate");
-        }
-        return;
+    }
+    if (dead_fn >= 0) {
+      ++res.candidates_pruned;
+      if (cand_trace.has_value()) {
+        cand_trace->emit(obs::EventKind::kStaticPrune,
+                         static_cast<std::int64_t>(dead_fn), -1,
+                         static_cast<std::int64_t>(ci + 1), "candidate");
       }
-    }
-    CandidateGuidance guidance(m_, res.construction.candidates[ci],
-                               res.predicates, opts_.guidance);
-    symexec::ExecOptions exec_opts = opts_.exec;
-    exec_opts.max_seconds = opts_.candidate_timeout_seconds;
-    // Independent deterministic stream per candidate, whoever runs it.
-    exec_opts.seed = derive_seed(opts_.exec.seed, ci);
-    // Hunt the failure mode the logs describe; other faults reachable on
-    // the way (a second bug in a multi-vulnerability program) end their
-    // paths without ending the hunt (§III-C).
-    if (exec_opts.target_function.empty()) {
-      exec_opts.target_function =
-          m_.function(monitor::loc_function(failure)).name;
-    }
-    // The engine handles exhausted guidance by marking the candidate path
-    // infeasible and moving to the next one (§VII-C2), not by degrading the
-    // current run to pure symbolic execution.
-    exec_opts.wake_suspended = false;
-    symexec::SymExecutor ex(m_, spec_, exec_opts);
-    if (facts_.has_value()) ex.set_facts(&*facts_);
-    ex.set_guidance(&guidance);
-    ex.set_searcher(std::make_unique<GuidedSearcher>());
-    ex.set_stop_flag(&cancel[ci]);
-    if (env.stop != nullptr) ex.set_extra_stop_flag(env.stop);
-    ex.set_shared_budget(&budget);
-    ex.set_shared_solver_cache(&shared_queries);
-    if (tracer_ != nullptr) {
-      slot_traces[ci].emit(obs::EventKind::kExecBegin,
-                           static_cast<std::int64_t>(ci + 1));
-      ex.set_trace(&slot_traces[ci]);
-    }
-
-    symexec::ExecResult er = ex.run();
-    slots[ci].completed =
-        er.termination != symexec::Termination::kCancelled;
-    const bool won = er.termination == symexec::Termination::kFoundFault &&
-                     er.vuln.has_value();
-    slots[ci].result = std::move(er);
-    if (won) {
-      std::lock_guard<std::mutex> lock(best_mu);
-      if (ci < best.load(std::memory_order_relaxed)) {
-        best.store(ci, std::memory_order_relaxed);
-        for (std::size_t j = ci + 1; j < n_try; ++j) {
-          cancel[j].store(true, std::memory_order_relaxed);
-        }
+    } else {
+      CandidateGuidance guidance(m_, res.construction.candidates[ci],
+                                 res.predicates, opts_.guidance);
+      symexec::ExecOptions exec_opts = opts_.exec;
+      exec_opts.max_seconds = opts_.candidate_timeout_seconds;
+      // Independent deterministic stream per candidate.
+      exec_opts.seed = derive_seed(opts_.exec.seed, ci);
+      // Hunt the failure mode the logs describe; other faults reachable on
+      // the way (a second bug in a multi-vulnerability program) end their
+      // paths without ending the hunt (§III-C).
+      if (exec_opts.target_function.empty()) {
+        exec_opts.target_function =
+            m_.function(monitor::loc_function(failure)).name;
       }
+      // The engine handles exhausted guidance by marking the candidate path
+      // infeasible and moving to the next one (§VII-C2), not by degrading
+      // the current run to pure symbolic execution.
+      exec_opts.wake_suspended = false;
+      symexec::SymExecutor ex(m_, spec_, exec_opts);
+      if (facts_.has_value()) ex.set_facts(&*facts_);
+      ex.set_guidance(&guidance);
+      ex.set_searcher(std::make_unique<GuidedSearcher>());
+      ex.set_shared_budget(&budget);
+      ex.set_shared_solver_cache(&shared_queries);
+      if (cand_trace.has_value()) {
+        cand_trace->emit(obs::EventKind::kExecBegin,
+                         static_cast<std::int64_t>(ci + 1));
+        ex.set_trace(&*cand_trace);
+      }
+      er = ex.run();
     }
-  };
-
-  {
-    ThreadPool pool(width);
-    std::vector<std::future<void>> futs;
-    futs.reserve(n_try);
-    for (std::size_t ci = 0; ci < n_try; ++ci) {
-      futs.push_back(pool.submit([&attempt, ci] { attempt(ci); }));
-    }
-    for (auto& f : futs) f.get();
-  }
-
-  const std::size_t winner = best.load(std::memory_order_relaxed);
-  if (winner < n_try) {
-    res.found = true;
-    res.vuln = std::move(slots[winner].result.vuln);
-    res.winning_candidate = winner + 1;
-  }
-  // Account only the candidates the sequential loop would have tried (all
-  // of which ran to completion here), keeping the sums thread-count
-  // independent; cancelled better-than-nothing work is reported separately.
-  const std::size_t counted = winner < n_try ? winner + 1 : n_try;
-  for (std::size_t ci = 0; ci < counted; ++ci) {
-    ++res.candidates_tried;
-    if (slots[ci].pruned) ++res.candidates_pruned;
-    res.paths_explored += slots[ci].result.stats.paths_explored;
-    res.instructions += slots[ci].result.stats.instructions;
-    res.solver_stats += slots[ci].result.solver_stats;
-    if (tracer_ != nullptr) {
+    res.paths_explored += er.stats.paths_explored;
+    res.instructions += er.stats.instructions;
+    res.solver_stats += er.solver_stats;
+    res.last_exec_stats = er.stats;
+    if (cand_trace.has_value()) {
       if (env.sink != nullptr) {
-        env.sink->append(std::move(slot_traces[ci]));
+        env.sink->append(std::move(*cand_trace));
       } else {
-        tracer_->absorb(std::move(slot_traces[ci]));
+        tracer_->absorb(std::move(*cand_trace));
       }
     }
+    if (er.termination == symexec::Termination::kFoundFault &&
+        er.vuln.has_value()) {
+      res.found = true;
+      res.vuln = std::move(er.vuln);
+      res.winning_candidate = ci + 1;
+    }
   }
-  res.candidates_cancelled = n_try - counted;
-  res.last_exec_stats = slots[counted - 1].result.stats;
+  res.candidates_cancelled = n_try - res.candidates_tried;
 }
 
 void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
@@ -503,15 +392,7 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
   const std::string target =
       m_.function(monitor::loc_function(failure)).name;
 
-  // Per-lane race state, mirroring the candidate portfolio: a lane is
-  // cancelled only when a *better-priority* lane has already verified the
-  // vuln, so every lane at or before the eventual winner runs to its
-  // natural termination and the winner is schedule-independent.
-  std::deque<std::atomic<bool>> lane_cancel(nlanes);
-  std::atomic<std::size_t> best{nlanes};
-  std::mutex best_mu;
-
-  // Machine-global budget across the race. The guided lane brings one
+  // One budget across the race. The guided lane brings one
   // instruction-budget unit per candidate it may try; every other lane
   // brings one.
   std::size_t units = nlanes;
@@ -534,74 +415,52 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
   solver::SharedQueryCache& shared_queries =
       external_queries_ != nullptr ? *external_queries_ : own_queries;
 
-  struct Lane {
-    bool found{false};
-    symexec::Termination termination{symexec::Termination::kExhausted};
-    std::optional<symexec::VulnPath> vuln;
-    std::uint64_t paths{0};
-    std::uint64_t instructions{0};
-    std::uint64_t concolic_runs{0};
-    solver::SolverStats solver_stats;
-    double seconds{0.0};
-    // Guided-lane bookkeeping, applied to `res` only if the lane counts.
-    std::size_t candidates_tried{0};
-    std::size_t candidates_cancelled{0};
-    std::size_t candidates_pruned{0};
-    std::size_t winning_candidate{0};
-    symexec::ExecStats last_exec_stats;
-  };
-  std::vector<Lane> lane_out(nlanes);
-
-  // Lane trace buffers live at ids 100 + priority, distinct from the
-  // candidate buffers (1-based rank) the guided lane nests inside its own.
-  std::vector<obs::TraceBuffer> lane_traces;
-  if (tracer_ != nullptr) {
-    lane_traces.reserve(nlanes);
-    for (std::size_t p = 0; p < nlanes; ++p) {
-      lane_traces.push_back(
-          tracer_->make_worker_buffer(static_cast<std::uint32_t>(100 + p)));
-    }
+  // Lanes run one at a time in priority order until one verifies the vuln.
+  // Lanes after the winner never start: they keep the default kCancelled
+  // termination and zero stats.
+  res.lanes.resize(nlanes);
+  for (std::size_t p = 0; p < nlanes; ++p) {
+    res.lanes[p].kind = lanes[p];
+    res.lanes[p].priority = p;
   }
-
-  auto run_lane = [&](std::size_t p) {
-    Lane& L = lane_out[p];
-    if (lane_cancel[p].load(std::memory_order_relaxed)) {
-      L.termination = symexec::Termination::kCancelled;
-      return;
-    }
-    obs::TraceBuffer* lt = tracer_ != nullptr ? &lane_traces[p] : nullptr;
+  for (std::size_t p = 0; p < nlanes && !res.found; ++p) {
+    EngineLaneResult& L = res.lanes[p];
     const EngineKind kind = lanes[p];
-    if (lt != nullptr) {
+    // Lane trace buffers live at ids 100 + priority, distinct from the
+    // candidate buffers (1-based rank) the guided lane nests inside its
+    // own.
+    std::optional<obs::TraceBuffer> lt;
+    if (tracer_ != nullptr) {
+      lt.emplace(
+          tracer_->make_worker_buffer(static_cast<std::uint32_t>(100 + p)));
       lt->emit(obs::EventKind::kEngineLaneBegin,
                static_cast<std::int64_t>(p), static_cast<std::int64_t>(kind),
                0, engine_kind_name(kind));
     }
+    obs::TraceBuffer* sink = lt.has_value() ? &*lt : nullptr;
+    std::optional<symexec::VulnPath> vuln;
     Stopwatch sw;
     switch (kind) {
       case EngineKind::kGuided: {
         EngineResult gres;
         gres.construction = res.construction;
         gres.predicates = res.predicates;
-        run_portfolio(gres, failure, n_try,
-                      {.stop = &lane_cancel[p],
-                       .budget = &budget,
-                       .shared_queries = &shared_queries,
-                       .sink = lt});
+        run_candidates(gres, failure, n_try,
+                       {.budget = &budget,
+                        .shared_queries = &shared_queries,
+                        .sink = sink});
         L.found = gres.found;
-        L.vuln = std::move(gres.vuln);
-        L.paths = gres.paths_explored;
+        L.termination = L.found ? symexec::Termination::kFoundFault
+                                : symexec::Termination::kExhausted;
+        vuln = std::move(gres.vuln);
+        L.paths_explored = gres.paths_explored;
         L.instructions = gres.instructions;
         L.solver_stats = gres.solver_stats;
-        L.candidates_tried = gres.candidates_tried;
-        L.candidates_cancelled = gres.candidates_cancelled;
-        L.candidates_pruned = gres.candidates_pruned;
-        L.winning_candidate = gres.winning_candidate;
-        L.last_exec_stats = gres.last_exec_stats;
-        L.termination =
-            L.found ? symexec::Termination::kFoundFault
-            : lane_cancel[p].load(std::memory_order_relaxed)
-                ? symexec::Termination::kCancelled
-                : symexec::Termination::kExhausted;
+        res.candidates_tried = gres.candidates_tried;
+        res.candidates_cancelled = gres.candidates_cancelled;
+        res.candidates_pruned = gres.candidates_pruned;
+        res.winning_candidate = gres.winning_candidate;
+        res.last_exec_stats = gres.last_exec_stats;
         break;
       }
       case EngineKind::kPure: {
@@ -613,19 +472,18 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         if (eo.target_function.empty()) eo.target_function = target;
         symexec::SymExecutor ex(m_, spec_, eo);
         if (facts_.has_value()) ex.set_facts(&*facts_);
-        ex.set_stop_flag(&lane_cancel[p]);
         ex.set_shared_budget(&budget);
         ex.set_shared_solver_cache(&shared_queries);
-        if (lt != nullptr) {
-          lt->emit(obs::EventKind::kExecBegin, 0);
-          ex.set_trace(lt);
+        if (sink != nullptr) {
+          sink->emit(obs::EventKind::kExecBegin, 0);
+          ex.set_trace(sink);
         }
         symexec::ExecResult er = ex.run();
         L.found = er.termination == symexec::Termination::kFoundFault &&
                   er.vuln.has_value();
         L.termination = er.termination;
-        L.vuln = std::move(er.vuln);
-        L.paths = er.stats.paths_explored;
+        vuln = std::move(er.vuln);
+        L.paths_explored = er.stats.paths_explored;
         L.instructions = er.stats.instructions;
         L.solver_stats = er.solver_stats;
         break;
@@ -645,16 +503,15 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         }
         concolic::ConcolicExecutor ce(m_, spec_, co);
         if (ranker.has_value()) ce.set_ranker(&*ranker);
-        ce.set_stop_flag(&lane_cancel[p]);
         ce.set_shared_budget(&budget);
         ce.set_shared_solver_cache(&shared_queries);
-        if (lt != nullptr) ce.set_trace(lt);
+        if (sink != nullptr) ce.set_trace(sink);
         concolic::ConcolicResult cr = ce.run();
         L.found = cr.termination == symexec::Termination::kFoundFault &&
                   cr.vuln.has_value();
         L.termination = cr.termination;
-        L.vuln = std::move(cr.vuln);
-        L.paths = cr.stats.runs;  // one followed path per concrete run
+        vuln = std::move(cr.vuln);
+        L.paths_explored = cr.stats.runs;  // one followed path per run
         L.instructions = cr.stats.instructions;
         L.concolic_runs = cr.stats.runs;
         L.solver_stats = cr.solver_stats;
@@ -662,72 +519,20 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
       }
     }
     L.seconds = sw.elapsed_seconds();
-    if (lt != nullptr) {
+    res.paths_explored += L.paths_explored;
+    res.instructions += L.instructions;
+    res.solver_stats += L.solver_stats;
+    if (lt.has_value()) {
       lt->emit(obs::EventKind::kEngineLaneEnd, static_cast<std::int64_t>(p),
                L.found ? 1 : 0, static_cast<std::int64_t>(L.termination),
                engine_kind_name(kind));
+      tracer_->absorb(std::move(*lt));
     }
     if (L.found) {
-      std::lock_guard<std::mutex> lock(best_mu);
-      if (p < best.load(std::memory_order_relaxed)) {
-        best.store(p, std::memory_order_relaxed);
-        for (std::size_t j = p + 1; j < nlanes; ++j) {
-          lane_cancel[j].store(true, std::memory_order_relaxed);
-        }
-      }
+      res.found = true;
+      res.vuln = std::move(vuln);
+      res.winning_engine = kind;
     }
-  };
-
-  {
-    const std::size_t nthreads = effective_threads(opts_.num_threads);
-    ThreadPool pool(std::max<std::size_t>(1, std::min(nlanes, nthreads)));
-    std::vector<std::future<void>> futs;
-    futs.reserve(nlanes);
-    for (std::size_t p = 0; p < nlanes; ++p) {
-      futs.push_back(pool.submit([&run_lane, p] { run_lane(p); }));
-    }
-    for (auto& f : futs) f.get();
-  }
-
-  const std::size_t winner = best.load(std::memory_order_relaxed);
-  const std::size_t counted = winner < nlanes ? winner + 1 : nlanes;
-
-  // Counted-prefix accounting plus normalization: lanes ranked after the
-  // winner report kCancelled with zero stats however far they ran, and
-  // their trace buffers are dropped — identical output at any schedule.
-  res.lanes.resize(nlanes);
-  for (std::size_t p = 0; p < nlanes; ++p) {
-    EngineLaneResult& out = res.lanes[p];
-    out.kind = lanes[p];
-    out.priority = p;
-    if (p >= counted) {
-      out.termination = symexec::Termination::kCancelled;
-      continue;
-    }
-    Lane& L = lane_out[p];
-    out.found = L.found;
-    out.termination = L.termination;
-    out.paths_explored = L.paths;
-    out.instructions = L.instructions;
-    out.concolic_runs = L.concolic_runs;
-    out.solver_stats = L.solver_stats;
-    out.seconds = L.seconds;
-    res.paths_explored += L.paths;
-    res.instructions += L.instructions;
-    res.solver_stats += L.solver_stats;
-    if (lanes[p] == EngineKind::kGuided) {
-      res.candidates_tried = L.candidates_tried;
-      res.candidates_cancelled = L.candidates_cancelled;
-      res.candidates_pruned = L.candidates_pruned;
-      res.winning_candidate = L.winning_candidate;
-      res.last_exec_stats = L.last_exec_stats;
-    }
-    if (tracer_ != nullptr) tracer_->absorb(std::move(lane_traces[p]));
-  }
-  if (winner < nlanes) {
-    res.found = true;
-    res.vuln = std::move(lane_out[winner].vuln);
-    res.winning_engine = lanes[winner];
   }
 }
 

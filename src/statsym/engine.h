@@ -3,11 +3,12 @@
 // candidate-path construction → statistics-guided symbolic execution over
 // the ranked candidates until the vulnerable path is verified.
 //
-// Phases 1a and 3 are embarrassingly parallel and run on a worker pool
-// (EngineOptions::num_threads): workload runs fan out with per-run derived
-// seeds and merge in run order; the top candidates execute as a portfolio
-// in which the first verified vuln cancels every worse-ranked worker. Both
-// phases produce results identical to the single-threaded build.
+// An analysis runs on the calling thread (DESIGN.md §5, "One thread per
+// analysis"): workload attempts run in attempt order with per-attempt
+// derived seeds, and the ranked candidates run one at a time until one
+// verifies the vuln, as the paper's engine tries them (§VII-C2).
+// Parallelism lives across independent analyses: the serve request pool
+// and the fuzz campaign.
 //
 // Log ingestion has one path (DESIGN.md §10): each admitted RunLog is
 // folded into mergeable sufficient statistics (stats/suff_stats.h) the
@@ -15,8 +16,8 @@
 // into one per fault function — and then dropped, unless the caller asked
 // to keep the raw logs. run() merges the accumulators once; run_all() merges
 // the correct runs with one fault cluster at a time. Every statistic is a
-// schedule-invariant sum, so the fit — predicate set, scores, score_lcb,
-// candidate ranking — is byte-identical at any thread count.
+// order-invariant sum, so the fit — predicate set, scores, score_lcb,
+// candidate ranking — does not depend on the order of the folds.
 #pragma once
 
 #include <functional>
@@ -39,7 +40,7 @@
 namespace statsym::core {
 
 // The engines that can race in Phase 3 (DESIGN.md §11). Guided is the
-// classic statistics-guided portfolio over ranked candidate paths; pure is
+// classic statistics-guided loop over ranked candidate paths; pure is
 // the unguided KLEE-style baseline; concolic is the generational-search DSE
 // backend (src/concolic/).
 enum class EngineKind : std::uint8_t { kGuided, kPure, kConcolic };
@@ -64,26 +65,17 @@ struct EngineOptions {
   double candidate_timeout_seconds{900.0};  // paper: 15 min per candidate
   std::size_t max_candidates_tried{16};
 
-  // --- parallel pipeline --------------------------------------------------
-  // Worker threads for Phase 1a log collection and the Phase 3 candidate
-  // portfolio; 0 = all hardware threads (`--jobs` in the CLI). Every task
-  // seeds its RNG via derive_seed(seed, task_index) and results merge in
-  // task-index order, so the pipeline's output is identical at any value.
+  // Ignored: every analysis runs on the calling thread. Kept only because
+  // the benchmark harness still writes them.
   std::size_t num_threads{0};
-  // How many ranked candidate paths execute concurrently in Phase 3; the
-  // effective concurrency is min(width, num_threads). The reported winner
-  // is always the best-ranked successful candidate, so this only trades
-  // hardware for wall-clock, never changes the answer.
   std::size_t candidate_portfolio_width{4};
 
   // --- engine race --------------------------------------------------------
   // Phase-3 lanes in priority order (`--engines` in the CLI). The default —
-  // a single guided lane — runs the classic candidate portfolio unchanged.
-  // With more than one lane the engines race under first-win cancellation:
-  // the best-priority lane that verifies the vuln wins and only *worse*
-  // lanes are cancelled, so every lane at or before the winner runs to its
-  // natural termination and the reported winner, witness, stats, and traces
-  // are byte-identical at any --jobs.
+  // a single guided lane — runs the classic candidate loop unchanged. With
+  // more than one lane the engines run one at a time in priority order; the
+  // first lane that verifies the vuln wins and the lanes after it never
+  // start (reported as cancelled).
   std::vector<EngineKind> engines{EngineKind::kGuided};
 
   // --- static analysis ----------------------------------------------------
@@ -104,9 +96,8 @@ struct EngineOptions {
 using WorkloadGen = std::function<interp::RuntimeInput(Rng&)>;
 
 // Per-lane accounting for the engine race. Lanes ranked after the winner
-// are *normalized* (termination kCancelled, zero stats) no matter how far
-// they actually got, mirroring the counted-prefix rule the candidate
-// portfolio uses — that is what keeps the whole vector deterministic.
+// never start and report termination kCancelled with zero stats, mirroring
+// the candidates after the winning one.
 struct EngineLaneResult {
   EngineKind kind{EngineKind::kGuided};
   std::size_t priority{0};  // position in EngineOptions::engines
@@ -135,12 +126,8 @@ struct EngineResult {
   std::size_t num_correct_logs{0};
   std::size_t num_faulty_logs{0};
 
-  // Symbolic-execution accounting. Summed over the candidates ranked at or
-  // before the winner — exactly the set the sequential one-at-a-time loop
-  // would have tried, and the only candidates guaranteed to run to
-  // completion under portfolio execution — so every field here is
-  // deterministic across thread counts (as long as the shared budget does
-  // not bind; see DESIGN.md §5).
+  // Symbolic-execution accounting, summed over the candidates tried: those
+  // ranked at or before the winner.
   std::uint64_t paths_explored{0};
   std::uint64_t instructions{0};
   // Solver-layer accounting (queries, per-level cache hits, slices, solve
@@ -148,10 +135,9 @@ struct EngineResult {
   solver::SolverStats solver_stats;
   std::size_t candidates_tried{0};
   std::size_t winning_candidate{0};  // 1-based index; 0 when not found
-  // Candidates ranked after the winner that the portfolio started (or would
-  // have started) and cut short once the winner was known.
+  // Candidates ranked after the winner, which never start.
   std::size_t candidates_cancelled{0};
-  // Counted candidates dropped before execution because their path visits a
+  // Tried candidates dropped before execution because their path visits a
   // statically-unreachable function (EngineOptions::static_analysis). They
   // still occupy their rank slot — pruning never shifts seeds or ranks.
   std::size_t candidates_pruned{0};
@@ -163,10 +149,10 @@ struct EngineResult {
   EngineKind winning_engine{EngineKind::kGuided};
 
   // Named pipeline metrics (obs/metrics.h). Every counter and histogram in
-  // here is schedule-invariant — values that depend on which worker got
-  // there first (e.g. the shared-cache-hit vs canonical-solve split) are
-  // folded into invariant combinations or left to SolverStats. Gauges named
-  // `*.seconds` carry wall times and are the only nondeterministic values.
+  // here is deterministic; values that depend on cache warmth (the
+  // shared-cache-hit vs canonical-solve split) are folded into invariant
+  // combinations or left to SolverStats. Gauges named `*.seconds` carry
+  // wall times and are the only nondeterministic values.
   obs::MetricsRegistry metrics;
 };
 
@@ -177,9 +163,9 @@ class StatSymEngine {
 
   // Phase 1a: runs the workload under the sampling monitor until the target
   // number of correct and faulty logs is collected (or the attempt cap).
-  // Each admitted log is folded into the statistics on the collecting
-  // thread and dropped; with `keep_logs` it is also retained for logs()
-  // (`statsym collect` writes them out).
+  // Each admitted log is folded into the statistics and dropped; with
+  // `keep_logs` it is also retained for logs() (`statsym collect` writes
+  // them out).
   void collect_logs(const WorkloadGen& gen, bool keep_logs = false);
 
   // Phase 1b alternative: folds pre-collected logs (e.g. deserialised from
@@ -233,26 +219,25 @@ class StatSymEngine {
   // Phases 2–3 from sufficient statistics.
   EngineResult run_on(const stats::SuffStats& suff);
 
-  // External resources a run_portfolio call inherits when it executes as a
+  // External resources a run_candidates call inherits when it executes as a
   // lane of the engine race; all-null (the value-initialised `{}`) means the
-  // portfolio owns its own (the classic single-engine Phase 3).
-  struct PortfolioEnv {
-    const std::atomic<bool>* stop;    // lane-race cancel flag
+  // loop owns its own (the classic single-engine Phase 3).
+  struct CandidateEnv {
     symexec::SharedBudget* budget;    // race-wide budget
     solver::SharedQueryCache* shared_queries;
     obs::TraceBuffer* sink;  // absorb candidate traces here instead of the
                              // tracer root
   };
 
-  // Phase 3: runs the top n_try candidates as a portfolio on the worker
-  // pool, cancelling candidates ranked after the best success. Fills the
+  // Phase 3: runs the top n_try candidates one at a time in rank order,
+  // stopping at the first that verifies the vuln. Fills the
   // symbolic-execution fields of `res`.
-  void run_portfolio(EngineResult& res, monitor::LocId failure,
-                     std::size_t n_try, const PortfolioEnv& env = {});
+  void run_candidates(EngineResult& res, monitor::LocId failure,
+                      std::size_t n_try, const CandidateEnv& env = {});
 
-  // Phase 3 with multiple lanes racing (lanes.size() >= 2 or a single
-  // non-guided lane): first win by priority, worse lanes cancelled,
-  // counted-prefix accounting over lanes at or before the winner.
+  // Phase 3 with multiple lanes (lanes.size() >= 2 or a single non-guided
+  // lane): lanes run in priority order until one wins; accounting covers
+  // the lanes at or before the winner.
   void run_engines(EngineResult& res, monitor::LocId failure,
                    std::size_t n_try, const std::vector<EngineKind>& lanes);
 

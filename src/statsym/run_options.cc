@@ -9,8 +9,7 @@ namespace statsym::core {
 bool RunOptions::accepts(std::string_view key, Source from) {
   if (key == "seed" || key == "jobs" || key == "sampling") return true;
   if (from == Source::kRequest) return key == "trace" || key == "metrics";
-  return key == "time" || key == "mem" || key == "portfolio" ||
-         key == "engines";
+  return key == "time" || key == "mem" || key == "engines";
 }
 
 std::string RunOptions::set(std::string_view key, std::string_view value,
@@ -22,10 +21,10 @@ std::string RunOptions::set(std::string_view key, std::string_view value,
   const char* want = nullptr;
   if (key == "seed") {
     if (!parse_u64(value, o.seed)) want = "an unsigned 64-bit integer";
-  } else if (key == "jobs" || key == "mem" || key == "portfolio") {
-    std::size_t& n = key == "jobs" ? o.jobs : key == "mem" ? o.mem_mb
-                                                           : o.portfolio;
-    if (!parse_count(value, n)) want = "a non-negative integer";
+  } else if (key == "jobs" || key == "mem") {
+    if (!parse_count(value, key == "jobs" ? o.jobs : o.mem_mb)) {
+      want = "a non-negative integer";
+    }
   } else if (key == "sampling") {
     if (!parse_double(value, o.sampling) ||
         !(o.sampling > 0.0 && o.sampling <= 1.0)) {
@@ -57,8 +56,6 @@ EngineOptions RunOptions::to_engine_options() const {
   o.seed = seed;
   o.candidate_timeout_seconds = time_s;
   o.exec.max_memory_bytes = mem_mb << 20;
-  o.num_threads = jobs;
-  o.candidate_portfolio_width = portfolio;
   o.engines = engines;
   o.static_analysis = static_analysis;
   return o;

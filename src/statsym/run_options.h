@@ -16,11 +16,11 @@ namespace statsym::core {
 
 struct RunOptions {
   std::uint64_t seed{42};
-  std::size_t jobs{0};          // worker threads, 0 = all hardware threads
+  std::size_t jobs{0};          // serve request pool, 0 = all hardware
+                                // threads; each analysis runs on one
   double sampling{0.3};         // monitor sampling rate, (0,1]
   double time_s{300.0};         // per-candidate symbolic-execution budget
   std::size_t mem_mb{256};      // symbolic-execution memory budget
-  std::size_t portfolio{4};     // candidate paths run concurrently
   std::vector<EngineKind> engines{EngineKind::kGuided};  // Phase-3 lanes
   bool static_analysis{true};   // `--no-static-analysis` clears it
   bool trace{false};    // serve: append the deterministic trace to the reply

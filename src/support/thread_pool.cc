@@ -10,8 +10,8 @@ std::size_t effective_threads(std::size_t requested) {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  const std::size_t n = effective_threads(num_threads);
+ThreadPool::ThreadPool(std::size_t threads) {
+  const std::size_t n = effective_threads(threads);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

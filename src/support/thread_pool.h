@@ -1,14 +1,14 @@
-// Fixed-size worker pool for the parallel analysis pipeline.
+// Fixed-size worker pool for running independent analyses concurrently:
+// the serve request pool and the fuzz campaign's programs. Each analysis
+// itself runs on one thread.
 //
 // The pool is deliberately minimal: a FIFO task queue drained by N worker
-// threads. Determinism of the pipeline does not come from the pool (task
-// *completion* order is scheduling-dependent) but from the seeding and
-// merging discipline built on top of it: every task derives its RNG stream
-// from (master_seed, task_index) via derive_seed(), and results are merged
-// in task-index order, so the output is bit-identical for any pool size.
-// With one worker the FIFO queue additionally guarantees tasks run in
-// submission order, which the engine's candidate portfolio relies on to
-// reproduce the sequential one-candidate-at-a-time semantics.
+// threads. Determinism does not come from the pool (task *completion* order
+// is scheduling-dependent) but from the discipline built on top of it:
+// every task derives its RNG stream from (master_seed, task_index) via
+// derive_seed(), and results are collected in task-index order, so the
+// output is bit-identical for any pool size. With one worker the FIFO queue
+// runs tasks in submission order.
 #pragma once
 
 #include <condition_variable>
@@ -28,8 +28,8 @@ std::size_t effective_threads(std::size_t requested);
 
 class ThreadPool {
  public:
-  // Spawns exactly effective_threads(num_threads) workers.
-  explicit ThreadPool(std::size_t num_threads);
+  // Spawns exactly effective_threads(threads) workers.
+  explicit ThreadPool(std::size_t threads);
   ~ThreadPool();  // drains the queue, then joins
 
   ThreadPool(const ThreadPool&) = delete;

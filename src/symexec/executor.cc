@@ -987,7 +987,7 @@ void SymExecutor::run_slice(State* st, ExecResult& result, Termination& term,
 }
 
 ExecResult SymExecutor::run() {
-  // Without an engine-provided cross-worker cache, create a run-local shared
+  // Without an engine-provided shared cache, create a run-local shared
   // cache: local caches start every slice empty, so this is what lets slices
   // reuse each other's canonical solves (hits are bit-identical to the
   // solves they replace, so reuse never perturbs determinism).
@@ -1007,10 +1007,8 @@ ExecResult SymExecutor::run() {
 
   while (!done) {
     ++round;
-    if ((stop_flag_ != nullptr &&
-         stop_flag_->load(std::memory_order_relaxed)) ||
-        (stop_flag2_ != nullptr &&
-         stop_flag2_->load(std::memory_order_relaxed))) {
+    if (stop_flag_ != nullptr &&
+        stop_flag_->load(std::memory_order_relaxed)) {
       term = Termination::kCancelled;
       break;
     }

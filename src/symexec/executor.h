@@ -80,17 +80,18 @@ enum class Termination : std::uint8_t {
   kStateLimit,    // live-state cap exceeded
   kInstrLimit,
   kTimeout,
-  kCancelled,     // cooperative stop (portfolio sibling already won)
+  kCancelled,     // stop flag raised; also an engine lane after the winner
   kRunLimit,      // concolic lane: ConcolicOptions::max_runs spent
 };
 
 const char* termination_name(Termination t);
 
-// Machine-global resource budget shared by every executor of a parallel
-// portfolio. Each worker still enforces its own per-candidate ExecOptions
-// caps; on top of that it periodically publishes its consumption here and
-// stops when the *global* total is exhausted, so Table IV's "Failed =
-// budget exhausted" keeps describing the machine, not one worker.
+// Resource budget shared by the executors of one analysis: its candidates
+// and engine lanes, which run one after another. Each executor still
+// enforces its own per-candidate ExecOptions caps; on top of that it
+// periodically publishes its consumption here and stops when the *total*
+// is exhausted, so Table IV's "Failed = budget exhausted" describes the
+// whole analysis, not one candidate.
 // `instructions` accumulates forever; `live_states`/`memory_bytes` are
 // gauges — a finishing executor releases its contribution on exit.
 struct SharedBudget {
@@ -229,12 +230,6 @@ class SymExecutor {
   // and terminates with kCancelled once it reads true. The flag must outlive
   // the run. Lower-latency than a hard stop and keeps per-state invariants.
   void set_stop_flag(const std::atomic<bool>* flag) { stop_flag_ = flag; }
-  // Second cancellation source, polled alongside the first. Used when this
-  // executor runs inside a portfolio candidate that itself races inside an
-  // engine lane: either level's cancellation stops the run.
-  void set_extra_stop_flag(const std::atomic<bool>* flag) {
-    stop_flag2_ = flag;
-  }
   // Concolic follow mode: execution is driven by `input` instead of forking.
   // Every symbolic input variable is bound to the concrete value `input`
   // induces (missing entries default exactly as the concrete interpreter
@@ -253,11 +248,11 @@ class SymExecutor {
   // SolverStats::static_prunes, traced as static-prune events). Follow mode
   // ignores the facts — the driving input dictates every direction anyway.
   void set_facts(const analysis::ProgramFacts* facts) { facts_ = facts; }
-  // Opt this executor into a cross-worker budget (must outlive the run).
+  // Opt this executor into an analysis-wide budget (must outlive the run).
   void set_shared_budget(SharedBudget* budget) { budget_ = budget; }
   // Opt this executor's solvers (fork-time and fault validation) into a
-  // cross-worker query cache (must outlive the run). Only canonical solve
-  // results cross workers, so sharing never perturbs per-candidate
+  // query cache shared across executors (must outlive the run). Only
+  // canonical solve results are shared, so sharing never perturbs per-run
   // determinism — see DESIGN.md §"Solver". Without one, run() creates a
   // run-local shared cache, so slices reuse each other's canonical solves
   // even though each slice starts with empty local caches.
@@ -362,7 +357,7 @@ class SymExecutor {
   std::size_t live_memory_estimate() const;
 
   // Publishes consumption deltas into budget_ (instructions cumulative,
-  // states/memory as gauges) / releases this worker's gauge contributions
+  // states/memory as gauges) / releases this executor's gauge contributions
   // when the run ends. No-ops without a shared budget.
   void publish_shared(std::size_t mem_estimate);
   void release_shared();
@@ -373,8 +368,8 @@ class SymExecutor {
   std::unique_ptr<solver::ExprPool> own_pool_;  // null when the caller owns it
   solver::ExprPool& pool_;
   solver::SharedQueryCache* shared_cache_{nullptr};
-  // Run-local fallback shared cache (created by run() when no cross-worker
-  // cache was injected) so slices still reuse each other's solves.
+  // Run-local fallback shared cache (created by run() when no shared cache
+  // was injected) so slices still reuse each other's solves.
   std::unique_ptr<solver::SharedQueryCache> own_shared_cache_;
   // Fork-time solver and its local query cache. The cache starts every slice
   // empty, so which of a slice's queries hit it (trace level 0) rather than
@@ -396,7 +391,6 @@ class SymExecutor {
   GuidanceHook* hook_{nullptr};
   const analysis::ProgramFacts* facts_{nullptr};
   const std::atomic<bool>* stop_flag_{nullptr};
-  const std::atomic<bool>* stop_flag2_{nullptr};
   obs::TraceBuffer* trace_{nullptr};
   SharedBudget* budget_{nullptr};
   // Last values published into budget_ (deltas keep the gauges exact).

@@ -46,32 +46,28 @@ int usage() {
                "  statsym list\n"
                "  statsym run <app> [--sampling R] [--seed N] [--logs FILE] "
                "[--all]\n"
-               "             [--jobs/-j N] [--portfolio K]\n"
                "             [--engines LIST]\n"
                "  statsym pure <app> [--searcher dfs|bfs|random|coverage] "
                "[--mem MB] [--time S]\n"
-               "  statsym collect <app> <out-file> [--sampling R] [--seed N] "
-               "[--jobs/-j N]\n"
+               "  statsym collect <app> <out-file> [--sampling R] [--seed N]\n"
                "  statsym dump <app>\n"
                "  statsym lint <app> [--facts]\n"
                "  statsym serve [--store FILE] [--socket PATH] [--jobs N] "
                "[--seed N]\n"
                "\n"
-               "  --jobs/-j N     worker threads for log collection and the\n"
-               "                  candidate portfolio (0 = all hardware "
-               "threads)\n"
-               "  --portfolio K   candidate paths run concurrently (default "
-               "4)\n"
-               "  --engines LIST  Phase-3 lanes racing in priority order,\n"
+               "  --jobs/-j N     (serve) requests analysed concurrently\n"
+               "                  (0 = all hardware threads); every analysis\n"
+               "                  runs on one thread\n"
+               "  --engines LIST  Phase-3 lanes tried in priority order,\n"
                "                  comma-separated from guided|pure|concolic\n"
-               "                  (default guided); first win cancels worse\n"
-               "                  lanes, results identical at any --jobs\n"
+               "                  (default guided); the first lane to find\n"
+               "                  the vulnerability ends the run\n"
                "  --no-static-analysis  skip the whole-program static\n"
                "                  analysis (no branch pruning / candidate\n"
                "                  drops); verdicts are identical either way\n"
                "  --facts         (lint) also dump the full per-block facts\n"
                "  --trace-out F   write the deterministic JSONL event trace\n"
-               "                  (byte-identical at any --jobs)\n"
+               "                  (byte-identical across runs)\n"
                "  --trace-chrome F  write a chrome://tracing JSON timeline\n"
                "  --metrics-out F write the named pipeline metrics as JSON\n"
                "  --store F       (serve) persistent query-cache store: "
@@ -124,8 +120,7 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       // instead of silently running a different configuration.
       std::fprintf(stderr,
                    "%s was removed: each symbolic executor runs one "
-                   "sequential exploration loop (use --jobs for parallel "
-                   "candidates and engine lanes)\n",
+                   "sequential exploration loop\n",
                    a.c_str());
       return false;
     } else if (a == "--no-static-analysis") {

@@ -415,13 +415,12 @@ ir::Module routed_module(bool through_mid) {
   return mb.build();
 }
 
-core::EngineOptions prune_opts(std::size_t threads) {
+core::EngineOptions prune_opts() {
   core::EngineOptions o;
   o.monitor.sampling_rate = 1.0;
   o.target_correct_logs = 30;
   o.target_faulty_logs = 30;
   o.candidate_timeout_seconds = 30.0;
-  o.num_threads = threads;
   o.seed = 7;
   return o;
 }
@@ -438,35 +437,35 @@ TEST(CandidatePrune, StaleLogsCandidatesAreDroppedDeterministically) {
   const ir::Module old_m = routed_module(true);
   const ir::Module new_m = routed_module(false);
 
-  core::StatSymEngine collector(old_m, {}, prune_opts(1));
+  core::StatSymEngine collector(old_m, {}, prune_opts());
   collector.collect_logs(routed_workload(), /*keep_logs=*/true);
   const std::vector<monitor::RunLog> logs = collector.logs();
   ASSERT_FALSE(logs.empty());
 
-  auto run_with = [&](std::size_t threads, obs::Tracer* tracer) {
-    core::StatSymEngine engine(new_m, {}, prune_opts(threads));
-    if (tracer != nullptr) engine.set_tracer(tracer);
+  auto run_with = [&](obs::Tracer* tracer) {
+    core::StatSymEngine engine(new_m, {}, prune_opts());
+    engine.set_tracer(tracer);
     engine.use_logs(logs);
     return engine.run();
   };
 
   obs::Tracer t1;
-  obs::Tracer t8;
-  const core::EngineResult r1 = run_with(1, &t1);
-  const core::EngineResult r8 = run_with(8, &t8);
+  obs::Tracer t2;
+  const core::EngineResult r1 = run_with(&t1);
+  const core::EngineResult r2 = run_with(&t2);
 
   // Every candidate transits mid(), which the analysis proves unreachable
   // in the new build: all of them are pre-filtered, none is executed.
   EXPECT_GT(r1.candidates_pruned, 0u);
   EXPECT_EQ(r1.candidates_pruned, r1.candidates_tried);
   EXPECT_FALSE(r1.found);
-  EXPECT_EQ(r1.candidates_pruned, r8.candidates_pruned);
-  EXPECT_EQ(r1.found, r8.found);
+  EXPECT_EQ(r1.candidates_pruned, r2.candidates_pruned);
+  EXPECT_EQ(r1.found, r2.found);
 
   // The kStaticPrune candidate events survive rank-order stitching and the
-  // whole trace is jobs-invariant.
+  // whole trace repeats exactly.
   const std::string j1 = t1.to_jsonl();
-  EXPECT_EQ(j1, t8.to_jsonl());
+  EXPECT_EQ(j1, t2.to_jsonl());
   EXPECT_NE(j1.find("static-prune"), std::string::npos);
 }
 
@@ -474,10 +473,10 @@ TEST(CandidatePrune, DisablingAnalysisKeepsCandidatesAlive) {
   const ir::Module old_m = routed_module(true);
   const ir::Module new_m = routed_module(false);
 
-  core::StatSymEngine collector(old_m, {}, prune_opts(1));
+  core::StatSymEngine collector(old_m, {}, prune_opts());
   collector.collect_logs(routed_workload(), /*keep_logs=*/true);
 
-  core::EngineOptions off = prune_opts(1);
+  core::EngineOptions off = prune_opts();
   off.static_analysis = false;
   core::StatSymEngine engine(new_m, {}, off);
   engine.use_logs(collector.logs());

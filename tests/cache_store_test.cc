@@ -21,7 +21,7 @@ namespace statsym::solver {
 namespace {
 
 // Builds a shared cache holding canonical results (with models) the same
-// way a portfolio worker would: through a Solver with the cache attached.
+// way a candidate's executor would: through a Solver with the cache attached.
 void populate(SharedQueryCache& cache) {
   ExprPool p;
   const VarId x = p.new_var("x", 0, 255);

@@ -1,10 +1,12 @@
 // Concolic determinism property tests: the multi-engine race (guided | pure |
 // concolic lanes) and the predicate-ranked concolic lane alone must be
-// byte-identical at every worker count — witness inputs, the concolic
-// negation schedule, and the portfolio winner included — across three
-// generator-corpus seeds. Mirrors
-// parallel_test.cc, which pins the same contract for the candidate
-// portfolio inside the guided lane.
+// byte-identical from run to run — witness inputs, the concolic negation
+// schedule, and the winning candidate included — across three
+// generator-corpus seeds, and the fuzz campaign's verdicts must not depend
+// on its --jobs. Mirrors parallel_test.cc, which pins the same contract for
+// the candidate loop inside the guided lane. (The test names still say
+// "across thread counts" from when the engine ran lanes and candidates on
+// a worker pool; each analysis now runs on one thread.)
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -33,15 +35,13 @@ fuzz::CorpusEntry load_corpus(const std::string& file) {
   return e;
 }
 
-EngineOptions race_opts(std::size_t threads) {
+EngineOptions race_opts() {
   EngineOptions o;
   o.monitor.sampling_rate = 0.3;
   o.target_correct_logs = 40;
   o.target_faulty_logs = 40;
   o.candidate_timeout_seconds = 60.0;
   o.exec.max_memory_bytes = 256ull << 20;
-  o.num_threads = threads;
-  o.candidate_portfolio_width = 2;
   o.seed = 424242;
   o.engines = {EngineKind::kGuided, EngineKind::kPure, EngineKind::kConcolic};
   return o;
@@ -53,9 +53,8 @@ struct RaceRun {
 };
 
 // The negation schedule is read off the trace: the exact sequence of
-// concolic-run and concolic-negation events the counted concolic lane
-// emitted (uncounted lanes drop their buffers, so a cancelled lane
-// contributes nothing at any thread count).
+// concolic-run and concolic-negation events the concolic lane emitted (a
+// lane after the winner never starts and contributes nothing).
 std::string concolic_lines(const std::string& jsonl) {
   std::istringstream is(jsonl);
   std::ostringstream os;
@@ -91,8 +90,8 @@ void expect_identical(const RaceRun& a, const RaceRun& b) {
     EXPECT_EQ(la.paths_explored, lb.paths_explored) << "lane " << i;
     EXPECT_EQ(la.instructions, lb.instructions) << "lane " << i;
     EXPECT_EQ(la.concolic_runs, lb.concolic_runs) << "lane " << i;
-    // The shared-cache-hit/solve split is the documented schedule-dependent
-    // trade-off (parallel_test.cc); the query count is not.
+    // The shared-cache-hit/solve split depends on cache warmth
+    // (parallel_test.cc); the query count does not.
     EXPECT_EQ(la.solver_stats.queries, lb.solver_stats.queries) << "lane "
                                                                 << i;
   }
@@ -112,10 +111,10 @@ void expect_identical(const RaceRun& a, const RaceRun& b) {
 void run_corpus_case(const std::string& file) {
   const fuzz::CorpusEntry e = load_corpus(file);
   const fuzz::GeneratedProgram prog = fuzz::generate_program(e.seed, e.gen);
-  const RaceRun one = run_race(prog.app, race_opts(1));
-  const RaceRun eight = run_race(prog.app, race_opts(8));
-  ASSERT_EQ(one.res.found, e.expect_fault);
-  expect_identical(one, eight);
+  const RaceRun first = run_race(prog.app, race_opts());
+  const RaceRun second = run_race(prog.app, race_opts());
+  ASSERT_EQ(first.res.found, e.expect_fault);
+  expect_identical(first, second);
 }
 
 TEST(ConcolicDeterminism, CorpusOobBasicRaceMatchesAcrossThreadCounts) {
@@ -135,35 +134,30 @@ TEST(ConcolicDeterminism, ConcolicLaneFirstStillDeterministic) {
   // schedule itself is on the comparison, not just the lane summary.
   const fuzz::CorpusEntry e = load_corpus("oob-basic.corpus");
   const fuzz::GeneratedProgram prog = fuzz::generate_program(e.seed, e.gen);
-  EngineOptions o1 = race_opts(1);
-  o1.engines = {EngineKind::kConcolic, EngineKind::kGuided};
-  EngineOptions o8 = o1;
-  o8.num_threads = 8;
-  const RaceRun one = run_race(prog.app, o1);
-  const RaceRun eight = run_race(prog.app, o8);
-  ASSERT_TRUE(one.res.found);
-  ASSERT_FALSE(one.concolic_schedule.empty());
-  expect_identical(one, eight);
+  EngineOptions o = race_opts();
+  o.engines = {EngineKind::kConcolic, EngineKind::kGuided};
+  const RaceRun first = run_race(prog.app, o);
+  const RaceRun second = run_race(prog.app, o);
+  ASSERT_TRUE(first.res.found);
+  ASSERT_FALSE(first.concolic_schedule.empty());
+  expect_identical(first, second);
 }
 
 TEST(ConcolicDeterminism, RankedConcolicLaneMatchesAtJobs1_4_8) {
   // The concolic lane alone, its frontier ranked by the top candidate
   // path's predicates: the ranked negation schedule, witness and counts
-  // must not depend on the worker count.
+  // must repeat exactly.
   for (const char* file : {"oob-basic.corpus", "assert-two-candidates.corpus",
                            "oob-deep-paths.corpus"}) {
     const fuzz::CorpusEntry e = load_corpus(file);
     const fuzz::GeneratedProgram prog = fuzz::generate_program(e.seed, e.gen);
-    EngineOptions o = race_opts(1);
+    EngineOptions o = race_opts();
     o.engines = {EngineKind::kConcolic};
-    const RaceRun one = run_race(prog.app, o);
-    ASSERT_FALSE(one.res.construction.candidates.empty()) << file;
-    ASSERT_FALSE(one.concolic_schedule.empty()) << file;
-    for (const std::size_t jobs : {4, 8}) {
-      o.num_threads = jobs;
-      SCOPED_TRACE(std::string(file) + " at jobs " + std::to_string(jobs));
-      expect_identical(one, run_race(prog.app, o));
-    }
+    const RaceRun first = run_race(prog.app, o);
+    ASSERT_FALSE(first.res.construction.candidates.empty()) << file;
+    ASSERT_FALSE(first.concolic_schedule.empty()) << file;
+    SCOPED_TRACE(file);
+    expect_identical(first, run_race(prog.app, o));
   }
 }
 

@@ -15,7 +15,12 @@
 //    rendered line;
 //  * the concolic fleet and the polymorph, ctree and grep concolic rows when
 //    SolverStats::slices began counting decided slices (only `sl` and
-//    solver.slices moved; every rendered `sl` equals ch + sh + so).
+//    solver.slices moved; every rendered `sl` equals ch + sh + so);
+//  * the polymorph race trace when each analysis began running on one
+//    thread: the digest had pinned a two-thread race whose shared
+//    instruction budget bound, so lanes ran on different shares of it. The
+//    new digest is the one the old engine gave at one thread with the same
+//    trace capacity.
 // The deterministic trace JSONL of two paper apps is pinned the same way.
 //
 // The digests fold 150 generated fault-planted programs (chains and segments
@@ -108,7 +113,6 @@ EngineOptions digest_opts(std::uint64_t seed, EngineKind kind) {
   o.candidate_timeout_seconds = 600.0;
   o.exec.max_memory_bytes = 256ull << 20;
   o.exec.max_instructions = 2'000'000;
-  o.num_threads = 1;
   o.engines = {kind};
   o.seed = seed;
   return o;
@@ -191,20 +195,23 @@ TEST(EngineDigest, PaperApps) {
   }
 }
 
-// The deterministic JSONL (no wall stamps) of a two-thread engine race, so
-// the lane threads that still run concurrently are on this digest too. The
-// concolic lane at priority 0 is always counted, so its per-run executor and
-// negation events are in the stream whichever lane finishes first.
-std::uint64_t trace_digest(const std::string& name) {
+// The deterministic JSONL (no wall stamps) of a three-lane engine race. The
+// concolic lane at priority 0 always runs, so its per-run executor and
+// negation events are in the stream. The ring holds 2^19 events: polymorph's
+// race emits about 336k, more than the default 2^18.
+std::uint64_t trace_digest(const std::string& name,
+                           EngineResult* result = nullptr) {
   const apps::AppSpec app = apps::make_app(name);
   EngineOptions o = digest_opts(7, EngineKind::kGuided);
   o.engines = {EngineKind::kConcolic, EngineKind::kGuided, EngineKind::kPure};
-  o.num_threads = 2;
-  obs::Tracer tracer;
+  obs::TraceOptions topts;
+  topts.capacity = 1u << 19;
+  obs::Tracer tracer(topts);
   StatSymEngine engine(app.module, app.sym_spec, o);
   engine.set_tracer(&tracer);
   engine.collect_logs(app.workload);
-  engine.run();
+  EngineResult res = engine.run();
+  if (result != nullptr) *result = std::move(res);
   EXPECT_EQ(tracer.buffer().dropped(), 0u);
   const std::string jsonl = tracer.to_jsonl();
   EXPECT_NE(jsonl.find("concolic-run"), std::string::npos);
@@ -218,7 +225,16 @@ TEST(EngineDigest, Fig2Trace) {
 }
 
 TEST(EngineDigest, PolymorphTrace) {
-  EXPECT_EQ(trace_digest("polymorph"), 0xccfc40ce3899673cULL);
+  EngineResult res;
+  EXPECT_EQ(trace_digest("polymorph", &res), 0x97a7416b0c393fb4ULL);
+  // No lane finds the fault, so all three run, and the race's shared
+  // instruction budget binds: pure gets what concolic and guided left.
+  EXPECT_FALSE(res.found);
+  ASSERT_EQ(res.lanes.size(), 3u);
+  EXPECT_EQ(res.lanes[0].termination, symexec::Termination::kRunLimit);
+  EXPECT_EQ(res.lanes[0].concolic_runs, 512u);
+  EXPECT_EQ(res.lanes[1].termination, symexec::Termination::kExhausted);
+  EXPECT_EQ(res.lanes[2].termination, symexec::Termination::kInstrLimit);
 }
 
 }  // namespace

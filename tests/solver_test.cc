@@ -551,7 +551,7 @@ TEST(Solver, CheckWithAppendsConstraint) {
 }
 
 // Aggregation-drift tripwire: SolverStats is summed in several places (the
-// executor's per-task commit, engine lane totals, portfolio roll-ups). A
+// executor's per-task commit, engine lane totals, candidate roll-ups). A
 // field added to the struct but forgotten in operator+= silently drops its
 // counts from every report, so the round-trip below exercises *every* field
 // with a distinct value and the static_assert forces whoever grows the

@@ -4,7 +4,7 @@
 // candidate paths — is pinned by digests recorded while the engine still
 // kept every admitted log and built its statistics from the full vector.
 // Folding each log into per-cluster sufficient statistics at admission must
-// reproduce them bit for bit, at one collection thread and at eight.
+// reproduce them bit for bit.
 //
 // Fingerprints render every float with %a (hexfloat), so the comparison is
 // bit-exact, not epsilon-close.
@@ -73,25 +73,22 @@ std::string fingerprint(const EngineResult& r) {
 }
 
 // The statistical module alone: Phase 3 is off so the sweep stays cheap.
-EngineOptions stats_opts(std::size_t jobs) {
+EngineOptions stats_opts() {
   EngineOptions o;
   o.monitor.sampling_rate = 0.3;
   o.target_correct_logs = 30;
   o.target_faulty_logs = 30;
   o.max_workload_runs = 2'000;
   o.max_candidates_tried = 0;
-  o.num_threads = jobs;
   o.seed = 20260807;
   return o;
 }
 
-std::string stats_fingerprint(const apps::AppSpec& app, std::size_t jobs) {
-  StatSymEngine engine(app.module, app.sym_spec, stats_opts(jobs));
+std::string stats_fingerprint(const apps::AppSpec& app) {
+  StatSymEngine engine(app.module, app.sym_spec, stats_opts());
   engine.collect_logs(app.workload);
   return fingerprint(engine.run());
 }
-
-constexpr std::size_t kJobs[] = {1, 8};
 
 std::size_t fuzz_corpus_size() {
   if (const char* env = std::getenv("STATSYM_STATS_DIGEST_PROGRAMS")) {
@@ -113,20 +110,17 @@ TEST(StatsDigest, FuzzCorpus) {
   const std::size_t n = fuzz_corpus_size();
   const std::uint64_t want = recorded_corpus_digest(n);
   ASSERT_NE(want, 0u) << "no digest recorded for " << n << " programs";
-  for (const std::size_t jobs : kJobs) {
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    Digest d;
-    std::size_t with_predicates = 0;
-    for (std::size_t seed = 0; seed < n; ++seed) {
-      const fuzz::GeneratedProgram prog = fuzz::generate_program(seed);
-      const std::string fp = stats_fingerprint(prog.app, jobs);
-      if (fp.find("pred ") != std::string::npos) ++with_predicates;
-      d.add(std::to_string(seed) + ": " + fp);
-    }
-    EXPECT_EQ(d.h, want);
-    // The sweep must exercise real fits, not 0-predicate programs.
-    EXPECT_GT(with_predicates, n / 2);
+  Digest d;
+  std::size_t with_predicates = 0;
+  for (std::size_t seed = 0; seed < n; ++seed) {
+    const fuzz::GeneratedProgram prog = fuzz::generate_program(seed);
+    const std::string fp = stats_fingerprint(prog.app);
+    if (fp.find("pred ") != std::string::npos) ++with_predicates;
+    d.add(std::to_string(seed) + ": " + fp);
   }
+  EXPECT_EQ(d.h, want);
+  // The sweep must exercise real fits, not 0-predicate programs.
+  EXPECT_GT(with_predicates, n / 2);
 }
 
 struct AppCase {
@@ -144,12 +138,9 @@ TEST(StatsDigest, PaperApps) {
       {"polymorph-multibug", 0x83f74ecc2e6451e8ULL},
   };
   for (const AppCase& c : cases) {
-    const apps::AppSpec app = apps::make_app(c.app);
-    for (const std::size_t jobs : kJobs) {
-      Digest d;
-      d.add(stats_fingerprint(app, jobs));
-      EXPECT_EQ(d.h, c.digest) << c.app << " jobs=" << jobs;
-    }
+    Digest d;
+    d.add(stats_fingerprint(apps::make_app(c.app)));
+    EXPECT_EQ(d.h, c.digest) << c.app;
   }
 }
 
@@ -157,28 +148,25 @@ TEST(StatsDigest, PaperApps) {
 // its verified vulnerable function and witness input, in report order.
 TEST(StatsDigest, MultibugRunAll) {
   const apps::AppSpec app = apps::make_app("polymorph-multibug");
-  for (const std::size_t jobs : kJobs) {
-    EngineOptions o;
-    o.monitor.sampling_rate = 0.3;
-    o.target_correct_logs = 80;
-    o.target_faulty_logs = 80;
-    o.candidate_timeout_seconds = 600.0;
-    o.exec.max_memory_bytes = 256ull << 20;
-    o.exec.max_instructions = 2'000'000;
-    o.num_threads = jobs;
-    o.seed = 11;
-    StatSymEngine engine(app.module, app.sym_spec, o);
-    engine.collect_logs(app.workload);
-    const std::vector<EngineResult> results = engine.run_all();
-    Digest d;
-    for (const EngineResult& r : results) {
-      d.add(fingerprint(r));
-      ASSERT_TRUE(r.vuln.has_value());
-      d.add(r.vuln->function + " " + concolic::input_key(r.vuln->input));
-    }
-    EXPECT_GE(results.size(), 2u) << "jobs=" << jobs;
-    EXPECT_EQ(d.h, 0xc5bc653b339a4be7ULL) << "jobs=" << jobs;
+  EngineOptions o;
+  o.monitor.sampling_rate = 0.3;
+  o.target_correct_logs = 80;
+  o.target_faulty_logs = 80;
+  o.candidate_timeout_seconds = 600.0;
+  o.exec.max_memory_bytes = 256ull << 20;
+  o.exec.max_instructions = 2'000'000;
+  o.seed = 11;
+  StatSymEngine engine(app.module, app.sym_spec, o);
+  engine.collect_logs(app.workload);
+  const std::vector<EngineResult> results = engine.run_all();
+  Digest d;
+  for (const EngineResult& r : results) {
+    d.add(fingerprint(r));
+    ASSERT_TRUE(r.vuln.has_value());
+    d.add(r.vuln->function + " " + concolic::input_key(r.vuln->input));
   }
+  EXPECT_GE(results.size(), 2u);
+  EXPECT_EQ(d.h, 0xc5bc653b339a4be7ULL);
 }
 
 }  // namespace

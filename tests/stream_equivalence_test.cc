@@ -2,8 +2,8 @@
 // admitted log into per-cluster sufficient statistics and drops it, and the
 // fit from those statistics — predicate set, raw scores, score_lcb,
 // candidate ranking — must not depend on how the logs arrived. Checked
-// here: collection at one thread vs eight, and collect_logs vs use_logs of
-// the same logs in reverse order. The fits themselves are pinned against
+// here: collection with and without keeping the raw logs, and collect_logs
+// vs use_logs of the same logs in reverse order. The fits themselves are pinned against
 // digests recorded before the rewrite in stats_digest_test.
 //
 // Fingerprints render every float with %a (hexfloat), so the comparison is
@@ -67,24 +67,24 @@ EngineOptions base_options() {
   return o;
 }
 
-// Collects at `jobs` threads without keeping the logs, which must then be
-// gone; returns the fit's fingerprint.
-std::string collected_fit(const apps::AppSpec& app, std::size_t jobs) {
-  EngineOptions o = base_options();
-  o.num_threads = jobs;
-  StatSymEngine engine(app.module, app.sym_spec, o);
-  engine.collect_logs(app.workload);
-  EXPECT_TRUE(engine.logs().empty());
+// Collects with or without keeping the raw logs; returns the fit's
+// fingerprint.
+std::string collected_fit(const apps::AppSpec& app, bool keep_logs) {
+  StatSymEngine engine(app.module, app.sym_spec, base_options());
+  engine.collect_logs(app.workload, keep_logs);
+  EXPECT_EQ(engine.logs().size(), keep_logs ? engine.num_logs_collected() : 0);
   EXPECT_GT(engine.num_logs_collected(), 0u);
   return fingerprint(engine.run());
 }
 
-void expect_jobs_invariant(const apps::AppSpec& app, const std::string& label,
-                           std::size_t* with_predicates = nullptr) {
+void expect_keep_logs_invariant(const apps::AppSpec& app,
+                                const std::string& label,
+                                std::size_t* with_predicates = nullptr) {
   SCOPED_TRACE(label);
-  const std::string one = collected_fit(app, 1);
-  EXPECT_EQ(collected_fit(app, 8), one);
-  if (with_predicates != nullptr && one.find("pred ") != std::string::npos) {
+  const std::string dropped = collected_fit(app, false);
+  EXPECT_EQ(collected_fit(app, true), dropped);
+  if (with_predicates != nullptr &&
+      dropped.find("pred ") != std::string::npos) {
     ++*with_predicates;
   }
 }
@@ -93,8 +93,9 @@ TEST(StreamEquivalence, FuzzCorpusAnyJobs) {
   constexpr std::size_t kPrograms = 24;
   std::size_t with_predicates = 0;
   for (std::size_t seed = 0; seed < kPrograms; ++seed) {
-    expect_jobs_invariant(fuzz::generate_program(seed).app,
-                          "fuzz:" + std::to_string(seed), &with_predicates);
+    expect_keep_logs_invariant(fuzz::generate_program(seed).app,
+                               "fuzz:" + std::to_string(seed),
+                               &with_predicates);
   }
   // The sweep must exercise real fits, not 0-predicate degenerate programs.
   EXPECT_GT(with_predicates, kPrograms / 2);
@@ -102,7 +103,7 @@ TEST(StreamEquivalence, FuzzCorpusAnyJobs) {
 
 TEST(StreamEquivalence, EvaluationApps) {
   for (const std::string& name : apps::app_names()) {
-    expect_jobs_invariant(apps::make_app(name), name);
+    expect_keep_logs_invariant(apps::make_app(name), name);
   }
 }
 
@@ -140,7 +141,6 @@ TEST(StreamEquivalence, RunAllFromUseLogsMatchesCollect) {
   o.max_candidates_tried = 16;
   o.candidate_timeout_seconds = 600.0;
   o.exec.max_instructions = 2'000'000;
-  o.num_threads = 1;
   auto render = [](const std::vector<EngineResult>& results) {
     std::string out;
     for (const EngineResult& r : results) {

@@ -246,8 +246,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPool, SingleWorkerRunsInSubmissionOrder) {
-  // The candidate portfolio relies on FIFO order at width 1 to reproduce
-  // the sequential candidate-at-a-time semantics.
+  // The queue is FIFO: one worker runs tasks in submission order.
   ThreadPool pool(1);
   std::vector<int> order;
   std::vector<std::future<void>> futs;
@@ -270,11 +269,11 @@ TEST(ThreadPool, EffectiveThreadsResolvesZero) {
 }
 
 TEST(DeriveSeed, NoFirstDrawCollisionsAcross10kTasks) {
-  // Every parallel subsystem (log collection, candidate portfolio, fuzz
-  // campaigns) seeds task i with derive_seed(master, i). If two tasks ever
-  // shared a first draw they would run correlated streams, so demand full
-  // injectivity over a 10k-task range for both the derived seeds and the
-  // first value drawn from them.
+  // Every per-task stream (collection attempts, candidates, engine lanes,
+  // fuzz campaign programs) seeds task i with derive_seed(master, i). If
+  // two tasks ever shared a first draw they would run correlated streams,
+  // so demand full injectivity over a 10k-task range for both the derived
+  // seeds and the first value drawn from them.
   for (const std::uint64_t master : {1ull, 42ull, 0ull}) {
     std::set<std::uint64_t> seeds;
     std::set<std::uint64_t> first_draws;

@@ -538,8 +538,8 @@ ir::Module wide_fanout(int n) {
 }
 
 TEST(SymExecCancel, StopFlagCancelsALongRun) {
-  // A portfolio loser must stop soon after the flag flips rather than
-  // exploring its 2^26 remaining paths.
+  // A run must stop soon after its stop flag flips rather than exploring
+  // its 2^26 remaining paths.
   const ir::Module m = wide_fanout(26);
   ExecOptions opts;
   opts.max_seconds = 600.0;

@@ -1,11 +1,9 @@
-// Golden-trace regression tests (ISSUE 5 satellite): the engine's JSONL
-// event stream must be byte-identical at --jobs 1 and --jobs 8, and must
-// match the checked-in goldens under tests/goldens/.
+// Golden-trace regression tests: the engine's JSONL event stream must match
+// the checked-in goldens under tests/goldens/.
 //
-// The golden configs deliberately keep the shared portfolio budget and the
-// solver wall-clock deadline from binding (small programs, generous
-// budgets) — those are the two documented sources of schedule dependence
-// (DESIGN.md §5), and a golden that tripped them would flake.
+// The golden configs deliberately keep the wall-clock budgets from binding
+// (small programs, generous budgets): a golden that tripped one would
+// flake.
 //
 // Regenerate after an intentional trace-schema change with:
 //   STATSYM_REGOLD=1 ./build/tests/trace_golden_test
@@ -16,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/registry.h"
 #include "fuzz/diff_driver.h"
@@ -27,7 +26,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-EngineOptions golden_opts(std::size_t threads, double sampling) {
+EngineOptions golden_opts(double sampling) {
   EngineOptions o;
   o.monitor.sampling_rate = sampling;
   // 40 logs per class: the fuzz driver's starvation budget, and small
@@ -36,16 +35,16 @@ EngineOptions golden_opts(std::size_t threads, double sampling) {
   o.target_faulty_logs = 40;
   o.candidate_timeout_seconds = 60.0;
   o.exec.max_memory_bytes = 256ull << 20;
-  o.num_threads = threads;
-  o.candidate_portfolio_width = 4;
   o.seed = 424242;
   return o;
 }
 
-std::string trace_for(const apps::AppSpec& app, std::size_t jobs,
-                      double sampling) {
+std::string trace_for(const apps::AppSpec& app, double sampling,
+                      const std::vector<EngineKind>& engines) {
   obs::Tracer tracer;
-  StatSymEngine engine(app.module, app.sym_spec, golden_opts(jobs, sampling));
+  EngineOptions o = golden_opts(sampling);
+  o.engines = engines;
+  StatSymEngine engine(app.module, app.sym_spec, o);
   engine.set_tracer(&tracer);
   engine.collect_logs(app.workload);
   engine.run();
@@ -78,11 +77,9 @@ void check_against_golden(const std::string& name, const std::string& jsonl) {
 
 void run_case(const std::string& name, const apps::AppSpec& app,
               double sampling) {
-  const std::string one = trace_for(app, 1, sampling);
-  const std::string eight = trace_for(app, 8, sampling);
-  ASSERT_FALSE(one.empty());
-  EXPECT_EQ(one, eight) << name << ": trace differs between --jobs 1 and 8";
-  check_against_golden(name, one);
+  const std::string jsonl = trace_for(app, sampling, {EngineKind::kGuided});
+  ASSERT_FALSE(jsonl.empty());
+  check_against_golden(name, jsonl);
 }
 
 // --- four hand-written apps ---------------------------------------------
@@ -90,8 +87,8 @@ void run_case(const std::string& name, const apps::AppSpec& app,
 TEST(TraceGolden, Fig2) { run_case("fig2", apps::make_fig2(), 0.5); }
 
 TEST(TraceGolden, Polymorph) {
-  // 0.2 sampling produces >= 2 candidates, so the portfolio stitching path
-  // (counted candidates only, rank order) is actually on the golden.
+  // 0.2 sampling produces >= 2 candidates, so the candidate stitching path
+  // (tried candidates only, rank order) is actually on the golden.
   run_case("polymorph", apps::make_polymorph(), 0.2);
 }
 
@@ -99,34 +96,17 @@ TEST(TraceGolden, Ctree) { run_case("ctree", apps::make_ctree(), 0.3); }
 
 TEST(TraceGolden, Grep) { run_case("grep", apps::make_grep(), 0.3); }
 
-// --- engine-race cases (ISSUE 7) -----------------------------------------
+// --- engine-race cases ---------------------------------------------------
 // The multi-lane race adds engine-lane-begin/-end brackets and, when the
-// concolic lane is counted, concolic-run/concolic-negation events. Uncounted
-// lanes drop their buffers, so these traces are --jobs independent too.
-
-std::string race_trace_for(const apps::AppSpec& app, std::size_t jobs,
-                           double sampling,
-                           const std::vector<EngineKind>& engines) {
-  obs::Tracer tracer;
-  EngineOptions o = golden_opts(jobs, sampling);
-  o.engines = engines;
-  StatSymEngine engine(app.module, app.sym_spec, o);
-  engine.set_tracer(&tracer);
-  engine.collect_logs(app.workload);
-  engine.run();
-  EXPECT_EQ(tracer.buffer().dropped(), 0u)
-      << "golden configs must fit the default ring";
-  return tracer.to_jsonl();
-}
+// concolic lane runs, concolic-run/concolic-negation events. Lanes after the
+// winner never start and leave no events.
 
 void run_race_case(const std::string& name, const apps::AppSpec& app,
                    double sampling, const std::vector<EngineKind>& engines) {
-  const std::string one = race_trace_for(app, 1, sampling, engines);
-  const std::string eight = race_trace_for(app, 8, sampling, engines);
-  ASSERT_FALSE(one.empty());
-  EXPECT_EQ(one, eight) << name << ": trace differs between --jobs 1 and 8";
-  EXPECT_NE(one.find("engine-lane-begin"), std::string::npos);
-  check_against_golden(name, one);
+  const std::string jsonl = trace_for(app, sampling, engines);
+  ASSERT_FALSE(jsonl.empty());
+  EXPECT_NE(jsonl.find("engine-lane-begin"), std::string::npos);
+  check_against_golden(name, jsonl);
 }
 
 TEST(TraceGolden, Fig2EngineRace) {
@@ -136,7 +116,7 @@ TEST(TraceGolden, Fig2EngineRace) {
 }
 
 TEST(TraceGolden, Fig2ConcolicLaneFirst) {
-  // Concolic at priority 0 is always counted, so the negation schedule
+  // Concolic at priority 0 always runs, so the negation schedule
   // itself is pinned by the golden, not just the lane brackets.
   run_race_case("fig2-concolic-first", apps::make_fig2(), 0.5,
                 {EngineKind::kConcolic, EngineKind::kGuided});
