@@ -80,24 +80,14 @@ ConcolicResult ConcolicExecutor::run() {
   solver::ExprPool pool;
 
   symexec::Termination term = symexec::Termination::kExhausted;
-  auto stopped = [&] {
-    return stop_flag_ != nullptr &&
-           stop_flag_->load(std::memory_order_relaxed);
-  };
-
   bool done = false;
   while (!frontier.empty() && !done) {
-    if (stopped()) {
-      term = symexec::Termination::kCancelled;
-      break;
-    }
     if (sw.elapsed_seconds() > opts_.exec.max_seconds) {
       term = symexec::Termination::kTimeout;
       break;
     }
     if (budget_ != nullptr &&
-        budget_->instructions.load(std::memory_order_relaxed) >
-            budget_->max_instructions) {
+        budget_->instructions > budget_->max_instructions) {
       term = symexec::Termination::kInstrLimit;
       break;
     }
@@ -117,7 +107,6 @@ ConcolicResult ConcolicExecutor::run() {
         std::max(0.0, opts_.exec.max_seconds - sw.elapsed_seconds());
     symexec::SymExecutor ex(m_, spec_, eo, &pool);
     ex.set_follow_input(item.input);
-    if (stop_flag_ != nullptr) ex.set_stop_flag(stop_flag_);
     if (budget_ != nullptr) ex.set_shared_budget(budget_);
     if (shared_cache_ != nullptr) ex.set_shared_solver_cache(shared_cache_);
     if (trace_ != nullptr) ex.set_trace(trace_);
@@ -137,14 +126,9 @@ ConcolicResult ConcolicExecutor::run() {
                    static_cast<std::int64_t>(ex.decisions().size()),
                    faulted ? 1 : 0);
     }
-    if (er.termination == symexec::Termination::kCancelled) {
-      term = symexec::Termination::kCancelled;
-      break;
-    }
     if (faulted) {
       // The frontier order is a pure function of the inputs, so the first
-      // faulting run is canonical: the lane's deterministic winner at any
-      // thread count.
+      // faulting run is canonical: the lane's deterministic winner.
       result.vuln = std::move(er.vuln);
       term = symexec::Termination::kFoundFault;
       break;
@@ -160,11 +144,6 @@ ConcolicResult ConcolicExecutor::run() {
     if (trace_ != nullptr) neg.set_trace(trace_);
 
     for (std::size_t i = item.bound; i < decs.size(); ++i) {
-      if (stopped()) {
-        term = symexec::Termination::kCancelled;
-        done = true;
-        break;
-      }
       if (sw.elapsed_seconds() > opts_.exec.max_seconds) {
         term = symexec::Termination::kTimeout;
         done = true;

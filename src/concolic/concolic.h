@@ -23,15 +23,15 @@
 // byte-identical from run to run, and lanes that ran before it (warming the
 // shared query cache) never perturb what it reports.
 //
-// Resource integration mirrors SymExecutor: a SharedBudget bounds the whole
-// lane (each follow run publishes its instructions there), a stop flag
-// cancels between and inside runs, the SharedQueryCache is shared with the
-// symbolic lanes (negation solves warm their lookups and vice versa), and an
+// Resource integration mirrors SymExecutor: a SharedBudget bounds the
+// lane's instructions together with the lanes before it (each follow run
+// checks and adds to it like any executor, and the lane checks it before
+// every run), the SharedQueryCache is shared with the symbolic lanes
+// (negation solves warm their lookups and vice versa), and an
 // obs::TraceBuffer receives kConcolicRun / kConcolicNegation events plus the
 // per-run executor and solver events.
 #pragma once
 
-#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
@@ -103,9 +103,7 @@ class ConcolicExecutor {
   ConcolicExecutor(const ir::Module& m, symexec::SymInputSpec spec,
                    ConcolicOptions opts);
 
-  // Same cooperative integration points as SymExecutor; all must outlive
-  // run().
-  void set_stop_flag(const std::atomic<bool>* flag) { stop_flag_ = flag; }
+  // Same integration points as SymExecutor; all must outlive run().
   void set_shared_budget(symexec::SharedBudget* budget) { budget_ = budget; }
   void set_shared_solver_cache(solver::SharedQueryCache* cache) {
     shared_cache_ = cache;
@@ -120,7 +118,6 @@ class ConcolicExecutor {
   const ir::Module& m_;
   symexec::SymInputSpec spec_;
   ConcolicOptions opts_;
-  const std::atomic<bool>* stop_flag_{nullptr};
   symexec::SharedBudget* budget_{nullptr};
   solver::SharedQueryCache* shared_cache_{nullptr};
   obs::TraceBuffer* trace_{nullptr};

@@ -58,18 +58,6 @@ void TraceBuffer::push(TraceEvent&& ev) {
   head_ = (head_ + 1) % capacity_;
 }
 
-void TraceBuffer::append(TraceBuffer&& other) {
-  // Events the worker ring already evicted are gone for good; account them
-  // so absolute sequence numbers stay truthful.
-  const std::uint64_t evicted = other.dropped();
-  const std::size_t n = other.ring_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    push(std::move(other.ring_[(other.head_ + i) % n]));
-  }
-  total_ += evicted;
-  other.clear();
-}
-
 std::vector<TraceEvent> TraceBuffer::snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(ring_.size());
@@ -79,21 +67,8 @@ std::vector<TraceEvent> TraceBuffer::snapshot() const {
   return out;
 }
 
-void TraceBuffer::clear() {
-  ring_.clear();
-  head_ = 0;
-  total_ = 0;
-}
-
-Tracer::Tracer(TraceOptions opts) : opts_(opts), root_(opts.capacity) {
-  if (opts_.wall_clock) root_.set_clock(&clock_);
-}
-
-TraceBuffer Tracer::make_worker_buffer(std::uint32_t lane) const {
-  TraceBuffer b(opts_.capacity);
-  b.set_lane(lane);
-  if (opts_.wall_clock) b.set_clock(&clock_);
-  return b;
+Tracer::Tracer(TraceOptions opts) : root_(opts.capacity) {
+  if (opts.wall_clock) root_.set_clock(&clock_);
 }
 
 namespace {

@@ -1,11 +1,12 @@
 // Structured pipeline tracing.
 //
 // A TraceBuffer is a bounded in-memory ring of typed events; a Tracer owns
-// the run's root buffer plus one buffer per Phase-3 candidate and engine
-// lane, each stitched back when it finishes, in rank and priority order.
-// Every event is a pure function of the analysis's inputs, so the stream
-// is byte-identical from run to run — which is what makes traces
-// goldenable.
+// the run's one buffer. Phase 3 emits into it directly, tagging each event
+// with the lane of the candidate or engine lane that produced it
+// (TraceBuffer::set_lane); candidates and lanes run one after another, so
+// the stream is already in rank and priority order. Every event is a pure
+// function of the analysis's inputs, so the stream is byte-identical from
+// run to run — which is what makes traces goldenable.
 //
 // Determinism contract (DESIGN.md §"Observability"):
 //   * every event payload is integers + strings derived from deterministic
@@ -61,7 +62,8 @@ const char* event_kind_name(EventKind k);
 
 struct TraceEvent {
   EventKind kind{EventKind::kNote};
-  std::uint32_t lane{0};  // 0 = pipeline, 1+k = candidate rank k
+  std::uint32_t lane{0};  // 0 = pipeline, k = candidate rank k (1-based),
+                          // 100+p = engine lane of priority p
   std::int64_t a{0};
   std::int64_t b{0};
   std::int64_t c{0};
@@ -79,24 +81,17 @@ class TraceBuffer {
   void emit(EventKind kind, std::int64_t a = 0, std::int64_t b = 0,
             std::int64_t c = 0, std::string name = {});
 
-  // Appends another buffer's events (stitching); `other` is consumed.
-  void append(TraceBuffer&& other);
-
   void set_lane(std::uint32_t lane) { lane_ = lane; }
   std::uint32_t lane() const { return lane_; }
   // Optional wall-clock stamping; the clock must outlive the buffer.
   void set_clock(const Stopwatch* clock) { clock_ = clock; }
-  const Stopwatch* clock() const { return clock_; }
 
   std::size_t size() const { return ring_.size(); }
   std::uint64_t total() const { return total_; }
   std::uint64_t dropped() const { return total_ - ring_.size(); }
-  std::size_t capacity() const { return capacity_; }
 
   // Events oldest-first. Index i has absolute sequence number dropped()+i.
   std::vector<TraceEvent> snapshot() const;
-
-  void clear();
 
  private:
   static constexpr std::size_t kDefaultCapacity = 1u << 18;
@@ -118,7 +113,7 @@ struct TraceOptions {
   bool wall_clock{false};
 };
 
-// Owns the run's stitched event stream and renders it.
+// Owns the run's event stream and renders it.
 class Tracer {
  public:
   explicit Tracer(TraceOptions opts = {});
@@ -126,17 +121,10 @@ class Tracer {
   TraceBuffer& buffer() { return root_; }
   const TraceBuffer& buffer() const { return root_; }
 
-  // A fresh buffer for one candidate or lane; stitch it back with absorb().
-  TraceBuffer make_worker_buffer(std::uint32_t lane) const;
-  void absorb(TraceBuffer&& b) { root_.append(std::move(b)); }
-
   void emit(EventKind kind, std::int64_t a = 0, std::int64_t b = 0,
             std::int64_t c = 0, std::string name = {}) {
     root_.emit(kind, a, b, c, std::move(name));
   }
-
-  const TraceOptions& options() const { return opts_; }
-  const Stopwatch& clock() const { return clock_; }
 
   // One JSON object per line, schema per event kind (see event comments).
   // Deterministic byte stream; `include_wall` adds the (nondeterministic)
@@ -150,7 +138,6 @@ class Tracer {
   void write_chrome(std::ostream& os) const;
 
  private:
-  TraceOptions opts_;
   Stopwatch clock_;
   TraceBuffer root_;
 };

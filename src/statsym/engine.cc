@@ -274,13 +274,10 @@ void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
                                    const CandidateEnv& env) {
   if (n_try == 0) return;
 
-  // One budget across the whole candidate loop (Table IV "Failed"
-  // semantics): memory and live states describe the machine; the
-  // instruction budget is the sequential total (each of the n_try
-  // candidates brings its own cap).
+  // One instruction budget across the whole candidate loop (Table IV
+  // "Failed" semantics): the sequential total, each of the n_try candidates
+  // bringing its own cap.
   symexec::SharedBudget own_budget;
-  own_budget.max_memory_bytes = opts_.exec.max_memory_bytes;
-  own_budget.max_live_states = opts_.exec.max_live_states;
   own_budget.max_instructions =
       opts_.exec.max_instructions > ~0ull / n_try
           ? ~0ull
@@ -300,16 +297,13 @@ void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
 
   // Candidates run one at a time in rank order until one verifies the vuln.
   // The candidates ranked after the winner never start and are reported as
-  // cancelled.
+  // cancelled. A candidate's events carry its 1-based rank as their lane;
+  // the outer lane comes back once it finishes.
+  obs::TraceBuffer* trace = tracer_ != nullptr ? &tracer_->buffer() : nullptr;
+  const std::uint32_t outer_lane = trace != nullptr ? trace->lane() : 0;
   for (std::size_t ci = 0; ci < n_try && !res.found; ++ci) {
     ++res.candidates_tried;
-    // Each candidate writes its own trace buffer (lane = 1-based rank),
-    // stitched into the stream in rank order once it finishes.
-    std::optional<obs::TraceBuffer> cand_trace;
-    if (tracer_ != nullptr) {
-      cand_trace.emplace(
-          tracer_->make_worker_buffer(static_cast<std::uint32_t>(ci + 1)));
-    }
+    if (trace != nullptr) trace->set_lane(static_cast<std::uint32_t>(ci + 1));
     symexec::ExecResult er;
     // Candidate pre-filter: a path that visits a function the static
     // analysis proved unreachable can never replay, so running it is pure
@@ -328,10 +322,10 @@ void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
     }
     if (dead_fn >= 0) {
       ++res.candidates_pruned;
-      if (cand_trace.has_value()) {
-        cand_trace->emit(obs::EventKind::kStaticPrune,
-                         static_cast<std::int64_t>(dead_fn), -1,
-                         static_cast<std::int64_t>(ci + 1), "candidate");
+      if (trace != nullptr) {
+        trace->emit(obs::EventKind::kStaticPrune,
+                    static_cast<std::int64_t>(dead_fn), -1,
+                    static_cast<std::int64_t>(ci + 1), "candidate");
       }
     } else {
       CandidateGuidance guidance(m_, res.construction.candidates[ci],
@@ -357,10 +351,10 @@ void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
       ex.set_searcher(std::make_unique<GuidedSearcher>());
       ex.set_shared_budget(&budget);
       ex.set_shared_solver_cache(&shared_queries);
-      if (cand_trace.has_value()) {
-        cand_trace->emit(obs::EventKind::kExecBegin,
-                         static_cast<std::int64_t>(ci + 1));
-        ex.set_trace(&*cand_trace);
+      if (trace != nullptr) {
+        trace->emit(obs::EventKind::kExecBegin,
+                    static_cast<std::int64_t>(ci + 1));
+        ex.set_trace(trace);
       }
       er = ex.run();
     }
@@ -368,13 +362,7 @@ void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
     res.instructions += er.stats.instructions;
     res.solver_stats += er.solver_stats;
     res.last_exec_stats = er.stats;
-    if (cand_trace.has_value()) {
-      if (env.sink != nullptr) {
-        env.sink->append(std::move(*cand_trace));
-      } else {
-        tracer_->absorb(std::move(*cand_trace));
-      }
-    }
+    if (trace != nullptr) trace->set_lane(outer_lane);
     if (er.termination == symexec::Termination::kFoundFault &&
         er.vuln.has_value()) {
       res.found = true;
@@ -392,7 +380,7 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
   const std::string target =
       m_.function(monitor::loc_function(failure)).name;
 
-  // One budget across the race. The guided lane brings one
+  // One instruction budget across the race. The guided lane brings one
   // instruction-budget unit per candidate it may try; every other lane
   // brings one.
   std::size_t units = nlanes;
@@ -401,8 +389,6 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
   }
   units = std::max<std::size_t>(units, 1);
   symexec::SharedBudget budget;
-  budget.max_memory_bytes = opts_.exec.max_memory_bytes;
-  budget.max_live_states = opts_.exec.max_live_states;
   budget.max_instructions = opts_.exec.max_instructions > ~0ull / units
                                 ? ~0ull
                                 : opts_.exec.max_instructions * units;
@@ -417,7 +403,11 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
 
   // Lanes run one at a time in priority order until one verifies the vuln.
   // Lanes after the winner never start: they keep the default kCancelled
-  // termination and zero stats.
+  // termination and zero stats. A lane's events carry lane 100 + priority,
+  // distinct from the candidate ranks the guided lane tags its candidates
+  // with; the outer lane comes back once the lane finishes.
+  obs::TraceBuffer* trace = tracer_ != nullptr ? &tracer_->buffer() : nullptr;
+  const std::uint32_t outer_lane = trace != nullptr ? trace->lane() : 0;
   res.lanes.resize(nlanes);
   for (std::size_t p = 0; p < nlanes; ++p) {
     res.lanes[p].kind = lanes[p];
@@ -426,18 +416,12 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
   for (std::size_t p = 0; p < nlanes && !res.found; ++p) {
     EngineLaneResult& L = res.lanes[p];
     const EngineKind kind = lanes[p];
-    // Lane trace buffers live at ids 100 + priority, distinct from the
-    // candidate buffers (1-based rank) the guided lane nests inside its
-    // own.
-    std::optional<obs::TraceBuffer> lt;
-    if (tracer_ != nullptr) {
-      lt.emplace(
-          tracer_->make_worker_buffer(static_cast<std::uint32_t>(100 + p)));
-      lt->emit(obs::EventKind::kEngineLaneBegin,
-               static_cast<std::int64_t>(p), static_cast<std::int64_t>(kind),
-               0, engine_kind_name(kind));
+    if (trace != nullptr) {
+      trace->set_lane(static_cast<std::uint32_t>(100 + p));
+      trace->emit(obs::EventKind::kEngineLaneBegin,
+                  static_cast<std::int64_t>(p),
+                  static_cast<std::int64_t>(kind), 0, engine_kind_name(kind));
     }
-    obs::TraceBuffer* sink = lt.has_value() ? &*lt : nullptr;
     std::optional<symexec::VulnPath> vuln;
     Stopwatch sw;
     switch (kind) {
@@ -446,9 +430,7 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         gres.construction = res.construction;
         gres.predicates = res.predicates;
         run_candidates(gres, failure, n_try,
-                       {.budget = &budget,
-                        .shared_queries = &shared_queries,
-                        .sink = sink});
+                       {.budget = &budget, .shared_queries = &shared_queries});
         L.found = gres.found;
         L.termination = L.found ? symexec::Termination::kFoundFault
                                 : symexec::Termination::kExhausted;
@@ -474,9 +456,9 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         if (facts_.has_value()) ex.set_facts(&*facts_);
         ex.set_shared_budget(&budget);
         ex.set_shared_solver_cache(&shared_queries);
-        if (sink != nullptr) {
-          sink->emit(obs::EventKind::kExecBegin, 0);
-          ex.set_trace(sink);
+        if (trace != nullptr) {
+          trace->emit(obs::EventKind::kExecBegin, 0);
+          ex.set_trace(trace);
         }
         symexec::ExecResult er = ex.run();
         L.found = er.termination == symexec::Termination::kFoundFault &&
@@ -505,7 +487,7 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         if (ranker.has_value()) ce.set_ranker(&*ranker);
         ce.set_shared_budget(&budget);
         ce.set_shared_solver_cache(&shared_queries);
-        if (sink != nullptr) ce.set_trace(sink);
+        if (trace != nullptr) ce.set_trace(trace);
         concolic::ConcolicResult cr = ce.run();
         L.found = cr.termination == symexec::Termination::kFoundFault &&
                   cr.vuln.has_value();
@@ -522,11 +504,11 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
     res.paths_explored += L.paths_explored;
     res.instructions += L.instructions;
     res.solver_stats += L.solver_stats;
-    if (lt.has_value()) {
-      lt->emit(obs::EventKind::kEngineLaneEnd, static_cast<std::int64_t>(p),
-               L.found ? 1 : 0, static_cast<std::int64_t>(L.termination),
-               engine_kind_name(kind));
-      tracer_->absorb(std::move(*lt));
+    if (trace != nullptr) {
+      trace->emit(obs::EventKind::kEngineLaneEnd, static_cast<std::int64_t>(p),
+                  L.found ? 1 : 0, static_cast<std::int64_t>(L.termination),
+                  engine_kind_name(kind));
+      trace->set_lane(outer_lane);
     }
     if (L.found) {
       res.found = true;

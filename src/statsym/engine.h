@@ -174,8 +174,9 @@ class StatSymEngine {
   void use_logs(const std::vector<monitor::RunLog>& logs);
 
   // Optional structured tracing (obs/trace.h): phase begin/end, log
-  // admissions, predicate fits, candidate ranks, and per-candidate symbolic
-  // execution events stitched in rank order over the counted candidates.
+  // admissions, predicate fits, candidate ranks, and the symbolic
+  // execution events of the counted candidates in rank order, each tagged
+  // with its candidate's lane.
   // The tracer must outlive the engine. Null (the default) disables
   // tracing; the cost of the disabled path is one pointer test per would-be
   // event.
@@ -223,10 +224,8 @@ class StatSymEngine {
   // lane of the engine race; all-null (the value-initialised `{}`) means the
   // loop owns its own (the classic single-engine Phase 3).
   struct CandidateEnv {
-    symexec::SharedBudget* budget;    // race-wide budget
+    symexec::SharedBudget* budget;  // race-wide budget
     solver::SharedQueryCache* shared_queries;
-    obs::TraceBuffer* sink;  // absorb candidate traces here instead of the
-                             // tracer root
   };
 
   // Phase 3: runs the top n_try candidates one at a time in rank order,

@@ -130,22 +130,14 @@ symexec::GuidanceHook::Action CandidateGuidance::on_location(
     ++st.guide.matched;
     st.guide.diverted = 0;
     st.guide.alien_seen.clear();
-    std::int32_t seen = max_matched_.load(std::memory_order_relaxed);
-    while (st.guide.matched > seen &&
-           !max_matched_.compare_exchange_weak(seen, st.guide.matched,
-                                               std::memory_order_relaxed)) {
-    }
-    if (st.guide.matched > seen && kDebugSched) {
+    if (st.guide.matched > max_matched_ && kDebugSched) {
       fprintf(stderr, "MATCH state=%llu m=%d loc=%s\n",
               (unsigned long long)st.id, st.guide.matched,
               monitor::loc_name(m_, loc).c_str());
     }
+    max_matched_ = std::max(max_matched_, st.guide.matched);
     if (!inject_at(ex, st, loc)) {
-      conflict_susp_.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(conflict_mu_);
-        ++conflict_by_loc_[loc];
-      }
+      ++conflict_susp_;
       return Action::kSuspend;
     }
     return Action::kContinue;
@@ -171,7 +163,7 @@ symexec::GuidanceHook::Action CandidateGuidance::on_location(
   }
   seen.push_back(loc);
   if (++st.guide.diverted > opts_.tau) {
-    diverted_susp_.fetch_add(1, std::memory_order_relaxed);
+    ++diverted_susp_;
     return Action::kSuspend;
   }
   return Action::kContinue;

@@ -17,8 +17,6 @@
 //     constraining string lengths.
 #pragma once
 
-#include <atomic>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -104,24 +102,10 @@ class CandidateGuidance final : public symexec::GuidanceHook {
   void on_wake(symexec::State& st) override;
 
   // Number of states this guidance suspended for diverging / conflicting.
-  // Schedule-invariant (every drawn task runs to completion in every
-  // schedule) but incremented concurrently by round workers, hence atomic.
-  std::uint64_t diverted_suspensions() const {
-    return diverted_susp_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t conflict_suspensions() const {
-    return conflict_susp_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t diverted_suspensions() const { return diverted_susp_; }
+  std::uint64_t conflict_suspensions() const { return conflict_susp_; }
   // Deepest candidate-path progress any state achieved (diagnostics).
-  std::int32_t max_matched() const {
-    return max_matched_.load(std::memory_order_relaxed);
-  }
-  // Per-location conflict-suspension tallies (diagnostics). Only safe to
-  // read once the run has finished.
-  const std::unordered_map<monitor::LocId, std::uint64_t>& conflicts_by_loc()
-      const {
-    return conflict_by_loc_;
-  }
+  std::int32_t max_matched() const { return max_matched_; }
 
  private:
   // Injects the predicates registered at `loc` into the state; returns
@@ -146,11 +130,9 @@ class CandidateGuidance final : public symexec::GuidanceHook {
   // already exploded at the node carrying the tightest threshold.
   std::unordered_map<std::string, double> len_gt_max_;
   GuidanceOptions opts_;
-  std::atomic<std::uint64_t> diverted_susp_{0};
-  std::atomic<std::uint64_t> conflict_susp_{0};
-  std::mutex conflict_mu_;  // guards conflict_by_loc_ during the run
-  std::unordered_map<monitor::LocId, std::uint64_t> conflict_by_loc_;
-  std::atomic<std::int32_t> max_matched_{0};
+  std::uint64_t diverted_susp_{0};
+  std::uint64_t conflict_susp_{0};
+  std::int32_t max_matched_{0};
 };
 
 }  // namespace statsym::core

@@ -861,35 +861,6 @@ std::size_t SymExecutor::live_memory_estimate() const {
   return total;
 }
 
-void SymExecutor::publish_shared(std::size_t mem_estimate) {
-  if (budget_ == nullptr) return;
-  budget_->instructions.fetch_add(stats_.instructions - published_instrs_,
-                                  std::memory_order_relaxed);
-  published_instrs_ = stats_.instructions;
-  auto adjust = [](std::atomic<std::size_t>& gauge, std::size_t& last,
-                   std::size_t now) {
-    if (now >= last) {
-      gauge.fetch_add(now - last, std::memory_order_relaxed);
-    } else {
-      gauge.fetch_sub(last - now, std::memory_order_relaxed);
-    }
-    last = now;
-  };
-  adjust(budget_->live_states, published_states_, owned_.size());
-  adjust(budget_->memory_bytes, published_mem_, mem_estimate);
-}
-
-void SymExecutor::release_shared() {
-  if (budget_ == nullptr) return;
-  budget_->instructions.fetch_add(stats_.instructions - published_instrs_,
-                                  std::memory_order_relaxed);
-  published_instrs_ = stats_.instructions;
-  budget_->live_states.fetch_sub(published_states_, std::memory_order_relaxed);
-  budget_->memory_bytes.fetch_sub(published_mem_, std::memory_order_relaxed);
-  published_states_ = 0;
-  published_mem_ = 0;
-}
-
 void SymExecutor::destroy_state(State* st) {
   // Follow mode runs exactly one state; keep its final constraint list so
   // the concolic driver can slice decision prefixes out of it.
@@ -1007,11 +978,6 @@ ExecResult SymExecutor::run() {
 
   while (!done) {
     ++round;
-    if (stop_flag_ != nullptr &&
-        stop_flag_->load(std::memory_order_relaxed)) {
-      term = Termination::kCancelled;
-      break;
-    }
     if (sw.elapsed_seconds() > opts_.max_seconds) {
       term = Termination::kTimeout;
       break;
@@ -1023,23 +989,11 @@ ExecResult SymExecutor::run() {
         term = Termination::kOutOfMemory;
         break;
       }
-      if (budget_ != nullptr) {
-        publish_shared(mem);
-        if (budget_->instructions.load(std::memory_order_relaxed) >
-            budget_->max_instructions) {
-          term = Termination::kInstrLimit;
-          break;
-        }
-        if (budget_->live_states.load(std::memory_order_relaxed) >
-            budget_->max_live_states) {
-          term = Termination::kStateLimit;
-          break;
-        }
-        if (budget_->memory_bytes.load(std::memory_order_relaxed) >
-            budget_->max_memory_bytes) {
-          term = Termination::kOutOfMemory;
-          break;
-        }
+      if (budget_ != nullptr &&
+          budget_->instructions + stats_.instructions >
+              budget_->max_instructions) {
+        term = Termination::kInstrLimit;
+        break;
       }
     }
     if (stats_.instructions > opts_.max_instructions) {
@@ -1089,13 +1043,13 @@ ExecResult SymExecutor::run() {
   if (result.vuln.has_value() && term == Termination::kExhausted) {
     term = Termination::kFoundFault;
   }
-  // Budget/cancellation stops leave the followed state alive: capture its
-  // partial path so already-recorded decisions stay sliceable.
+  // Budget stops leave the followed state alive: capture its partial path
+  // so already-recorded decisions stay sliceable.
   if (follow_ && followed_pc_.empty() && !owned_.empty()) {
     followed_pc_ = owned_.begin()->second->pc.list();
   }
 
-  release_shared();
+  if (budget_ != nullptr) budget_->instructions += stats_.instructions;
   stats_.seconds = sw.elapsed_seconds();
   stats_.peak_live_states = std::max(stats_.peak_live_states, owned_.size());
   stats_.paths_explored = stats_.paths_completed + owned_.size();

@@ -22,7 +22,6 @@
 // hash-cons into one pool.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -80,28 +79,22 @@ enum class Termination : std::uint8_t {
   kStateLimit,    // live-state cap exceeded
   kInstrLimit,
   kTimeout,
-  kCancelled,     // stop flag raised; also an engine lane after the winner
+  kCancelled,     // an engine lane ranked after the winner (never started)
   kRunLimit,      // concolic lane: ConcolicOptions::max_runs spent
 };
 
 const char* termination_name(Termination t);
 
-// Resource budget shared by the executors of one analysis: its candidates
-// and engine lanes, which run one after another. Each executor still
-// enforces its own per-candidate ExecOptions caps; on top of that it
-// periodically publishes its consumption here and stops when the *total*
-// is exhausted, so Table IV's "Failed = budget exhausted" describes the
-// whole analysis, not one candidate.
-// `instructions` accumulates forever; `live_states`/`memory_bytes` are
-// gauges — a finishing executor releases its contribution on exit.
+// Instruction budget shared by the executors of one analysis: its
+// candidates and engine lanes, which run one after another. Each executor
+// still enforces its own ExecOptions caps; on top of that it stops once the
+// instructions of the executors that finished before it plus its own exceed
+// `max_instructions`, so Table IV's "Failed = budget exhausted" describes
+// the whole analysis, not one candidate. An executor adds its count to
+// `instructions` when its run ends.
 struct SharedBudget {
   std::uint64_t max_instructions{~0ull};
-  std::size_t max_live_states{~std::size_t{0}};
-  std::size_t max_memory_bytes{~std::size_t{0}};
-
-  std::atomic<std::uint64_t> instructions{0};
-  std::atomic<std::size_t> live_states{0};
-  std::atomic<std::size_t> memory_bytes{0};
+  std::uint64_t instructions{0};
 };
 
 // A discovered vulnerable path: fault point, location trace, constraints,
@@ -226,10 +219,6 @@ class SymExecutor {
   void set_guidance(GuidanceHook* hook) { hook_ = hook; }
   // Replaces the default searcher built from opts.searcher.
   void set_searcher(std::unique_ptr<Searcher> s) { searcher_ = std::move(s); }
-  // Cooperative cancellation: run() polls the flag between scheduling slices
-  // and terminates with kCancelled once it reads true. The flag must outlive
-  // the run. Lower-latency than a hard stop and keeps per-state invariants.
-  void set_stop_flag(const std::atomic<bool>* flag) { stop_flag_ = flag; }
   // Concolic follow mode: execution is driven by `input` instead of forking.
   // Every symbolic input variable is bound to the concrete value `input`
   // induces (missing entries default exactly as the concrete interpreter
@@ -356,12 +345,6 @@ class SymExecutor {
 
   std::size_t live_memory_estimate() const;
 
-  // Publishes consumption deltas into budget_ (instructions cumulative,
-  // states/memory as gauges) / releases this executor's gauge contributions
-  // when the run ends. No-ops without a shared budget.
-  void publish_shared(std::size_t mem_estimate);
-  void release_shared();
-
   const ir::Module& m_;
   SymInputSpec spec_;
   ExecOptions opts_;
@@ -390,13 +373,8 @@ class SymExecutor {
   std::vector<State*> suspended_;
   GuidanceHook* hook_{nullptr};
   const analysis::ProgramFacts* facts_{nullptr};
-  const std::atomic<bool>* stop_flag_{nullptr};
   obs::TraceBuffer* trace_{nullptr};
   SharedBudget* budget_{nullptr};
-  // Last values published into budget_ (deltas keep the gauges exact).
-  std::uint64_t published_instrs_{0};
-  std::size_t published_states_{0};
-  std::size_t published_mem_{0};
 
   std::uint64_t next_state_id_{1};
   ExecStats stats_;

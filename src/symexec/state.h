@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "ir/module.h"
@@ -106,19 +105,13 @@ struct State {
 // Recycles State allocations across the fork/terminate churn of a run.
 // Terminated states return their shells here; a fork pops one instead of
 // paying a fresh allocation (and re-grows the member containers in place).
-// Thread-safe: workers release and acquire concurrently mid-round.
 class StateArena {
  public:
   std::unique_ptr<State> acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        auto s = std::move(free_.back());
-        free_.pop_back();
-        return s;
-      }
-    }
-    return std::make_unique<State>();
+    if (free_.empty()) return std::make_unique<State>();
+    auto s = std::move(free_.back());
+    free_.pop_back();
+    return s;
   }
 
   void release(std::unique_ptr<State> s) {
@@ -132,13 +125,11 @@ class StateArena {
     s->depth = 0;
     s->instrs = 0;
     s->guide = GuideInfo{};
-    std::lock_guard<std::mutex> lock(mu_);
     if (free_.size() < kMaxFree) free_.push_back(std::move(s));
   }
 
  private:
   static constexpr std::size_t kMaxFree = 256;
-  std::mutex mu_;
   std::vector<std::unique_ptr<State>> free_;
 };
 

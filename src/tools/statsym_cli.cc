@@ -115,14 +115,6 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
         return false;
       }
       f.searcher = *kind;
-    } else if (a == "--exec-jobs" || a == "--exec-batch") {
-      // Removed with the executor's intra-run worker pool: fail loudly
-      // instead of silently running a different configuration.
-      std::fprintf(stderr,
-                   "%s was removed: each symbolic executor runs one "
-                   "sequential exploration loop\n",
-                   a.c_str());
-      return false;
     } else if (a == "--no-static-analysis") {
       f.run.static_analysis = false;
     } else if (a == "--facts") {

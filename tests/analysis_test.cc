@@ -462,8 +462,8 @@ TEST(CandidatePrune, StaleLogsCandidatesAreDroppedDeterministically) {
   EXPECT_EQ(r1.candidates_pruned, r2.candidates_pruned);
   EXPECT_EQ(r1.found, r2.found);
 
-  // The kStaticPrune candidate events survive rank-order stitching and the
-  // whole trace repeats exactly.
+  // The kStaticPrune candidate events land in the trace and the whole
+  // trace repeats exactly.
   const std::string j1 = t1.to_jsonl();
   EXPECT_EQ(j1, t2.to_jsonl());
   EXPECT_NE(j1.find("static-prune"), std::string::npos);

@@ -37,26 +37,6 @@ CliRun run_binary(const std::string& binary, const std::string& args) {
 
 CliRun run_cli(const std::string& args) { return run_binary(STATSYM_CLI, args); }
 
-void expect_removed(const std::string& args, const std::string& flag) {
-  SCOPED_TRACE(args);
-  const CliRun r = run_cli(args);
-  EXPECT_EQ(r.status, 2) << r.output;
-  EXPECT_NE(r.output.find(flag + " was removed"), std::string::npos)
-      << r.output;
-  // Nothing ran: no phase output, no replay verdict.
-  EXPECT_EQ(r.output.find("replay"), std::string::npos) << r.output;
-}
-
-TEST(Cli, RemovedExecJobsFlagFailsLoudly) {
-  expect_removed("run fig2 --exec-jobs 2", "--exec-jobs");
-  expect_removed("pure fig2 --exec-jobs 1", "--exec-jobs");
-}
-
-TEST(Cli, RemovedExecBatchFlagFailsLoudly) {
-  expect_removed("run fig2 --sampling 0.5 --exec-batch 4", "--exec-batch");
-  expect_removed("pure fig2 --exec-batch 1", "--exec-batch");
-}
-
 TEST(Cli, UsageNoLongerListsRemovedFlags) {
   const CliRun r = run_cli("");
   EXPECT_EQ(r.status, 2);
@@ -74,6 +54,18 @@ void expect_rejected(const std::string& args, const std::string& expect) {
   EXPECT_EQ(r.status, 2) << r.output;
   EXPECT_NE(r.output.find(expect), std::string::npos) << r.output;
   EXPECT_EQ(r.output.find("collected"), std::string::npos) << r.output;
+}
+
+TEST(Cli, RemovedExecJobsFlagFailsLoudly) {
+  // Flags of a deleted option must not be silently ignored.
+  expect_rejected("run fig2 --exec-jobs 2", "unknown flag: --exec-jobs");
+  expect_rejected("pure fig2 --exec-jobs 1", "unknown flag: --exec-jobs");
+}
+
+TEST(Cli, RemovedExecBatchFlagFailsLoudly) {
+  expect_rejected("run fig2 --sampling 0.5 --exec-batch 4",
+                  "unknown flag: --exec-batch");
+  expect_rejected("pure fig2 --exec-batch 1", "unknown flag: --exec-batch");
 }
 
 TEST(Cli, StreamingFlagsAreUnknown) {

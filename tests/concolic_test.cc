@@ -4,7 +4,6 @@
 // lane-level resource controls.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 
 #include "apps/registry.h"
@@ -284,16 +283,6 @@ TEST(Concolic, DeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(ra.stats.negations_sat, rb.stats.negations_sat);
 }
 
-TEST(Concolic, PreSetStopFlagCancels) {
-  const ir::Module m = needle();
-  ConcolicExecutor ce(m, {}, {});
-  std::atomic<bool> stop{true};
-  ce.set_stop_flag(&stop);
-  const auto r = ce.run();
-  EXPECT_EQ(r.termination, symexec::Termination::kCancelled);
-  EXPECT_EQ(r.stats.runs, 0u);
-}
-
 TEST(Concolic, MaxRunsCapsTheSearch) {
   // A loop over a symbolic bound keeps producing fresh inputs; a tiny
   // max_runs must stop the lane with a budget verdict.
@@ -412,7 +401,7 @@ TEST(Concolic, SharedBudgetStopsTheLane) {
   const ir::Module m = needle();
   symexec::SharedBudget budget;
   budget.max_instructions = 1;
-  budget.instructions.store(10);  // already exhausted by another lane
+  budget.instructions = 10;  // already exhausted by another lane
   ConcolicExecutor ce(m, {}, {});
   ce.set_shared_budget(&budget);
   const auto r = ce.run();

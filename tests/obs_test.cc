@@ -1,7 +1,7 @@
 // Unit tests for the observability layer (obs/metrics.h, obs/trace.h):
 // histogram bucketing, registry merge policies and schedule-invariance,
-// JSON rendering determinism, the trace ring's eviction accounting, worker
-// buffer stitching, and both trace renderings.
+// JSON rendering determinism, the trace ring's eviction accounting and both
+// trace renderings.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -142,28 +142,6 @@ TEST(TraceBuffer, RingEvictsOldestAndCountsDropped) {
   }
 }
 
-TEST(TraceBuffer, AppendStitchesInOrderAndKeepsAccounting) {
-  TraceBuffer root(64);
-  root.emit(EventKind::kPhaseBegin, 0, 0, 0, "symexec");
-  TraceBuffer w(2);
-  w.set_lane(3);
-  w.emit(EventKind::kNote, 1);
-  w.emit(EventKind::kNote, 2);
-  w.emit(EventKind::kNote, 3);  // evicts note 1 in the worker ring
-  root.append(std::move(w));
-  root.emit(EventKind::kPhaseEnd, 0, 0, 0, "symexec");
-  const auto evs = root.snapshot();
-  ASSERT_EQ(evs.size(), 4u);
-  EXPECT_EQ(evs[0].kind, EventKind::kPhaseBegin);
-  EXPECT_EQ(evs[1].a, 2);
-  EXPECT_EQ(evs[1].lane, 3u);
-  EXPECT_EQ(evs[2].a, 3);
-  EXPECT_EQ(evs[3].kind, EventKind::kPhaseEnd);
-  // 1 + 3 + 1 events passed through in total; one lost in the worker ring.
-  EXPECT_EQ(root.total(), 5u);
-  EXPECT_EQ(root.dropped(), 1u);
-}
-
 TEST(Tracer, JsonlIsDeterministicAndTyped) {
   Tracer t;  // no wall clock
   t.emit(EventKind::kPhaseBegin, 0, 0, 0, "stat");
@@ -205,19 +183,6 @@ TEST(Tracer, WallClockStampsOnlyWhenEnabled) {
   // ...and the opt-in rendering includes it.
   EXPECT_NE(t.to_jsonl(/*include_wall=*/true).find("wall_us"),
             std::string::npos);
-}
-
-TEST(Tracer, WorkerBuffersInheritCapacityAndLane) {
-  TraceOptions opts;
-  opts.capacity = 8;
-  Tracer t(opts);
-  TraceBuffer w = t.make_worker_buffer(5);
-  EXPECT_EQ(w.capacity(), 8u);
-  w.emit(EventKind::kExecBegin, 5);
-  t.absorb(std::move(w));
-  const auto evs = t.buffer().snapshot();
-  ASSERT_EQ(evs.size(), 1u);
-  EXPECT_EQ(evs[0].lane, 5u);
 }
 
 TEST(Tracer, ChromeExportPairsPhasesAndMarksInstants) {

@@ -3,9 +3,6 @@
 // memory, and differential agreement with the concrete interpreter.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "apps/stdlib.h"
 #include "interp/interpreter.h"
@@ -537,34 +534,6 @@ ir::Module wide_fanout(int n) {
   return mb.build();
 }
 
-TEST(SymExecCancel, StopFlagCancelsALongRun) {
-  // A run must stop soon after its stop flag flips rather than exploring
-  // its 2^26 remaining paths.
-  const ir::Module m = wide_fanout(26);
-  ExecOptions opts;
-  opts.max_seconds = 600.0;
-  SymExecutor ex(m, {}, opts);
-  std::atomic<bool> stop{false};
-  ex.set_stop_flag(&stop);
-  ExecResult r;
-  std::thread worker([&] { r = ex.run(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  stop.store(true);
-  worker.join();
-  EXPECT_EQ(r.termination, Termination::kCancelled);
-  EXPECT_LT(r.stats.seconds, 10.0);  // stopped, not explored to the end
-}
-
-TEST(SymExecCancel, PreSetFlagStopsBeforeAnyWork) {
-  const ir::Module m = wide_fanout(26);
-  SymExecutor ex(m, {}, {});
-  std::atomic<bool> stop{true};
-  ex.set_stop_flag(&stop);
-  const ExecResult r = ex.run();
-  EXPECT_EQ(r.termination, Termination::kCancelled);
-  EXPECT_EQ(r.stats.paths_completed, 0u);
-}
-
 TEST(SymExecBudget, SharedInstructionBudgetStopsTheRun) {
   const ir::Module m = wide_fanout(26);
   ExecOptions opts;
@@ -575,12 +544,9 @@ TEST(SymExecBudget, SharedInstructionBudgetStopsTheRun) {
   ex.set_shared_budget(&budget);
   const ExecResult r = ex.run();
   EXPECT_EQ(r.termination, Termination::kInstrLimit);
-  // The run published its consumption; the global counter reflects it.
-  EXPECT_GE(budget.instructions.load(), 50'000u);
-  EXPECT_EQ(budget.instructions.load(), r.stats.instructions);
-  // Gauges were released when the run ended.
-  EXPECT_EQ(budget.live_states.load(), 0u);
-  EXPECT_EQ(budget.memory_bytes.load(), 0u);
+  // The run added its consumption; the global counter reflects it.
+  EXPECT_GE(budget.instructions, 50'000u);
+  EXPECT_EQ(budget.instructions, r.stats.instructions);
 }
 
 TEST(SymExecBudget, BudgetIsGlobalAcrossSequentialRuns) {
@@ -601,31 +567,6 @@ TEST(SymExecBudget, BudgetIsGlobalAcrossSequentialRuns) {
   const ExecResult r2 = second.run();
   EXPECT_EQ(r2.termination, Termination::kInstrLimit);
   EXPECT_LT(r2.stats.instructions, r1.stats.instructions / 2);
-}
-
-TEST(SymExecBudget, ConcurrentWorkersShareOneBudget) {
-  const ir::Module m = wide_fanout(26);
-  ExecOptions opts;
-  opts.max_seconds = 600.0;
-  SharedBudget budget;
-  budget.max_instructions = 200'000;
-  SymExecutor a(m, {}, opts);
-  SymExecutor b(m, {}, opts);
-  a.set_shared_budget(&budget);
-  b.set_shared_budget(&budget);
-  ExecResult ra, rb;
-  std::thread ta([&] { ra = a.run(); });
-  std::thread tb([&] { rb = b.run(); });
-  ta.join();
-  tb.join();
-  EXPECT_EQ(ra.termination, Termination::kInstrLimit);
-  EXPECT_EQ(rb.termination, Termination::kInstrLimit);
-  // Combined consumption respects the global cap up to one publish
-  // granule (128 scheduler iterations x slice) per worker.
-  const std::uint64_t slack = 2ull * 128 * opts.slice;
-  EXPECT_LE(budget.instructions.load(), budget.max_instructions + slack);
-  EXPECT_EQ(budget.instructions.load(),
-            ra.stats.instructions + rb.stats.instructions);
 }
 
 }  // namespace

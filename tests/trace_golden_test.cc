@@ -39,15 +39,20 @@ EngineOptions golden_opts(double sampling) {
   return o;
 }
 
-std::string trace_for(const apps::AppSpec& app, double sampling,
-                      const std::vector<EngineKind>& engines) {
-  obs::Tracer tracer;
+void run_traced(obs::Tracer& tracer, const apps::AppSpec& app,
+                double sampling, const std::vector<EngineKind>& engines) {
   EngineOptions o = golden_opts(sampling);
   o.engines = engines;
   StatSymEngine engine(app.module, app.sym_spec, o);
   engine.set_tracer(&tracer);
   engine.collect_logs(app.workload);
   engine.run();
+}
+
+std::string trace_for(const apps::AppSpec& app, double sampling,
+                      const std::vector<EngineKind>& engines) {
+  obs::Tracer tracer;
+  run_traced(tracer, app, sampling, engines);
   EXPECT_EQ(tracer.buffer().dropped(), 0u)
       << "golden configs must fit the default ring";
   return tracer.to_jsonl();
@@ -87,8 +92,8 @@ void run_case(const std::string& name, const apps::AppSpec& app,
 TEST(TraceGolden, Fig2) { run_case("fig2", apps::make_fig2(), 0.5); }
 
 TEST(TraceGolden, Polymorph) {
-  // 0.2 sampling produces >= 2 candidates, so the candidate stitching path
-  // (tried candidates only, rank order) is actually on the golden.
+  // 0.2 sampling produces >= 2 candidates, so the candidate loop (tried
+  // candidates only, rank order) is actually on the golden.
   run_case("polymorph", apps::make_polymorph(), 0.2);
 }
 
@@ -120,6 +125,52 @@ TEST(TraceGolden, Fig2ConcolicLaneFirst) {
   // itself is pinned by the golden, not just the lane brackets.
   run_race_case("fig2-concolic-first", apps::make_fig2(), 0.5,
                 {EngineKind::kConcolic, EngineKind::kGuided});
+}
+
+// --- bounded ring -------------------------------------------------------
+// Phase 3 emits straight into the tracer's one ring, so a ring smaller than
+// the stream keeps exactly its last N events, whichever lane emitted them,
+// and still counts every event.
+
+TEST(TraceRing, SmallRingKeepsTheRaceStreamSuffix) {
+  const apps::AppSpec app = apps::make_fig2();
+  const std::vector<EngineKind> engines = {
+      EngineKind::kConcolic, EngineKind::kGuided, EngineKind::kPure};
+  obs::Tracer full;
+  run_traced(full, app, 0.5, engines);
+  constexpr std::size_t kCap = 40;
+  obs::Tracer small(obs::TraceOptions{.capacity = kCap});
+  run_traced(small, app, 0.5, engines);
+
+  const std::vector<obs::TraceEvent> all = full.buffer().snapshot();
+  const std::vector<obs::TraceEvent> kept = small.buffer().snapshot();
+  ASSERT_EQ(full.buffer().dropped(), 0u);
+  ASSERT_GT(all.size(), kCap);
+  EXPECT_EQ(small.buffer().total(), full.buffer().total());
+  EXPECT_EQ(small.buffer().dropped(), small.buffer().total() - kCap);
+  ASSERT_EQ(kept.size(), kCap);
+  const std::size_t offset = all.size() - kCap;
+  bool saw_lane_event = false;
+  for (std::size_t i = 0; i < kCap; ++i) {
+    SCOPED_TRACE(i);
+    const obs::TraceEvent& want = all[offset + i];
+    EXPECT_EQ(kept[i].kind, want.kind);
+    EXPECT_EQ(kept[i].lane, want.lane);
+    EXPECT_EQ(kept[i].a, want.a);
+    EXPECT_EQ(kept[i].b, want.b);
+    EXPECT_EQ(kept[i].c, want.c);
+    EXPECT_EQ(kept[i].name, want.name);
+    saw_lane_event |= kept[i].lane != 0;
+  }
+  EXPECT_TRUE(saw_lane_event) << "the kept suffix should reach into a lane";
+  // Absolute sequence numbers survive eviction: the small ring renders as
+  // the full rendering's last kCap lines.
+  const std::string full_jsonl = full.to_jsonl();
+  std::size_t cut = full_jsonl.size();
+  for (std::size_t n = 0; n <= kCap; ++n) {
+    cut = full_jsonl.rfind('\n', cut - 1);
+  }
+  EXPECT_EQ(small.to_jsonl(), full_jsonl.substr(cut + 1));
 }
 
 // --- three generator-corpus seeds ---------------------------------------
