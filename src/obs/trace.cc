@@ -20,7 +20,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kStateWake: return "state-wake";
     case EventKind::kStateTerminate: return "state-terminate";
     case EventKind::kSolverQuery: return "solver-query";
-    case EventKind::kSolverSlice: return "solver-slice";
     case EventKind::kExecEnd: return "exec-end";
     case EventKind::kEngineLaneBegin: return "engine-lane-begin";
     case EventKind::kEngineLaneEnd: return "engine-lane-end";
@@ -112,8 +111,7 @@ FieldNames fields_of(EventKind k) {
     case EventKind::kStateSuspend: return {"state", "", "", false};
     case EventKind::kStateWake: return {"state", "", "", false};
     case EventKind::kStateTerminate: return {"state", "reason", "", false};
-    case EventKind::kSolverQuery: return {"verdict", "slices", "", false};
-    case EventKind::kSolverSlice: return {"level", "verdict", "", false};
+    case EventKind::kSolverQuery: return {"verdict", "slices", "local", false};
     case EventKind::kExecEnd: return {"termination", "live", "suspended", false};
     case EventKind::kEngineLaneBegin: return {"priority", "kind", "", true};
     case EventKind::kEngineLaneEnd:

@@ -13,10 +13,11 @@
 //     pipeline state (doubles are carried as micros via llround);
 //   * wall-clock stamps are opt-in (set_clock) and excluded from the
 //     deterministic JSONL rendering — they exist for the Chrome export;
-//   * solver events collapse "shared-cache hit" and "canonical solve" into
-//     one level, because which of the two answers a slice depends on cache
-//     warmth (a serve session's cache outlives its requests); the results
-//     themselves are bit-identical by construction.
+//   * the solver emits one event per query, with per-query counts: slices
+//     decided and local-cache hits among them. Shared-cache hits and
+//     canonical solves are not told apart, because which of the two answers
+//     a slice depends on cache warmth (a serve session's cache outlives its
+//     requests); the results themselves are bit-identical by construction.
 //
 // The disabled path is a null pointer check at every call site: no event is
 // constructed, no clock is read.
@@ -42,9 +43,8 @@ enum class EventKind : std::uint8_t {
   kStateSuspend,     // a = state id
   kStateWake,        // a = state id
   kStateTerminate,   // a = state id, b = reason (0 ok, 1 infeasible, 2 fault)
-  kSolverQuery,      // a = verdict (0 sat, 1 unsat, 2 unknown), b = slices
-  kSolverSlice,      // a = level (0 local, 2 canonical; 1 is retired),
-                     // b = verdict
+  kSolverQuery,      // a = verdict (0 sat, 1 unsat, 2 unknown),
+                     // b = slices decided, c = local-cache hits among them
   kExecEnd,          // a = termination code, b = live left, c = suspended left
   kEngineLaneBegin,  // a = priority, b = kind code; name = engine name
   kEngineLaneEnd,    // a = priority, b = found, c = termination code;
@@ -76,6 +76,8 @@ struct TraceEvent {
 // `dropped()` reports the evicted prefix length.
 class TraceBuffer {
  public:
+  static constexpr std::size_t kDefaultCapacity = 1u << 18;
+
   explicit TraceBuffer(std::size_t capacity = kDefaultCapacity);
 
   void emit(EventKind kind, std::int64_t a = 0, std::int64_t b = 0,
@@ -94,8 +96,6 @@ class TraceBuffer {
   std::vector<TraceEvent> snapshot() const;
 
  private:
-  static constexpr std::size_t kDefaultCapacity = 1u << 18;
-
   void push(TraceEvent&& ev);
 
   std::size_t capacity_;
@@ -107,7 +107,7 @@ class TraceBuffer {
 };
 
 struct TraceOptions {
-  std::size_t capacity{1u << 18};
+  std::size_t capacity{TraceBuffer::kDefaultCapacity};
   // Stamp events with wall-clock seconds (needed for the Chrome export;
   // leave off for golden traces).
   bool wall_clock{false};

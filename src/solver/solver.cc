@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 namespace statsym::solver {
@@ -576,11 +574,7 @@ Sat Solver::search(const QueryCtx& ctx, DomainMap d, Model& model,
 
 namespace {
 
-// Environment-gated diagnostics (README), read once per process.
-const bool kDebugHard = std::getenv("STATSYM_DEBUG_HARD") != nullptr;
-const bool kDebugUnknown = std::getenv("STATSYM_DEBUG_UNKNOWN") != nullptr;
-
-// Trace payload code for a verdict (obs::EventKind::kSolverQuery/-Slice).
+// Trace payload code for a verdict (obs::EventKind::kSolverQuery).
 std::int64_t verdict_code(Sat s) {
   switch (s) {
     case Sat::kSat: return 0;
@@ -605,6 +599,8 @@ SolveResult Solver::check_impl(std::span<const ExprId> constraints,
                                ExprId extra) {
   ++stats_.queries;
   query_sw_.reset();
+  const std::uint64_t slices0 = stats_.slices;
+  const std::uint64_t local0 = stats_.cache_hits;
 
   std::vector<ExprId>& cs = cs_buf_;
   cs.clear();
@@ -613,24 +609,13 @@ SolveResult Solver::check_impl(std::span<const ExprId> constraints,
     const ExprId c = i < constraints.size() ? constraints[i] : extra;
     if (pool_.is_const(c)) {
       if (pool_.const_val(c) == 0) {
-        ++stats_.unsat;
-        if (trace_ != nullptr) {
-          trace_->emit(obs::EventKind::kSolverQuery, verdict_code(Sat::kUnsat),
-                       0);
-        }
-        return {Sat::kUnsat, {}};
+        return finish_query({Sat::kUnsat, {}}, slices0, local0);
       }
       continue;  // trivially true
     }
     cs.push_back(c);
   }
-  if (cs.empty()) {
-    ++stats_.sat;
-    if (trace_ != nullptr) {
-      trace_->emit(obs::EventKind::kSolverQuery, verdict_code(Sat::kSat), 0);
-    }
-    return {Sat::kSat, {}};
-  }
+  if (cs.empty()) return finish_query({Sat::kSat, {}}, slices0, local0);
 
   // Partition into independence slices and decide each one through the
   // cache cascade. Slices are conjoined: the first unsat decides the
@@ -643,16 +628,10 @@ SolveResult Solver::check_impl(std::span<const ExprId> constraints,
 
   SolveResult out;
   out.sat = Sat::kSat;
-  const auto nslices = static_cast<std::int64_t>(slices.size());
   for (const Slice& sl : slices) {
     SolveResult r = solve_slice(sl);
     if (r.sat == Sat::kUnsat) {
-      ++stats_.unsat;
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kSolverQuery, verdict_code(Sat::kUnsat),
-                     nslices);
-      }
-      return {Sat::kUnsat, {}};
+      return finish_query({Sat::kUnsat, {}}, slices0, local0);
     }
     if (r.sat == Sat::kUnknown) {
       out.sat = Sat::kUnknown;
@@ -660,16 +639,25 @@ SolveResult Solver::check_impl(std::span<const ExprId> constraints,
       for (const auto& [v, val] : r.model) out.model.emplace(v, val);
     }
   }
+  return finish_query(std::move(out), slices0, local0);
+}
+
+SolveResult Solver::finish_query(SolveResult r, std::uint64_t slices0,
+                                 std::uint64_t local0) {
+  switch (r.sat) {
+    case Sat::kSat: ++stats_.sat; break;
+    case Sat::kUnsat: ++stats_.unsat; break;
+    case Sat::kUnknown:
+      ++stats_.unknown;
+      r.model.clear();
+      break;
+  }
   if (trace_ != nullptr) {
-    trace_->emit(obs::EventKind::kSolverQuery, verdict_code(out.sat), nslices);
+    trace_->emit(obs::EventKind::kSolverQuery, verdict_code(r.sat),
+                 static_cast<std::int64_t>(stats_.slices - slices0),
+                 static_cast<std::int64_t>(stats_.cache_hits - local0));
   }
-  if (out.sat == Sat::kUnknown) {
-    out.model.clear();
-    ++stats_.unknown;
-    return out;
-  }
-  ++stats_.sat;
-  return out;
+  return r;
 }
 
 SolveResult Solver::solve_slice(const Slice& slice) {
@@ -681,9 +669,6 @@ SolveResult Solver::solve_slice(const Slice& slice) {
   if (cache_ != nullptr) {
     if (const SolveResult* hit = cache_->lookup(sorted)) {
       ++stats_.cache_hits;
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kSolverSlice, 0, verdict_code(hit->sat));
-      }
       return *hit;
     }
   }
@@ -722,21 +707,12 @@ SolveResult Solver::solve_slice(const Slice& slice) {
     if (proved) {
       ++stats_.shared_cache_hits;
       if (cache_ != nullptr) cache_->insert(sorted, res);
-      // Level 2 ("canonical"), same as a solve: whether a sibling already
-      // published this slice is the one schedule-dependent fork in the
-      // cascade, and the result is bit-identical either way.
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kSolverSlice, 2, verdict_code(res.sat));
-      }
       return res;
     }
     res = SolveResult{};
   }
 
   res = solve_canonical(slice, order, slice_fp);
-  if (trace_ != nullptr) {
-    trace_->emit(obs::EventKind::kSolverSlice, 2, verdict_code(res.sat));
-  }
   if (res.sat != Sat::kUnknown) {
     // kUnknown stays out of both caches: it can depend on the wall-clock
     // deadline, and a bigger-budget sharer (the fault validator) must not
@@ -782,24 +758,8 @@ SolveResult Solver::solve_canonical(const Slice& slice,
   } else if (opts_.propagation_only) {
     res.sat = Sat::kUnknown;
   } else {
-    if (kDebugHard) {
-      int shown = 0;
-      fprintf(stderr, "HARD query ncs=%zu vars=%zu; undecided:\n",
-              ctx.cs.size(), ctx.all_vars.size());
-      for (ExprId c : ctx.cs) {
-        const Interval iv = eval_interval(pool_, c, d);
-        if (iv.contains(0) && shown < 12) {
-          fprintf(stderr, "  %s\n", pool_.to_string(c).substr(0, 200).c_str());
-          ++shown;
-        }
-      }
-    }
     std::uint64_t budget = opts_.max_search_nodes;
     res.sat = search(ctx, d, res.model, budget);
-  }
-  if (res.sat == Sat::kUnknown && kDebugUnknown) {
-    fprintf(stderr, "UNKNOWN query ncs=%zu last=%s\n", ctx.cs.size(),
-            ctx.cs.empty() ? "-" : pool_.to_string(ctx.cs.back()).substr(0, 160).c_str());
   }
   stats_.solve_seconds += solve_sw.elapsed_seconds();
   return res;

@@ -255,9 +255,10 @@ class Solver {
   // must outlive the solver; safe to share across threads.
   void set_shared_cache(SharedQueryCache* cache) { shared_ = cache; }
   // Optional structured tracing (obs/trace.h): one kSolverQuery event per
-  // check(), one kSolverSlice event per sliced sub-query. Shared-cache hits
-  // and canonical solves report the same level (they are bit-identical by
-  // construction), so the event stream stays schedule-invariant.
+  // check(), carrying the verdict, the slices it decided and how many of
+  // those the local cache answered. Shared-cache hits and canonical solves
+  // are counted together (they are bit-identical by construction), so the
+  // event stream does not depend on the shared cache's warmth.
   void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
 
   // Decides the conjunction of `constraints`. With slicing enabled the set
@@ -284,6 +285,10 @@ class Solver {
   // check() and check_with(): drops constant-true constraints (and `extra`
   // when it is kNoExpr), then slices and decides.
   SolveResult check_impl(std::span<const ExprId> constraints, ExprId extra);
+  // Counts the query's verdict and, when traced, emits its kSolverQuery
+  // event; `slices0`/`local0` are stats_.slices/cache_hits at query start.
+  SolveResult finish_query(SolveResult r, std::uint64_t slices0,
+                           std::uint64_t local0);
 
   // Decides one independence slice: local cache, then shared cache, then
   // canonical solve. Every step returns the canonical answer, so the result

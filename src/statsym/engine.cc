@@ -4,6 +4,7 @@
 
 #include "concolic/concolic.h"
 #include "statsym/guided_searcher.h"
+#include "statsym/report.h"
 #include "support/stopwatch.h"
 #include "support/rng.h"
 
@@ -85,16 +86,7 @@ void StatSymEngine::fill_metrics(EngineResult& res,
     m.add("engine.concolic_runs", concolic_runs);
   }
 
-  const solver::SolverStats& ss = res.solver_stats;
-  m.add("solver.queries", ss.queries);
-  m.add("solver.sat", ss.sat);
-  m.add("solver.unsat", ss.unsat);
-  m.add("solver.unknown", ss.unknown);
-  m.add("solver.slices", ss.slices);
-  m.add("solver.multi_slice_queries", ss.multi_slice_queries);
-  m.add("solver.local_cache_hits", ss.cache_hits);
-  m.add("solver.canonical", ss.shared_cache_hits + ss.solves);
-  m.add("solver.static_prunes", ss.static_prunes);
+  add_solver_metrics(m, res.solver_stats);
 
   // Static-analysis counters appear only when the analysis ran, so
   // analysis-off metric renderings are byte-identical to before.
@@ -110,7 +102,6 @@ void StatSymEngine::fill_metrics(EngineResult& res,
   m.set_gauge("phase.symexec.seconds", res.symexec_seconds);
   m.set_gauge("phase.total.seconds",
               res.log_seconds + res.stat_seconds + res.symexec_seconds);
-  m.set_gauge("solver.solve.seconds", ss.solve_seconds);
 }
 
 StatSymEngine::StatSymEngine(const ir::Module& m, symexec::SymInputSpec spec,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 namespace statsym::core {
@@ -13,9 +11,6 @@ namespace {
 // Free-run marker: a woken state is no longer guided (pure-symbolic
 // fallback); encoded as a negative diverted count.
 constexpr std::int32_t kFreeRun = -1;
-
-// Environment-gated diagnostic (README), read once per process.
-const bool kDebugSched = std::getenv("STATSYM_DEBUG_SCHED") != nullptr;
 
 }  // namespace
 
@@ -130,11 +125,6 @@ symexec::GuidanceHook::Action CandidateGuidance::on_location(
     ++st.guide.matched;
     st.guide.diverted = 0;
     st.guide.alien_seen.clear();
-    if (st.guide.matched > max_matched_ && kDebugSched) {
-      fprintf(stderr, "MATCH state=%llu m=%d loc=%s\n",
-              (unsigned long long)st.id, st.guide.matched,
-              monitor::loc_name(m_, loc).c_str());
-    }
     max_matched_ = std::max(max_matched_, st.guide.matched);
     if (!inject_at(ex, st, loc)) {
       ++conflict_susp_;

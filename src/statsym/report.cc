@@ -107,6 +107,19 @@ std::string format_solver_stats(const solver::SolverStats& s) {
   return os.str();
 }
 
+void add_solver_metrics(obs::MetricsRegistry& m, const solver::SolverStats& s) {
+  m.add("solver.queries", s.queries);
+  m.add("solver.sat", s.sat);
+  m.add("solver.unsat", s.unsat);
+  m.add("solver.unknown", s.unknown);
+  m.add("solver.slices", s.slices);
+  m.add("solver.multi_slice_queries", s.multi_slice_queries);
+  m.add("solver.local_cache_hits", s.cache_hits);
+  m.add("solver.canonical", s.shared_cache_hits + s.solves);
+  m.add("solver.static_prunes", s.static_prunes);
+  m.set_gauge("solver.solve.seconds", s.solve_seconds);
+}
+
 std::string format_metrics(const obs::MetricsRegistry& m) {
   TextTable t({"Metric", "Value"});
   for (const auto& [name, v] : m.counters()) {

@@ -28,6 +28,10 @@ std::string format_vuln(const ir::Module& m, const symexec::VulnPath& v);
 // wall time the fast paths saved (ISSUE 4 instrumentation).
 std::string format_solver_stats(const solver::SolverStats& s);
 
+// The same accounting as named metrics: the solver.* counters and the
+// solver.solve.seconds gauge, shared by every command that reports them.
+void add_solver_metrics(obs::MetricsRegistry& m, const solver::SolverStats& s);
+
 // Named pipeline metrics (obs/metrics.h) as an aligned counter/gauge table;
 // histograms print count/min/mean/max.
 std::string format_metrics(const obs::MetricsRegistry& m);

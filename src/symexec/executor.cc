@@ -2,17 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 namespace statsym::symexec {
-
-namespace {
-
-// Environment-gated diagnostic (README), read once per process.
-const bool kDebugSched = std::getenv("STATSYM_DEBUG_SCHED") != nullptr;
-
-}  // namespace
 
 const char* termination_name(Termination t) {
   switch (t) {
@@ -1026,15 +1017,6 @@ ExecResult SymExecutor::run() {
     }
 
     State* st = searcher_->select();
-    if (kDebugSched && (round % 256) == 0) {
-      fprintf(stderr,
-              "round=%llu live=%zu susp=%zu st=%llu m=%d d=%d fn=%s "
-              "instrs=%llu\n",
-              (unsigned long long)round, owned_.size(), suspended_.size(),
-              (unsigned long long)st->id, st->guide.matched,
-              st->guide.diverted, m_.function(st->top().func).name.c_str(),
-              (unsigned long long)stats_.instructions);
-    }
     run_slice(st, result, term, done);
   }
 

@@ -179,9 +179,14 @@ int write_observability(const Flags& f, const obs::Tracer* tracer,
                         const obs::MetricsRegistry* metrics) {
   if (tracer != nullptr && !f.trace_out.empty()) {
     if (!write_file(f.trace_out, tracer->to_jsonl())) return 1;
-    std::printf("trace: %llu events -> %s\n",
-                static_cast<unsigned long long>(tracer->buffer().total()),
-                f.trace_out.c_str());
+    const obs::TraceBuffer& b = tracer->buffer();
+    std::printf("trace: %llu events",
+                static_cast<unsigned long long>(b.total()));
+    if (b.dropped() > 0) {
+      std::printf(" (%llu dropped)",
+                  static_cast<unsigned long long>(b.dropped()));
+    }
+    std::printf(" -> %s\n", f.trace_out.c_str());
   }
   if (tracer != nullptr && !f.trace_chrome.empty()) {
     std::ofstream os(f.trace_chrome);
@@ -332,12 +337,7 @@ int cmd_pure(const std::string& name, const Flags& f) {
   pm.add("symexec.paths_explored", r.stats.paths_explored);
   pm.add("symexec.instructions", r.stats.instructions);
   pm.add("symexec.forks", r.stats.forks);
-  pm.add("solver.queries", r.solver_stats.queries);
-  pm.add("solver.slices", r.solver_stats.slices);
-  pm.add("solver.local_cache_hits", r.solver_stats.cache_hits);
-  pm.add("solver.canonical",
-         r.solver_stats.shared_cache_hits + r.solver_stats.solves);
-  pm.add("solver.static_prunes", r.solver_stats.static_prunes);
+  core::add_solver_metrics(pm, r.solver_stats);
   pm.set_gauge("symexec.seconds", r.stats.seconds);
   const int obs_rc =
       write_observability(f, want_trace(f) ? &tracer : nullptr, &pm);

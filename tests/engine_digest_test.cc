@@ -197,16 +197,13 @@ TEST(EngineDigest, PaperApps) {
 
 // The deterministic JSONL (no wall stamps) of a three-lane engine race. The
 // concolic lane at priority 0 always runs, so its per-run executor and
-// negation events are in the stream. The ring holds 2^19 events: polymorph's
-// race emits about 336k, more than the default 2^18.
+// negation events are in the stream.
 std::uint64_t trace_digest(const std::string& name,
                            EngineResult* result = nullptr) {
   const apps::AppSpec app = apps::make_app(name);
   EngineOptions o = digest_opts(7, EngineKind::kGuided);
   o.engines = {EngineKind::kConcolic, EngineKind::kGuided, EngineKind::kPure};
-  obs::TraceOptions topts;
-  topts.capacity = 1u << 19;
-  obs::Tracer tracer(topts);
+  obs::Tracer tracer;
   StatSymEngine engine(app.module, app.sym_spec, o);
   engine.set_tracer(&tracer);
   engine.collect_logs(app.workload);

@@ -25,7 +25,7 @@ std::map<obs::EventKind, std::uint64_t> count_events(
 //   forks + 1            == terminated + live-at-end
 //   suspends - wakes     == suspended-at-end
 //   solver-query events  == SolverStats.queries
-//   per-level slice events == the matching SolverStats counters
+//   per-query slice counts sum to the matching SolverStats counters
 TEST(MetricsProperty, PureExecutionTraceMatchesStats) {
   fuzz::GenOptions gopts;
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
@@ -64,20 +64,19 @@ TEST(MetricsProperty, PureExecutionTraceMatchesStats) {
               r.stats.paths_completed + static_cast<std::uint64_t>(end.b));
 
     EXPECT_EQ(n[obs::EventKind::kSolverQuery], r.solver_stats.queries);
-    // One event per decided slice; level 1 (model reuse) is retired.
-    EXPECT_EQ(n[obs::EventKind::kSolverSlice], r.solver_stats.slices);
-    std::uint64_t level0 = 0;
-    std::uint64_t level1 = 0;
-    std::uint64_t level2 = 0;
+    // Each query reports b = slices decided, c = local-cache hits among them.
+    std::uint64_t slices = 0;
+    std::uint64_t local = 0;
+    std::uint64_t canonical = 0;
     for (const auto& ev : evs) {
-      if (ev.kind != obs::EventKind::kSolverSlice) continue;
-      if (ev.a == 0) ++level0;
-      if (ev.a == 1) ++level1;
-      if (ev.a == 2) ++level2;
+      if (ev.kind != obs::EventKind::kSolverQuery) continue;
+      slices += static_cast<std::uint64_t>(ev.b);
+      local += static_cast<std::uint64_t>(ev.c);
+      canonical += static_cast<std::uint64_t>(ev.b - ev.c);
     }
-    EXPECT_EQ(level1, 0u);
-    EXPECT_EQ(level0, r.solver_stats.cache_hits);
-    EXPECT_EQ(level2,
+    EXPECT_EQ(slices, r.solver_stats.slices);
+    EXPECT_EQ(local, r.solver_stats.cache_hits);
+    EXPECT_EQ(canonical,
               r.solver_stats.shared_cache_hits + r.solver_stats.solves);
   }
 }

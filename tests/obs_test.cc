@@ -146,7 +146,7 @@ TEST(Tracer, JsonlIsDeterministicAndTyped) {
   Tracer t;  // no wall clock
   t.emit(EventKind::kPhaseBegin, 0, 0, 0, "stat");
   t.emit(EventKind::kStateFork, 7, 8);
-  t.emit(EventKind::kSolverSlice, 2, 0);
+  t.emit(EventKind::kSolverQuery, 0, 3, 1);
   t.emit(EventKind::kPhaseEnd, 0, 0, 0, "stat");
   const std::string jsonl = t.to_jsonl();
   EXPECT_EQ(jsonl,
@@ -154,8 +154,8 @@ TEST(Tracer, JsonlIsDeterministicAndTyped) {
             "\"name\": \"stat\"}\n"
             "{\"seq\": 1, \"ev\": \"state-fork\", \"lane\": 0, "
             "\"parent\": 7, \"child\": 8}\n"
-            "{\"seq\": 2, \"ev\": \"solver-slice\", \"lane\": 0, "
-            "\"level\": 2, \"verdict\": 0}\n"
+            "{\"seq\": 2, \"ev\": \"solver-query\", \"lane\": 0, "
+            "\"verdict\": 0, \"slices\": 3, \"local\": 1}\n"
             "{\"seq\": 3, \"ev\": \"phase-end\", \"lane\": 0, "
             "\"name\": \"stat\"}\n");
   EXPECT_EQ(jsonl, t.to_jsonl());  // byte-stable
@@ -209,8 +209,10 @@ TEST(Tracer, EventKindNamesAreUnique) {
       EventKind::kCandidateRanked, EventKind::kExecBegin,
       EventKind::kStateFork,       EventKind::kStateSuspend,
       EventKind::kStateWake,       EventKind::kStateTerminate,
-      EventKind::kSolverQuery,     EventKind::kSolverSlice,
-      EventKind::kExecEnd,         EventKind::kNote,
+      EventKind::kSolverQuery,     EventKind::kExecEnd,
+      EventKind::kEngineLaneBegin, EventKind::kEngineLaneEnd,
+      EventKind::kConcolicRun,     EventKind::kConcolicNegation,
+      EventKind::kStaticPrune,     EventKind::kNote,
   };
   std::set<std::string> names;
   for (EventKind k : kinds) names.insert(event_kind_name(k));

@@ -20,6 +20,7 @@
 #include "fuzz/diff_driver.h"
 #include "fuzz/program_gen.h"
 #include "statsym/engine.h"
+#include "statsym/run_options.h"
 
 namespace statsym::core {
 namespace {
@@ -171,6 +172,29 @@ TEST(TraceRing, SmallRingKeepsTheRaceStreamSuffix) {
     cut = full_jsonl.rfind('\n', cut - 1);
   }
   EXPECT_EQ(small.to_jsonl(), full_jsonl.substr(cut + 1));
+}
+
+// One event per solver query keeps a whole concolic-lane analysis of each
+// paper app (`statsym run <app> --seed 7 --engines concolic`) inside the
+// default ring, so its trace still opens with the log-collection phase.
+TEST(TraceRing, ConcolicAppRunsFitTheDefaultRing) {
+  RunOptions run;
+  run.seed = 7;
+  run.engines = {EngineKind::kConcolic};
+  for (const char* name : {"ctree", "grep", "thttpd", "polymorph"}) {
+    SCOPED_TRACE(name);
+    const apps::AppSpec app = apps::make_app(name);
+    obs::Tracer tracer;
+    StatSymEngine engine(app.module, app.sym_spec, run.to_engine_options());
+    engine.set_tracer(&tracer);
+    engine.collect_logs(app.workload);
+    engine.run();
+    EXPECT_EQ(tracer.buffer().dropped(), 0u);
+    const std::vector<obs::TraceEvent> evs = tracer.buffer().snapshot();
+    ASSERT_FALSE(evs.empty());
+    EXPECT_EQ(evs.front().kind, obs::EventKind::kPhaseBegin);
+    EXPECT_EQ(evs.front().name, "collect-logs");
+  }
 }
 
 // --- three generator-corpus seeds ---------------------------------------
