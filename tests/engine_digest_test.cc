@@ -22,8 +22,8 @@
 //    new digest is the one the old engine gave at one thread with the same
 //    trace capacity;
 //  * both race traces when the per-slice solver events were folded into
-//    their solver-query events (fold: drop each solver-slice line, give the
-//    next solver-query the count of those lines and of their level-0 ones,
+//    one event per query (fold: drop each per-slice line, give the next
+//    query event the count of those lines and of their local-cache ones,
 //    renumber seq). The polymorph race now fits the default ring.
 // The deterministic trace JSONL of two paper apps is pinned the same way.
 //
