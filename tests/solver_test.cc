@@ -3,8 +3,13 @@
 // special-purpose machinery (hole splitting, counting-constraint repair).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "concolic/concolic.h"
+#include "ir/builder.h"
 #include "solver/cache.h"
 #include "solver/solver.h"
+#include "symexec/executor.h"
 
 namespace statsym::solver {
 namespace {
@@ -500,6 +505,57 @@ TEST(Solver, SharedCacheOptionTiersDoNotAlias) {
   ASSERT_EQ(sb.check(cb).sat, Sat::kSat);
   EXPECT_EQ(sb.stats().shared_cache_hits, 0u);
   EXPECT_EQ(shared.size(), 2u);  // one entry per tier
+}
+
+// Shared-cache keys are salted with the deciding solver's option tier
+// (options_salt), and saved --store files and warm serve caches are only
+// valid while that salt is stable. x is symbolic in [0, 255] and the
+// program faults iff x > 199, after computing x & 1. Symbolic execution
+// decides {x > 199} at the fork tier (the bitwise operand is concretized)
+// and the faulting path at the fault-validation tier; the concolic lane
+// decides {x > 199} at the negation tier, negating the all-defaults input's
+// branch. The keys were recorded while the solver's fixed constants
+// (fixpoint rounds, random tries, seed) were still options; a change to any
+// tier's salt moves them.
+TEST(SharedQueryCache, BudgetTierKeysArePinned) {
+  ir::ModuleBuilder mb("tiers");
+  auto f = mb.func("main", {});
+  const ir::Reg x = f.reg();
+  f.make_sym_int(x, "x", 0, 255);
+  const auto bad = f.block();
+  const auto ok = f.block();
+  f.br(f.gti(x, 199), bad, ok);
+  f.at(bad);
+  f.bini(ir::BinOp::kAnd, x, 1);
+  f.assert_true(f.ci(0));
+  f.ret();
+  f.at(ok);
+  f.ret(f.ci(0));
+  const ir::Module m = mb.build();
+
+  SharedQueryCache symbolic;
+  symexec::SymExecutor ex(m, {}, {});
+  ex.set_shared_solver_cache(&symbolic);
+  ASSERT_EQ(ex.run().termination, symexec::Termination::kFoundFault);
+  SharedQueryCache negation;
+  concolic::ConcolicExecutor cx(m, {}, {});
+  cx.set_shared_solver_cache(&negation);
+  ASSERT_EQ(cx.run().termination, symexec::Termination::kFoundFault);
+
+  const std::vector<PortableCacheEntry> sym = symbolic.export_entries();
+  const std::vector<PortableCacheEntry> neg = negation.export_entries();
+  ASSERT_EQ(sym.size(), 2u);  // one fork-tier and one fault-tier entry
+  ASSERT_EQ(neg.size(), 1u);
+  EXPECT_EQ(sym[0].key, (Fp128{0xb5e1c12e17b54029ull, 0x66d6f26553081692ull}));
+  EXPECT_EQ(sym[1].key, (Fp128{0x9158efb4fb638626ull, 0xbfdb1ff87bc25337ull}));
+  EXPECT_EQ(neg[0].key, (Fp128{0xffb8c19ad1d39f29ull, 0xbe5293ea5be6e2c2ull}));
+  // The fork-tier and negation-tier entries hold the same slice under
+  // different salts.
+  EXPECT_EQ(std::count_if(sym.begin(), sym.end(),
+                          [&](const PortableCacheEntry& e) {
+                            return e.cs_fps == neg[0].cs_fps;
+                          }),
+            1);
 }
 
 TEST(SharedQueryCache, FingerprintVectorVerifiedOnLookup) {
