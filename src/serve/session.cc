@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "ir/printer.h"
+#include "statsym/report.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
@@ -184,15 +185,16 @@ std::string ServeSession::handle_run(const Frame& frame) {
   body.push_back("logs|" + u64s(res.num_correct_logs + res.num_faulty_logs));
   body.push_back("paths|" + u64s(res.paths_explored));
   body.push_back("instructions|" + u64s(res.instructions));
-  // Solver sums, restricted to warmth-invariant combinations: the
-  // shared-hit vs canonical-solve split depends on what previous requests
-  // left in the cache, their sum does not (DESIGN.md §"Solver").
-  const solver::SolverStats& ss = res.solver_stats;
-  body.push_back("solver.queries|" + u64s(ss.queries));
-  body.push_back("solver.slices|" + u64s(ss.slices));
-  body.push_back("solver.local-hits|" + u64s(ss.cache_hits));
-  body.push_back("solver.canonical|" + u64s(ss.shared_cache_hits + ss.solves));
-  body.push_back("solver.static-prunes|" + u64s(ss.static_prunes));
+  // Solver sums: the solver.* counters every command reports, each one
+  // warmth-invariant (the shared-hit vs canonical-solve split depends on
+  // what previous requests left in the cache, their sum, solver.canonical,
+  // does not; DESIGN.md §"Solver"). The solve-time gauge stays out, so
+  // replies are byte-stable.
+  obs::MetricsRegistry solver_metrics;
+  core::add_solver_metrics(solver_metrics, res.solver_stats);
+  for (const auto& [name, value] : solver_metrics.counters()) {
+    body.push_back(name + "|" + u64s(value));
+  }
   if (run.metrics) {
     body.push_back("beginmetrics");
     for (const std::string& l : split(res.metrics.to_json(), '\n')) {

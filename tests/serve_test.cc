@@ -6,6 +6,7 @@
 // guarantee of the server loop.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -247,6 +248,39 @@ TEST(ServeSession, EchoedSeedAboveTwoToThe63Replays) {
                                       "seed|" + std::string(*echoed)}));
   ASSERT_TRUE(replay.ok);
   EXPECT_EQ(replay.body, first.body);
+}
+
+// The reply's solver lines are the solver.* counters of the run's metrics,
+// under the same names and with the same values.
+TEST(ServeSession, SolverReplyLinesMatchTheMetricsCounters) {
+  ServeSession s{ServeOptions{}};
+  const Reply r = handle(s, make_frame("m", {"cmd|run", "app|fig2", "seed|7",
+                                             "metrics|1"}));
+  ASSERT_TRUE(r.ok);
+  // Counter lines of the metrics section read `    "name": value,`; the
+  // counters block ends where the gauges block starts.
+  std::map<std::string, std::string> counters;
+  bool in_metrics = false;
+  for (const std::string& line : r.body) {
+    if (line == "beginmetrics") in_metrics = true;
+    if (!in_metrics) continue;
+    if (line.find("\"gauges\"") != std::string::npos) break;
+    const std::size_t open = line.find("\"solver.");
+    const std::size_t colon = line.find("\": ");
+    if (open == std::string::npos || colon == std::string::npos) continue;
+    std::string value = line.substr(colon + 3);
+    if (!value.empty() && value.back() == ',') value.pop_back();
+    counters[line.substr(open + 1, colon - open - 1)] = value;
+  }
+  std::map<std::string, std::string> replied;
+  for (const std::string& line : r.body) {
+    if (!line.starts_with("solver.")) continue;
+    const std::size_t bar = line.find('|');
+    ASSERT_NE(bar, std::string::npos) << line;
+    replied[line.substr(0, bar)] = line.substr(bar + 1);
+  }
+  EXPECT_TRUE(replied.contains("solver.queries"));
+  EXPECT_EQ(replied, counters);
 }
 
 TEST(ServeSession, ShutdownFlagSticks) {
