@@ -12,6 +12,18 @@
 
 namespace statsym::concolic {
 
+namespace {
+
+// Queued-but-unexecuted inputs cap; negations stop enqueuing beyond it.
+constexpr std::size_t kMaxFrontier = 4096;
+
+// Negation queries get a bigger budget than fork-time probes: one SAT model
+// opens a whole new input region.
+constexpr solver::SolverOptions kNegationSolverOpts{
+    .max_search_nodes = 200'000, .max_query_seconds = 5.0};
+
+}  // namespace
+
 // Canonical, collision-free rendering (length-prefixed strings, map order).
 std::string input_key(const interp::RuntimeInput& in) {
   std::ostringstream os;
@@ -138,7 +150,7 @@ ConcolicResult ConcolicExecutor::run() {
     const std::vector<symexec::Decision>& decs = ex.decisions();
     const std::vector<solver::ExprId>& path = ex.followed_path();
     solver::QueryCache run_cache;
-    solver::Solver neg(pool, opts_.negation_solver_opts);
+    solver::Solver neg(pool, kNegationSolverOpts);
     neg.set_cache(&run_cache);
     if (shared_cache_ != nullptr) neg.set_shared_cache(shared_cache_);
     if (trace_ != nullptr) neg.set_trace(trace_);
@@ -149,7 +161,7 @@ ConcolicResult ConcolicExecutor::run() {
         done = true;
         break;
       }
-      if (frontier.size() >= opts_.max_frontier) break;
+      if (frontier.size() >= kMaxFrontier) break;
       ++cs.negations_tried;
       const std::size_t plen = std::min(decs[i].pc_prefix, path.size());
       const auto res = neg.check_with(

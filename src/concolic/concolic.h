@@ -44,18 +44,12 @@
 namespace statsym::concolic {
 
 struct ConcolicOptions {
-  // Per-run execution options (budgets, target_function, library_prefix).
+  // Per-run execution options (budgets, target_function).
   // `max_seconds` bounds the whole lane, not one run; stop_at_first_fault
   // and searcher are ignored (follow mode runs exactly one path).
   symexec::ExecOptions exec{};
   // Concrete executions before the lane reports budget exhaustion.
   std::size_t max_runs{512};
-  // Queued-but-unexecuted inputs cap; negations stop enqueuing beyond it.
-  std::size_t max_frontier{4096};
-  // Negation queries get a bigger budget class than fork-time probes: one
-  // SAT model opens a whole new input region.
-  solver::SolverOptions negation_solver_opts{.max_search_nodes = 200'000,
-                                             .max_query_seconds = 5.0};
   std::uint64_t seed{1};
 };
 

@@ -96,13 +96,13 @@ void Interpreter::fault(std::int32_t pc, FaultKind kind, std::string detail) {
   result_.outcome = RunOutcome::kFault;
   result_.fault.kind = kind;
   result_.fault.function = m.function(frames_.back().func).name;
-  if (!opts_.library_prefix.empty()) {
-    for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-      const std::string& name = m.function(it->func).name;
-      if (!name.starts_with(opts_.library_prefix)) {
-        result_.fault.function = name;
-        break;
-      }
+  // Faults inside the IR stdlib name the first caller outside it (matches
+  // the symbolic executor's reporting).
+  for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
+    const std::string& name = m.function(it->func).name;
+    if (!ir::is_library_function(name)) {
+      result_.fault.function = name;
+      break;
     }
   }
   result_.fault.block = p_.where(pc).block;

@@ -106,10 +106,6 @@ using ExternModel =
 struct InterpOptions {
   std::int64_t max_steps{50'000'000};
   std::int32_t max_call_depth{256};
-  // Faults inside functions with this prefix are attributed to the first
-  // caller outside it (the IR stdlib convention; matches the symbolic
-  // executor's reporting).
-  std::string library_prefix{"__"};
 };
 
 class Interpreter {

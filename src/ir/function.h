@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/instr.h"
@@ -29,5 +30,14 @@ struct Function {
     return n;
   }
 };
+
+// The IR stdlib's functions (__strlen, __strcpy, ...) carry the "__" name
+// prefix and stand in for libc: the monitor does not instrument them
+// (Fjalar instruments user functions only), guidance does not count their
+// locations, and a fault inside one is attributed to the first caller
+// outside the library, as a debugger attributes a libc-level smash.
+inline bool is_library_function(std::string_view name) {
+  return name.starts_with("__");
+}
 
 }  // namespace statsym::ir

@@ -5,7 +5,7 @@
 namespace statsym::monitor {
 
 Monitor::Monitor(const ir::Module& m, MonitorOptions opts, Rng rng)
-    : m_(m), opts_(std::move(opts)), rng_(rng) {}
+    : m_(m), opts_(opts), rng_(rng) {}
 
 void Monitor::on_enter(const interp::Interpreter& interp,
                        const ir::Function& fn,
@@ -25,10 +25,7 @@ void Monitor::record(const interp::Interpreter& interp,
                      std::span<const interp::Value> params,
                      const std::optional<interp::Value>& ret, bool leave) {
   // Library-internal functions are not instrumented at all.
-  if (!opts_.skip_function_prefix.empty() &&
-      fn.name.starts_with(opts_.skip_function_prefix)) {
-    return;
-  }
+  if (ir::is_library_function(fn.name)) return;
   // Partial logging: each record survives with probability sampling_rate.
   ++log_.records_considered;
   if (!rng_.chance(opts_.sampling_rate)) return;
@@ -38,8 +35,7 @@ void Monitor::record(const interp::Interpreter& interp,
   assert(fid >= 0 && static_cast<std::size_t>(fid) < m_.functions().size());
   LogRecord rec;
   rec.loc = leave ? leave_loc(fid) : enter_loc(fid);
-  rec.vars.reserve((opts_.log_globals ? m_.globals().size() : 0) +
-                   (opts_.log_params ? params.size() : 0) + (leave ? 1 : 0));
+  rec.vars.reserve(m_.globals().size() + params.size() + (leave ? 1 : 0));
 
   auto sample_value = [&](const std::string& name, VarKind kind,
                           const interp::Value& v) {
@@ -55,19 +51,15 @@ void Monitor::record(const interp::Interpreter& interp,
     }
   };
 
-  if (opts_.log_globals) {
-    const auto& globals = m_.globals();
-    const std::span<const interp::Value> values = interp.globals();
-    for (std::size_t i = 0; i < globals.size(); ++i) {
-      sample_value(globals[i].name, VarKind::kGlobal, values[i]);
-    }
+  const auto& globals = m_.globals();
+  const std::span<const interp::Value> values = interp.globals();
+  for (std::size_t i = 0; i < globals.size(); ++i) {
+    sample_value(globals[i].name, VarKind::kGlobal, values[i]);
   }
-  if (opts_.log_params) {
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      sample_value(fn.param_names[i], VarKind::kParam, params[i]);
-    }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    sample_value(fn.param_names[i], VarKind::kParam, params[i]);
   }
-  if (opts_.log_return && leave && ret.has_value()) {
+  if (leave && ret.has_value()) {
     sample_value("ret", VarKind::kReturn, *ret);
   }
   log_.records.push_back(std::move(rec));
@@ -84,7 +76,7 @@ MonitoredRun run_monitored(const interp::Program& p,
                            interp::RuntimeInput input, MonitorOptions opts,
                            Rng rng, std::int32_t run_id) {
   interp::Interpreter it(p, std::move(input));
-  Monitor mon(p.module(), std::move(opts), rng);
+  Monitor mon(p.module(), opts, rng);
   it.set_listener(&mon);
   MonitoredRun out;
   out.result = it.run();
@@ -94,8 +86,8 @@ MonitoredRun run_monitored(const interp::Program& p,
 
 MonitoredRun run_monitored(const ir::Module& m, interp::RuntimeInput input,
                            MonitorOptions opts, Rng rng, std::int32_t run_id) {
-  return run_monitored(interp::Program(m), std::move(input), std::move(opts),
-                       rng, run_id);
+  return run_monitored(interp::Program(m), std::move(input), opts, rng,
+                       run_id);
 }
 
 }  // namespace statsym::monitor

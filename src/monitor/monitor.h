@@ -3,7 +3,8 @@
 // Mirrors the paper's Valgrind/Fjalar instrumentation (§VI-A): at every
 // function entry and exit it logs all module globals and the function's
 // parameters (plus the return value on exit), with per-record Bernoulli
-// sampling at a tunable rate to model partial logging (§III-B). A faulty
+// sampling at a tunable rate to model partial logging (§III-B). The IR
+// stdlib's functions are not instrumented (ir::is_library_function). A faulty
 // run's trailing records are naturally missing because the run aborts — in
 // particular the faulting function's leave record is never captured, which
 // is what produces the paper's "var < -infinity" predicates at unreached
@@ -20,13 +21,6 @@ namespace statsym::monitor {
 
 struct MonitorOptions {
   double sampling_rate{1.0};  // probability each record is kept
-  bool log_globals{true};
-  bool log_params{true};
-  bool log_return{true};
-  // Functions whose name starts with this prefix are not instrumented
-  // (models Fjalar instrumenting user functions but not libc). The apps'
-  // IR stdlib (__strlen, __strcpy, ...) uses the "__" prefix.
-  std::string skip_function_prefix{"__"};
 };
 
 class Monitor : public interp::InterpListener {

@@ -59,10 +59,9 @@ void QueryCache::insert_with_key(std::uint64_t key,
   ++entries_;
 }
 
-// --- ExprFingerprinter -----------------------------------------------------
+// --- combine_fps -----------------------------------------------------------
 
-Fp128 ExprFingerprinter::combine(std::span<const Fp128> sorted_fps,
-                                 const Fp128& salt) {
+Fp128 combine_fps(std::span<const Fp128> sorted_fps, const Fp128& salt) {
   Fp128 h{0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL};
   h = fp_absorb(h, salt);
   h = fp_absorb(h, static_cast<std::uint64_t>(sorted_fps.size()));

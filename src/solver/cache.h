@@ -72,26 +72,11 @@ class QueryCache {
   std::size_t entries_{0};
 };
 
-// Structural fingerprint access over one pool. The pool computes every
-// node's digest at intern time (constants contribute their value, variables
-// contribute (name, domain), interior nodes their operator and child
-// digests), so `of` is an O(1) read — this class survives as the query-level
-// combiner plus a stable seam for the solver.
-class ExprFingerprinter {
- public:
-  explicit ExprFingerprinter(const ExprPool& pool) : pool_(pool) {}
-
-  Fp128 of(ExprId e) const { return pool_.fp(e); }
-
-  // Combines a sequence of constraint digests (pre-sorted by the caller for
-  // a canonical key) into one query digest. `salt` namespaces the key — the
-  // solver mixes in its option tier so fork-budget and validation-budget
-  // results never alias.
-  static Fp128 combine(std::span<const Fp128> sorted_fps, const Fp128& salt);
-
- private:
-  const ExprPool& pool_;
-};
+// Combines a sequence of constraint digests (ExprPool::fp, pre-sorted by the
+// caller for a canonical key) into one query digest. `salt` namespaces the
+// key — the solver mixes in its option tier so fork-budget and
+// validation-budget results never alias.
+Fp128 combine_fps(std::span<const Fp128> sorted_fps, const Fp128& salt);
 
 // One cache entry in pool-independent form: the full 128-bit combined key,
 // the sorted per-constraint digests it verifies against, and the result with

@@ -323,32 +323,39 @@ bool propagate(const ExprPool& p, ExprId e, bool want, DomainMap& d) {
 
 namespace {
 
+// Maximum propagation sweeps over the constraint set per fixpoint.
+constexpr int kMaxFixpointRounds = 8;
+// Random full assignments attempted per search node before bisecting —
+// very effective on wide disjunctions ("some byte is uppercase") where
+// boundary probes (lo/hi/mid) systematically miss.
+constexpr int kRandomModelTries = 8;
+// Root of every canonical solve's RNG stream (re-derived per slice).
+constexpr std::uint64_t kSeed = 0x5eed;
+
 // Digest over the options that shape a canonical solve: results computed
 // under different budgets or modes must never alias in the shared cache (a
 // fork-tier solver hitting a validation-tier entry would otherwise see a
 // result it could not have computed itself, breaking timing independence).
+// The three constants are digested too, though no two solvers differ in
+// them: dropping them would change every key, and saved --store files would
+// start cold.
 Fp128 options_salt(const SolverOptions& o) {
   std::vector<Fp128> parts;
   parts.push_back(Fp128{o.max_search_nodes,
-                        static_cast<std::uint64_t>(o.max_fixpoint_rounds)});
-  parts.push_back(Fp128{static_cast<std::uint64_t>(o.random_model_tries),
-                        o.seed});
+                        static_cast<std::uint64_t>(kMaxFixpointRounds)});
+  parts.push_back(Fp128{static_cast<std::uint64_t>(kRandomModelTries), kSeed});
   parts.push_back(Fp128{o.propagation_only ? 1u : 0u,
                         static_cast<std::uint64_t>(o.max_query_seconds * 1e6)});
-  return ExprFingerprinter::combine(parts, Fp128{0x51a7, 0xca11});
+  return combine_fps(parts, Fp128{0x51a7, 0xca11});
 }
 
 }  // namespace
 
 Solver::Solver(ExprPool& pool, SolverOptions opts)
-    : pool_(pool),
-      opts_(opts),
-      fp_(pool),
-      opts_salt_(options_salt(opts)),
-      rng_(opts.seed) {}
+    : pool_(pool), opts_(opts), opts_salt_(options_salt(opts)), rng_(kSeed) {}
 
 bool Solver::fixpoint(const QueryCtx& ctx, DomainMap& d) {
-  for (int round = 0; round < opts_.max_fixpoint_rounds; ++round) {
+  for (int round = 0; round < kMaxFixpointRounds; ++round) {
     ++stats_.propagation_rounds;
     const std::uint64_t before = d.version();
     for (ExprId c : ctx.cs) {
@@ -474,7 +481,7 @@ bool Solver::try_models(const QueryCtx& ctx, const DomainMap& d,
   }
   // Random samples: decisive on wide disjunctions where boundary probes
   // systematically miss (e.g. "at least one input byte is in [65, 90]").
-  for (int t = 0; t < opts_.random_model_tries; ++t) {
+  for (int t = 0; t < kRandomModelTries; ++t) {
     if (attempt([&](Interval iv) {
           // Clamp the sampling window; full-int64 domains sample a small
           // window around zero (program values live there).
@@ -677,7 +684,9 @@ SolveResult Solver::solve_slice(const Slice& slice) {
   // the pool-independent slice key.
   std::vector<Fp128>& fps = fps_buf_;
   fps.resize(slice.cs.size());
-  for (std::size_t i = 0; i < slice.cs.size(); ++i) fps[i] = fp_.of(slice.cs[i]);
+  for (std::size_t i = 0; i < slice.cs.size(); ++i) {
+    fps[i] = pool_.fp(slice.cs[i]);
+  }
   std::vector<std::size_t>& order = order_buf_;
   order.resize(slice.cs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -688,7 +697,7 @@ SolveResult Solver::solve_slice(const Slice& slice) {
   std::vector<Fp128>& sorted_fps = sorted_fps_buf_;
   sorted_fps.resize(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) sorted_fps[i] = fps[order[i]];
-  const Fp128 slice_fp = ExprFingerprinter::combine(sorted_fps, opts_salt_);
+  const Fp128 slice_fp = combine_fps(sorted_fps, opts_salt_);
 
   SolveResult res;
   if (shared_ != nullptr && shared_->lookup(pool_, slice_fp, sorted_fps, res)) {
@@ -731,7 +740,7 @@ SolveResult Solver::solve_canonical(const Slice& slice,
   // Every canonical solve of a given slice draws the same random stream —
   // in this worker, in a sibling worker, on a repeat — which is what makes
   // a cache hit bit-identical to recomputation.
-  rng_ = Rng(derive_seed(opts_.seed, slice_fp.lo ^ slice_fp.hi));
+  rng_ = Rng(derive_seed(kSeed, slice_fp.lo ^ slice_fp.hi));
 
   QueryCtx& ctx = ctx_;
   ctx.cs.clear();

@@ -221,20 +221,17 @@ struct SolverStats {
   }
 };
 
+// The defaults are the fork-time budget tier. The program runs every solver
+// at one of three fixed tiers: fork-time probes (these defaults), fault
+// validation (symexec/executor.cc) and concolic negation
+// (concolic/concolic.cc); shared-cache keys are salted by the tier.
 struct SolverOptions {
   // Maximum branch-and-bound nodes per query before giving up (kUnknown).
   std::uint64_t max_search_nodes{4'000};
-  // Maximum propagation sweeps over the constraint set per fixpoint.
-  int max_fixpoint_rounds{8};
   // Wall-clock deadline per query; exceeded searches return kUnknown
   // (callers treat unknown conservatively). Keeps one pathological query
   // from starving the whole exploration.
   double max_query_seconds{0.25};
-  // Random full assignments attempted per search node before bisecting —
-  // very effective on wide disjunctions ("some byte is uppercase") where
-  // boundary probes (lo/hi/mid) systematically miss.
-  int random_model_tries{8};
-  std::uint64_t seed{0x5eed};
   // Disables the search phase: pure interval propagation. Faster but
   // incomplete — kept for the ablation benchmark.
   bool propagation_only{false};
@@ -335,7 +332,6 @@ class Solver {
   QueryCache* cache_{nullptr};
   SharedQueryCache* shared_{nullptr};
   obs::TraceBuffer* trace_{nullptr};
-  ExprFingerprinter fp_;
   Fp128 opts_salt_;  // namespaces shared-cache keys by option tier
   // Reseeded per canonical solve from the slice digest, so every solve is a
   // pure function of the slice (cache hit ≡ recomputation).

@@ -7,6 +7,20 @@
 
 namespace statsym::stats {
 
+namespace {
+
+// Off-skeleton locations qualify as detour targets when their score is at
+// least this fraction of the best skeleton node score.
+constexpr double kDetourScoreRatio = 0.5;
+// Bounded-search limits.
+constexpr std::size_t kMaxSkeletonPaths = 20'000;
+constexpr std::size_t kMaxDfsSteps = 2'000'000;  // visits across the search
+constexpr std::size_t kMaxSkeletonLen = 256;
+constexpr std::size_t kMaxDetourHops = 6;
+constexpr std::size_t kMaxCandidates = 64;
+
+}  // namespace
+
 const char* detour_type_name(Detour::Type t) {
   switch (t) {
     case Detour::Type::kForward: return "forward";
@@ -17,9 +31,8 @@ const char* detour_type_name(Detour::Type t) {
 }
 
 PathBuilder::PathBuilder(const TransitionGraph& graph,
-                         const PredicateManager& preds,
-                         PathBuilderOptions opts)
-    : graph_(graph), preds_(preds), opts_(opts) {}
+                         const PredicateManager& preds)
+    : graph_(graph), preds_(preds) {}
 
 double PathBuilder::avg_score(const std::vector<monitor::LocId>& nodes) const {
   if (nodes.empty()) return 0.0;
@@ -42,9 +55,9 @@ std::vector<monitor::LocId> PathBuilder::find_skeleton(
   std::set<monitor::LocId> on_path;
 
   auto dfs = [&](auto&& self, monitor::LocId cur) -> void {
-    if (enumerated >= opts_.max_skeleton_paths) return;
-    if (++steps >= opts_.max_dfs_steps) return;
-    if (path.size() >= opts_.max_skeleton_len) return;
+    if (enumerated >= kMaxSkeletonPaths) return;
+    if (++steps >= kMaxDfsSteps) return;
+    if (path.size() >= kMaxSkeletonLen) return;
     path.push_back(cur);
     on_path.insert(cur);
     if (cur == failure) {
@@ -94,7 +107,7 @@ std::vector<Detour> PathBuilder::find_detours(
   for (monitor::LocId n : skeleton) {
     best_skel_score = std::max(best_skel_score, preds_.loc_score(n));
   }
-  const double floor = best_skel_score * opts_.detour_score_ratio;
+  const double floor = best_skel_score * kDetourScoreRatio;
 
   // High-score locations not on the skeleton are the detour targets.
   std::vector<monitor::LocId> targets;
@@ -113,7 +126,7 @@ std::vector<Detour> PathBuilder::find_detours(
     std::map<monitor::LocId, monitor::LocId> parent;
     std::vector<monitor::LocId> frontier{from};
     parent[from] = from;
-    for (std::size_t hop = 0; hop < opts_.max_detour_hops; ++hop) {
+    for (std::size_t hop = 0; hop < kMaxDetourHops; ++hop) {
       std::vector<monitor::LocId> next;
       for (monitor::LocId cur : frontier) {
         for (const Edge& e : graph_.successors(cur)) {
@@ -260,7 +273,7 @@ std::optional<PathConstruction> PathBuilder::build(
   // Drop exact duplicates (e.g. a detour that failed to apply).
   std::set<std::vector<monitor::LocId>> seen;
   for (auto& c : cands) {
-    if (pc.candidates.size() >= opts_.max_candidates) break;
+    if (pc.candidates.size() >= kMaxCandidates) break;
     if (seen.insert(c.nodes).second) pc.candidates.push_back(std::move(c));
   }
 

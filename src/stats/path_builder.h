@@ -46,18 +46,6 @@ struct CandidatePath {
   std::size_t num_detours{0};
 };
 
-struct PathBuilderOptions {
-  // Off-skeleton locations qualify as detour targets when their score is at
-  // least this fraction of the best skeleton node score.
-  double detour_score_ratio{0.5};
-  // Bounded-search limits.
-  std::size_t max_skeleton_paths{20'000};
-  std::size_t max_dfs_steps{2'000'000};  // node visits across the whole search
-  std::size_t max_skeleton_len{256};
-  std::size_t max_detour_hops{6};
-  std::size_t max_candidates{64};
-};
-
 struct PathConstruction {
   std::vector<monitor::LocId> skeleton;
   std::vector<Detour> detours;
@@ -67,8 +55,7 @@ struct PathConstruction {
 
 class PathBuilder {
  public:
-  PathBuilder(const TransitionGraph& graph, const PredicateManager& preds,
-              PathBuilderOptions opts = {});
+  PathBuilder(const TransitionGraph& graph, const PredicateManager& preds);
 
   // Builds skeleton, detours and the ranked candidate list toward
   // `failure`. Returns nullopt when no entry→failure path exists.
@@ -87,7 +74,6 @@ class PathBuilder {
 
   const TransitionGraph& graph_;
   const PredicateManager& preds_;
-  PathBuilderOptions opts_;
 };
 
 }  // namespace statsym::stats

@@ -73,10 +73,9 @@ struct Predicate {
 
   // Recomputes the Wilson bound from the stored rates and support through
   // stats::gap_lcb, branch-aware (the observation-rate kinds compare rates,
-  // not per-sample probabilities). For any fitted predicate, calling this
-  // with the fitting z reproduces the stored score_lcb exactly — this is
-  // the one function consumers (e.g. guidance's injection gate) use to
-  // re-derive confidence at their own z.
+  // not per-sample probabilities). fit_predicate sets score_lcb with it, so
+  // for any fitted predicate, calling this with the fitting z reproduces
+  // the stored score_lcb exactly.
   double recompute_score_lcb(double confidence_z) const;
 };
 
@@ -88,6 +87,6 @@ struct Predicate {
 // controls the score_lcb shrinkage (0 makes score_lcb == score).
 bool fit_predicate(const VarSuff& vs, std::size_t num_correct_runs,
                    std::size_t num_faulty_runs, Predicate& out,
-                   double confidence_z = 2.0);
+                   double confidence_z = kWilsonZ);
 
 }  // namespace statsym::stats

@@ -5,25 +5,24 @@
 
 namespace statsym::stats {
 
-PredicateManager::PredicateManager(PredicateManagerOptions opts)
-    : opts_(opts) {}
+namespace {
+
+// Predicates scoring below this are dropped outright.
+constexpr double kScoreFloor = 1e-9;
+
+}  // namespace
 
 void PredicateManager::build(const SuffStats& suff, obs::TraceBuffer* trace) {
   ranked_.clear();
   loc_scores_.clear();
 
   for (const auto& [key, vs] : suff.vars()) {
-    if (vs.correct_total != 0 && vs.faulty_total != 0 &&
-        (vs.correct_total < opts_.min_class_samples ||
-         vs.faulty_total < opts_.min_class_samples)) {
-      continue;
-    }
     Predicate p;
     if (!fit_predicate(vs, suff.num_correct_runs(), suff.num_faulty_runs(),
-                       p, opts_.confidence_z)) {
+                       p)) {
       continue;
     }
-    if (p.score < opts_.score_floor) continue;
+    if (p.score < kScoreFloor) continue;
     ranked_.push_back(std::move(p));
   }
 
@@ -35,9 +34,10 @@ void PredicateManager::build(const SuffStats& suff, obs::TraceBuffer* trace) {
                      if (a.score_lcb != b.score_lcb) {
                        return a.score_lcb > b.score_lcb;
                      }
-                     if (opts_.prefer_threshold_kind &&
-                         (a.pk == PredKind::kUnreached) !=
-                             (b.pk == PredKind::kUnreached)) {
+                     // Threshold predicates outrank unreached ones at equal
+                     // score (the ordering in the paper's Table V).
+                     if ((a.pk == PredKind::kUnreached) !=
+                         (b.pk == PredKind::kUnreached)) {
                        return b.pk == PredKind::kUnreached;
                      }
                      if (a.loc != b.loc) return a.loc < b.loc;

@@ -4,7 +4,8 @@
 // the guided symbolic executor.
 //
 // build() reads the sufficient statistics in place and keeps only the
-// ranked predicates and per-location scores.
+// ranked predicates and per-location scores. Every predicate is fitted at
+// kWilsonZ (stats/wilson.h).
 #pragma once
 
 #include <unordered_map>
@@ -16,23 +17,8 @@
 
 namespace statsym::stats {
 
-struct PredicateManagerOptions {
-  // Minimum samples in a class before a threshold is trusted (noise guard).
-  std::size_t min_class_samples{1};
-  // Predicates scoring below this are dropped outright.
-  double score_floor{1e-9};
-  // Wilson-bound z for score_lcb (see Predicate::score_lcb); 0 disables the
-  // starvation shrinkage and makes score_lcb equal the raw score.
-  double confidence_z{2.0};
-  // Threshold predicates outrank unreached predicates at equal score
-  // (matches the ordering in the paper's Table V).
-  bool prefer_threshold_kind{true};
-};
-
 class PredicateManager {
  public:
-  explicit PredicateManager(PredicateManagerOptions opts = {});
-
   // Fits and ranks every predicate from `suff`, replacing any earlier fit.
   // Optionally emits one kPredicateFit trace event per ranked predicate
   // (rank order, so the stream is independent of fit order).
@@ -51,7 +37,6 @@ class PredicateManager {
   double loc_score(monitor::LocId loc) const;
 
  private:
-  PredicateManagerOptions opts_;
   std::vector<Predicate> ranked_;
   std::unordered_map<monitor::LocId, double> loc_scores_;
 };

@@ -2,14 +2,18 @@
 // that gates on confidence-adjusted scores.
 //
 // This is the single home of the binomial-bound arithmetic: predicate
-// fitting (stats/predicate.cc) computes Predicate::score_lcb with gap_lcb(),
-// and guidance's injection gate (statsym/guidance.cc) recomputes the same
-// bound through the same helper, so the two can never drift apart.
+// fitting (stats/predicate.cc) computes Predicate::score_lcb with gap_lcb()
+// at kWilsonZ, and guidance's injection gate (statsym/guidance.cc) reads
+// that stored bound, so the two can never drift apart.
 #pragma once
 
 #include <cstddef>
 
 namespace statsym::stats {
+
+// The z of every Wilson bound the pipeline acts on: Predicate::score_lcb is
+// fitted at it, and guidance gates injection on that stored bound.
+inline constexpr double kWilsonZ = 2.0;
 
 // Wilson score interval bounds for a binomial proportion: the smallest /
 // largest true p consistent (at z standard errors) with observing phat * n

@@ -200,7 +200,7 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
   }
   Stopwatch stat_sw;
 
-  stats::PredicateManager preds(opts_.predicates);
+  stats::PredicateManager preds;
   preds.build(suff, trace);
   res.predicates = preds.ranked();
 
@@ -218,7 +218,7 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
     return res;  // no faulty logs: nothing to guide toward
   }
 
-  stats::PathBuilder builder(graph, preds, opts_.paths);
+  stats::PathBuilder builder(graph, preds);
   auto construction = builder.build(failure, trace);
   res.stat_seconds = stat_sw.elapsed_seconds();
   if (trace != nullptr) {
@@ -472,7 +472,7 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         std::optional<FrontierRanker> ranker;
         if (!res.construction.candidates.empty()) {
           ranker.emplace(m_, res.construction.candidates[0],
-                         res.predicates, opts_.guidance, opts_.monitor);
+                         res.predicates, opts_.guidance);
         }
         concolic::ConcolicExecutor ce(m_, spec_, co);
         if (ranker.has_value()) ce.set_ranker(&*ranker);

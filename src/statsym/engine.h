@@ -57,9 +57,7 @@ struct EngineOptions {
   std::size_t target_faulty_logs{100};
   std::size_t max_workload_runs{10'000};
 
-  stats::PredicateManagerOptions predicates{};
   stats::TransitionGraphOptions graph{};
-  stats::PathBuilderOptions paths{};
   GuidanceOptions guidance{};
   symexec::ExecOptions exec{};       // per-candidate symbolic execution
   double candidate_timeout_seconds{900.0};  // paper: 15 min per candidate

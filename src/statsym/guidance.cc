@@ -12,29 +12,31 @@ namespace {
 // fallback); encoded as a negative diverted count.
 constexpr std::int32_t kFreeRun = -1;
 
+// Only predicates whose *confidence-adjusted* score (score_lcb) clears this
+// floor are acted on. Gating on the raw score let accidental separators
+// fitted from a handful of sampled records through; injected as hard
+// constraints they suspend every on-path state, so a starved log budget
+// turned into guaranteed path-infeasibility misses.
+constexpr double kPredicateScoreFloor = 0.5;
+
+// Cap on per-byte constraints lowered from one length predicate.
+constexpr std::int64_t kMaxLenConstraint = 4096;
+
 }  // namespace
 
 std::optional<double> gate_score_lcb(const stats::Predicate& p,
                                      const GuidanceOptions& opts) {
   if (!opts.inject_predicates) return std::nullopt;
   if (p.pk == stats::PredKind::kUnreached) return std::nullopt;  // negative
-  // Confidence-adjusted score, recomputed from the recorded support via the
-  // shared Wilson helper (predicates without support — hand-built in tests
-  // or deserialised from older runs — keep their stored bound).
-  const double lcb = p.n_correct + p.n_faulty > 0
-                         ? p.recompute_score_lcb(opts.confidence_z)
-                         : p.score_lcb;
-  if (lcb < opts.predicate_score_floor) return std::nullopt;
-  return lcb;
+  if (p.score_lcb < kPredicateScoreFloor) return std::nullopt;
+  return p.score_lcb;
 }
 
 FrontierRanker::FrontierRanker(const ir::Module& m,
                                const stats::CandidatePath& path,
                                const std::vector<stats::Predicate>& predicates,
-                               const GuidanceOptions& opts,
-                               monitor::MonitorOptions monitor)
-    : program_(m), monitor_(std::move(monitor)) {
-  monitor_.sampling_rate = 1.0;
+                               const GuidanceOptions& opts)
+    : program_(m) {
   std::vector<std::pair<double, const stats::Predicate*>> gated;
   for (const stats::Predicate& p : predicates) {
     if (std::find(path.nodes.begin(), path.nodes.end(), p.loc) ==
@@ -63,7 +65,8 @@ std::vector<double> FrontierRanker::gaps(
                           std::numeric_limits<double>::infinity());
   if (preds_.empty()) return out;
   const monitor::RunLog log =
-      monitor::run_monitored(program_, in, monitor_, Rng(0), 0).log;
+      monitor::run_monitored(program_, in, {.sampling_rate = 1.0}, Rng(0), 0)
+          .log;
   for (const monitor::LogRecord& rec : log.records) {
     for (std::size_t i = 0; i < preds_.size(); ++i) {
       const stats::Predicate& p = preds_[i];
@@ -113,9 +116,7 @@ void CandidateGuidance::on_wake(symexec::State& st) {
 symexec::GuidanceHook::Action CandidateGuidance::on_location(
     symexec::SymExecutor& ex, symexec::State& st, monitor::LocId loc) {
   if (st.guide.diverted == kFreeRun) return Action::kContinue;
-  if (!opts_.skip_function_prefix.empty() &&
-      m_.function(monitor::loc_function(loc))
-          .name.starts_with(opts_.skip_function_prefix)) {
+  if (ir::is_library_function(m_.function(monitor::loc_function(loc)).name)) {
     return Action::kContinue;  // library-internal: invisible to statistics
   }
 
@@ -232,7 +233,7 @@ bool CandidateGuidance::inject_one(symexec::SymExecutor& ex,
     const std::int64_t off = val.conc.off;
     const std::int64_t need =
         std::min(static_cast<std::int64_t>(std::floor(threshold)) + 1,
-                 opts_.max_len_constraint);
+                 kMaxLenConstraint);
     const std::int64_t size = st.mem.size(obj);
     // A string of length > σ cannot fit: conflict with the predicate.
     if (off + need > size - 1) return false;

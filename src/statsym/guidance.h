@@ -33,33 +33,13 @@ namespace statsym::core {
 struct GuidanceOptions {
   std::int32_t tau{10};  // hop-diversion threshold (paper default)
   bool inject_predicates{true};
-  // Only predicates whose *confidence-adjusted* score (score_lcb, the
-  // Wilson lower bound on the Eq. 2 gap) clears this floor are injected.
-  // Gating on the raw score let accidental separators fitted from a handful
-  // of sampled records through; injected as hard constraints they suspend
-  // every on-path state, so a starved log budget turned into guaranteed
-  // path-infeasibility misses.
-  double predicate_score_floor{0.5};
-  // Wilson z for the injection gate. The gate recomputes the bound from the
-  // predicate's recorded support through stats::gap_lcb — the same helper
-  // the fitter used — so fitting and guidance can never disagree about what
-  // "confidence-adjusted" means. Matches PredicateManagerOptions, so for
-  // predicates fitted at the default z the recomputation reproduces the
-  // stored score_lcb exactly.
-  double confidence_z{2.0};
-  // Cap on per-byte constraints lowered from one length predicate.
-  std::int64_t max_len_constraint{4096};
-  // Location events in functions with this prefix are invisible to guidance
-  // (matches the monitor's skip prefix — the statistics never saw them, so
-  // they must not count as diverted hops either).
-  std::string skip_function_prefix{"__"};
 };
 
 // The predicate gate both lanes act on: with opts.inject_predicates, a
 // fitted threshold predicate (not the kUnreached negative evidence) whose
-// confidence-adjusted score clears opts.predicate_score_floor. Returns that
-// score_lcb, recomputed at opts.confidence_z, or nullopt when the predicate
-// is not acted on.
+// confidence-adjusted score — score_lcb, the Wilson lower bound on the
+// Eq. 2 gap, fitted at stats::kWilsonZ — clears a fixed floor of 0.5.
+// Returns that score_lcb, or nullopt when the predicate is not acted on.
 std::optional<double> gate_score_lcb(const stats::Predicate& p,
                                      const GuidanceOptions& opts);
 
@@ -67,17 +47,16 @@ std::optional<double> gate_score_lcb(const stats::Predicate& p,
 // Holds the gated predicates at locations on the candidate path, highest
 // score_lcb first (ties by score, then by the input order). gaps() replays an
 // input concretely, on the module decoded once at construction, under a
-// monitor that keeps every record, and returns one gap per predicate: 0 when
+// monitor at sampling rate 1, and returns one gap per predicate: 0 when
 // the predicate holds for some value observed at its location, else
 // 1 + |v − σ| for the closest value v, and +∞ when the location never
 // records the variable.
 class FrontierRanker final : public concolic::FrontierRanker {
  public:
-  // `m` must outlive the ranker; `monitor` must match the options the
-  // predicates' logs were recorded with (its sampling rate is ignored).
+  // `m` must outlive the ranker.
   FrontierRanker(const ir::Module& m, const stats::CandidatePath& path,
                  const std::vector<stats::Predicate>& predicates,
-                 const GuidanceOptions& opts, monitor::MonitorOptions monitor);
+                 const GuidanceOptions& opts);
 
   std::vector<double> gaps(const interp::RuntimeInput& in) const override;
   const std::vector<stats::Predicate>& predicates() const { return preds_; }
@@ -88,7 +67,6 @@ class FrontierRanker final : public concolic::FrontierRanker {
   // Variable name each predicate's display key was built from (nullopt when
   // its key names no variable), so samples match by name.
   std::vector<std::optional<std::string>> names_;
-  monitor::MonitorOptions monitor_;
 };
 
 class CandidateGuidance final : public symexec::GuidanceHook {

@@ -5,6 +5,19 @@
 
 namespace statsym::symexec {
 
+namespace {
+
+// Symbolic call depth at which a call faults as a stack overflow.
+constexpr std::int32_t kMaxCallDepth = 128;
+
+// Fault validation is one query per reported vulnerability and decides
+// whether the finding (and its generated crashing input) is real, so it
+// gets a far larger budget than fork-time queries.
+constexpr std::uint64_t kFaultSearchNodes = 400'000;
+constexpr double kFaultQuerySeconds = 10.0;
+
+}  // namespace
+
 const char* termination_name(Termination t) {
   switch (t) {
     case Termination::kFoundFault: return "found-fault";
@@ -211,7 +224,10 @@ SymExecutor::StepResult SymExecutor::fault_state(State& st,
     // constraint set means the optimistic quick checks walked an infeasible
     // path — discard rather than report a false positive. Uses the dedicated
     // high-budget validation solver (sharing the slice's query caches).
-    solver::Solver validator(pool_, opts_.fault_solver_opts);
+    solver::SolverOptions fault_opts = opts_.solver_opts;
+    fault_opts.max_search_nodes = kFaultSearchNodes;
+    fault_opts.max_query_seconds = kFaultQuerySeconds;
+    solver::Solver validator(pool_, fault_opts);
     validator.set_cache(&cache_);
     solver::SharedQueryCache* sc =
         shared_cache_ != nullptr ? shared_cache_ : own_shared_cache_.get();
@@ -227,13 +243,11 @@ SymExecutor::StepResult SymExecutor::fault_state(State& st,
   v.function = m_.function(st.top().func).name;
   // Attribute faults inside library-internal frames to the first user-level
   // caller on the stack.
-  if (!opts_.library_prefix.empty()) {
-    for (auto it = st.stack.rbegin(); it != st.stack.rend(); ++it) {
-      const std::string& name = m_.function(it->func).name;
-      if (!name.starts_with(opts_.library_prefix)) {
-        v.function = name;
-        break;
-      }
+  for (auto it = st.stack.rbegin(); it != st.stack.rend(); ++it) {
+    const std::string& name = m_.function(it->func).name;
+    if (!ir::is_library_function(name)) {
+      v.function = name;
+      break;
     }
   }
   v.detail = std::move(detail);
@@ -556,7 +570,7 @@ bool SymExecutor::resolve_address(State& st, const ir::Instr& in,
 
 SymExecutor::StepResult SymExecutor::exec_call(State& st,
                                                const ir::Instr& in) {
-  if (static_cast<std::int32_t>(st.stack.size()) >= opts_.max_call_depth) {
+  if (static_cast<std::int32_t>(st.stack.size()) >= kMaxCallDepth) {
     return fault_state(st, interp::FaultKind::kStackOverflow, in.str);
   }
   Frame& caller = st.top();

@@ -158,7 +158,6 @@ struct ExecOptions {
   std::size_t max_live_states{200'000};
   std::size_t max_memory_bytes{512ull << 20};  // modelled, not process RSS
   double max_seconds{3600.0};
-  std::int32_t max_call_depth{128};
   bool stop_at_first_fault{true};
   // When non-empty, only faults attributed to this function count as
   // findings; faults elsewhere end their path silently. Used by the
@@ -172,20 +171,12 @@ struct ExecOptions {
   // StatSym's engine disables this and instead marks the candidate path
   // infeasible, moving on to the next candidate (§VII-C2, thttpd).
   bool wake_suspended{true};
-  // Functions with this name prefix are library-internal (the IR stdlib):
-  // fault reports name the innermost frame *outside* the prefix — faults
-  // inside __strcpy are attributed to its caller, as a real debugger would
-  // attribute a libc-level smash.
-  std::string library_prefix{"__"};
   // Instructions executed per scheduling slice before the searcher picks
   // again.
   std::uint32_t slice{64};
+  // Solver for fork-time queries. Fault validation runs in the same modes
+  // at a fixed, far larger budget (executor.cc).
   solver::SolverOptions solver_opts{};
-  // Fault validation is one query per reported vulnerability and decides
-  // whether the finding (and its generated crashing input) is real, so it
-  // gets a far larger budget than fork-time queries.
-  solver::SolverOptions fault_solver_opts{.max_search_nodes = 400'000,
-                                          .max_query_seconds = 10.0};
 };
 
 class SymExecutor;

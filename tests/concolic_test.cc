@@ -370,7 +370,7 @@ core::FrontierRanker chaff_ranker(const ir::Module& m) {
   p.pk = stats::PredKind::kGt;
   p.threshold = 19.5;
   p.score = p.score_lcb = 0.9;
-  return core::FrontierRanker(m, path, {p}, {}, {});
+  return core::FrontierRanker(m, path, {p}, {});
 }
 
 TEST(Concolic, RankedFrontierReachesTheLengthFaultBehindChaff) {

@@ -454,7 +454,7 @@ TEST(FrontierRanker, GapsPerPredicateInScoreOrder) {
   };
   const FrontierRanker ranker(
       m, {.nodes = {enter(m, "main"), enter(m, "f"), enter(m, "never")}},
-      preds, {}, {});
+      preds, {});
   ASSERT_EQ(ranker.predicates().size(), 4u);
   EXPECT_EQ(ranker.predicates()[0].threshold, 15.5);
   EXPECT_EQ(ranker.predicates()[1].threshold, 30.5);
@@ -478,7 +478,7 @@ TEST(FrontierRanker, NoPredicatesWithoutInjection) {
   const FrontierRanker ranker(
       m, {.nodes = {enter(m, "f")}},
       {param_pred(enter(m, "f"), "a", stats::PredKind::kGt, 1.5, 0.9, 0.9)},
-      opts, {});
+      opts);
   EXPECT_TRUE(ranker.predicates().empty());
   EXPECT_TRUE(ranker.gaps({}).empty());
 }

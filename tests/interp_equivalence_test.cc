@@ -414,12 +414,7 @@ TEST(FaultDetail, LibraryFaultReportsOuterFunctionButInnerLocation) {
     f.call_void("user", {});
     f.ret(f.ci(0));
   }
-  const ir::Module m = mb.build();
-  expect_fault(run(m), FaultKind::kOobStore, "user", 0, 2, "user:alloca[4]");
-  // An empty library prefix attributes the fault to the innermost frame.
-  InterpOptions o;
-  o.library_prefix.clear();
-  expect_fault(run(m, {}, o), FaultKind::kOobStore, "__copy", 0, 2,
+  expect_fault(run(mb.build()), FaultKind::kOobStore, "user", 0, 2,
                "user:alloca[4]");
 }
 

@@ -54,12 +54,6 @@ struct GraphFixture {
   }
 };
 
-PathBuilderOptions loose_opts() {
-  PathBuilderOptions o;
-  o.detour_score_ratio = 0.5;
-  return o;
-}
-
 TransitionGraphOptions loose_graph() {
   TransitionGraphOptions o;
   o.min_confidence = 0.0;
@@ -76,7 +70,7 @@ TEST(PathBuilder, FindsLinearSkeleton) {
   s.ingest(fx.logs);
   pm.build(s);
   g.build(s);
-  PathBuilder b(g, pm, loose_opts());
+  PathBuilder b(g, pm);
   const auto pc = b.build(6);
   ASSERT_TRUE(pc.has_value());
   EXPECT_EQ(pc->skeleton, (std::vector<monitor::LocId>{0, 2, 4, 6}));
@@ -96,7 +90,7 @@ TEST(PathBuilder, PrefersHigherScoringPath) {
   PredicateManager pm;
   pm.build(s);
   g.build(s);
-  PathBuilder b(g, pm, loose_opts());
+  PathBuilder b(g, pm);
   const auto pc = b.build(9);
   ASSERT_TRUE(pc.has_value());
   ASSERT_EQ(pc->skeleton.size(), 3u);
@@ -127,7 +121,7 @@ TEST(PathBuilder, FindsDetourThroughScoredOffSkeletonNode) {
   PredicateManager pm;
   pm.build(s);
   g.build(s);
-  PathBuilder b(g, pm, loose_opts());
+  PathBuilder b(g, pm);
   const auto pc = b.build(9);
   ASSERT_TRUE(pc.has_value());
   // 5 is off the skeleton (skeleton avg prefers the 4-node route or includes
@@ -150,7 +144,7 @@ TEST(PathBuilder, CandidatesRankedByScoreAndDeduplicated) {
   PredicateManager pm;
   pm.build(s);
   g.build(s);
-  PathBuilder b(g, pm, loose_opts());
+  PathBuilder b(g, pm);
   const auto pc = b.build(9);
   ASSERT_TRUE(pc.has_value());
   for (std::size_t i = 1; i < pc->candidates.size(); ++i) {
@@ -172,7 +166,7 @@ TEST(PathBuilder, UnreachableFailureYieldsDegeneratePath) {
   PredicateManager pm;
   pm.build(s);
   g.build(s);
-  PathBuilder b(g, pm, loose_opts());
+  PathBuilder b(g, pm);
   const auto pc = b.build(7);
   // Either a degenerate single-node skeleton or no construction; it must
   // not crash and any skeleton must end at the failure point.
@@ -192,7 +186,7 @@ TEST(PathBuilder, CandidatePathsEndAtFailurePoint) {
   PredicateManager pm;
   pm.build(s);
   g.build(s);
-  PathBuilder b(g, pm, loose_opts());
+  PathBuilder b(g, pm);
   const auto pc = b.build(8);
   ASSERT_TRUE(pc.has_value());
   for (const auto& c : pc->candidates) {

@@ -171,8 +171,7 @@ symexec::ExecResult run_config(const apps::AppSpec& app, bool optimized) {
   // diverge by racing the clock.
   opts.max_instructions = 150'000;
   opts.max_seconds = 30.0;
-  opts.solver_opts.enable_slicing = optimized;
-  opts.fault_solver_opts.enable_slicing = optimized;
+  opts.solver_opts.enable_slicing = optimized;  // fault validation follows
   symexec::SymExecutor ex(app.module, app.sym_spec, opts);
   return ex.run();
 }

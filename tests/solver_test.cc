@@ -514,9 +514,8 @@ TEST(Solver, SharedCacheOptionTiersDoNotAlias) {
 // decides {x > 199} at the fork tier (the bitwise operand is concretized)
 // and the faulting path at the fault-validation tier; the concolic lane
 // decides {x > 199} at the negation tier, negating the all-defaults input's
-// branch. The keys were recorded while the solver's fixed constants
-// (fixpoint rounds, random tries, seed) were still options; a change to any
-// tier's salt moves them.
+// branch. A change to any tier's salt, or to the constants options_salt
+// digests (fixpoint rounds, random tries, seed), moves the keys.
 TEST(SharedQueryCache, BudgetTierKeysArePinned) {
   ir::ModuleBuilder mb("tiers");
   auto f = mb.func("main", {});
@@ -577,7 +576,7 @@ TEST(SharedQueryCache, FingerprintVectorVerifiedOnLookup) {
   EXPECT_EQ(shared.counters().misses, 1u);
 }
 
-TEST(ExprFingerprinter, StableAcrossPools) {
+TEST(ExprPool, FingerprintStableAcrossPools) {
   auto build = [](ExprPool& p) {
     const VarId x = p.new_var("x", 0, 255);
     return p.lt(p.var_expr(x), p.constant(5));
@@ -585,14 +584,12 @@ TEST(ExprFingerprinter, StableAcrossPools) {
   ExprPool pa, pb;
   const ExprId ea = build(pa);
   const ExprId eb = build(pb);
-  ExprFingerprinter fa(pa), fb(pb);
-  EXPECT_EQ(fa.of(ea), fb.of(eb));
+  EXPECT_EQ(pa.fp(ea), pb.fp(eb));
   // A different domain for the "same" variable changes the digest.
   ExprPool pc;
   const VarId xc = pc.new_var("x", 0, 127);
   const ExprId ec = pc.lt(pc.var_expr(xc), pc.constant(5));
-  ExprFingerprinter fc(pc);
-  EXPECT_NE(fa.of(ea), fc.of(ec));
+  EXPECT_NE(pa.fp(ea), pc.fp(ec));
 }
 
 TEST(Solver, CheckWithAppendsConstraint) {
