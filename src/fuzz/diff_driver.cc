@@ -152,8 +152,8 @@ core::EngineOptions engine_options(const GeneratedProgram& prog,
   eo.candidate_timeout_seconds = opts.engine_max_seconds;
   eo.max_candidates_tried = 8;
   eo.seed = derive_seed(prog.seed, 0x10adu);
-  // The engine list drives the Phase-3 lane race; with the default single
-  // guided entry the classic candidate loop runs unchanged.
+  // The engine list drives the Phase-3 lane race; the default single guided
+  // entry makes it a one-lane race of the candidate loop.
   eo.engines = opts.engines;
   return eo;
 }

@@ -99,8 +99,8 @@ struct DiffOptions {
 
   // Oracle (d): the engines under comparison (`--engines` in the CLI). The
   // list also becomes the Phase-3 lane race inside the pipeline run. With
-  // the default single guided engine the oracle is skipped — duplicates of
-  // the classic three-oracle campaign stay byte-identical.
+  // the default single guided engine the oracle is skipped: the campaign
+  // makes no standalone pure or concolic runs.
   std::vector<core::EngineKind> engines{core::EngineKind::kGuided};
   bool check_cross_engine{true};
   // Test-only failure injection: corrupt the named engine's witness

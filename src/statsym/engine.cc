@@ -69,22 +69,18 @@ void StatSymEngine::fill_metrics(EngineResult& res,
   m.add("symexec.paths_explored", res.paths_explored);
   m.add("symexec.instructions", res.instructions);
 
-  // Engine-race counters appear only when Phase 3 actually raced lanes, so
-  // classic single-engine metric renderings are byte-identical to before.
-  if (!res.lanes.empty()) {
-    m.add("engine.lanes", res.lanes.size());
-    std::size_t cancelled = 0;
-    std::size_t winner = 0;  // 1-based priority; 0 = no lane won
-    std::uint64_t concolic_runs = 0;
-    for (const auto& l : res.lanes) {
-      if (l.termination == symexec::Termination::kCancelled) ++cancelled;
-      if (l.found && winner == 0) winner = l.priority + 1;
-      concolic_runs += l.concolic_runs;
-    }
-    m.add("engine.lanes_cancelled", cancelled);
-    m.add("engine.winner_priority", winner);
-    m.add("engine.concolic_runs", concolic_runs);
+  m.add("engine.lanes", res.lanes.size());
+  std::size_t cancelled = 0;
+  std::size_t winner = 0;  // 1-based priority; 0 = no lane won
+  std::uint64_t concolic_runs = 0;
+  for (const auto& l : res.lanes) {
+    if (l.termination == symexec::Termination::kCancelled) ++cancelled;
+    if (l.found && winner == 0) winner = l.priority + 1;
+    concolic_runs += l.concolic_runs;
   }
+  m.add("engine.lanes_cancelled", cancelled);
+  m.add("engine.winner_priority", winner);
+  m.add("engine.concolic_runs", concolic_runs);
 
   add_solver_metrics(m, res.solver_stats);
 
@@ -246,12 +242,7 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
   Stopwatch exec_sw;
   const std::size_t n_try =
       std::min(res.construction.candidates.size(), opts_.max_candidates_tried);
-  const std::vector<EngineKind>& lanes = opts_.engines;
-  if (lanes.empty() || lanes == std::vector{EngineKind::kGuided}) {
-    run_candidates(res, failure, n_try);  // the classic Phase 3
-  } else {
-    run_engines(res, failure, n_try, lanes);
-  }
+  run_engines(res, failure, n_try);
   res.symexec_seconds = exec_sw.elapsed_seconds();
   if (trace != nullptr) {
     trace->emit(obs::EventKind::kPhaseEnd, 0, 0, 0, "symexec");
@@ -260,39 +251,18 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
   return res;
 }
 
-void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
-                                   std::size_t n_try,
-                                   const CandidateEnv& env) {
-  if (n_try == 0) return;
-
-  // One instruction budget across the whole candidate loop (Table IV
-  // "Failed" semantics): the sequential total, each of the n_try candidates
-  // bringing its own cap.
-  symexec::SharedBudget own_budget;
-  own_budget.max_instructions =
-      opts_.exec.max_instructions > ~0ull / n_try
-          ? ~0ull
-          : opts_.exec.max_instructions * n_try;
-  symexec::SharedBudget& budget =
-      env.budget != nullptr ? *env.budget : own_budget;
-
-  // One query cache across the candidates: a candidate's canonical solver
-  // results warm its successors' lookups. Safe for determinism because only
-  // pure-function results are published (DESIGN.md §"Solver"). In the
-  // engine race the cache comes from outside and additionally spans lanes.
-  solver::SharedQueryCache own_queries;
-  solver::SharedQueryCache& shared_queries =
-      env.shared_queries != nullptr
-          ? *env.shared_queries
-          : (external_queries_ != nullptr ? *external_queries_ : own_queries);
-
+std::optional<symexec::VulnPath> StatSymEngine::run_candidates(
+    EngineResult& res, EngineLaneResult& lane, const std::string& target,
+    std::size_t n_try, symexec::SharedBudget& budget,
+    solver::SharedQueryCache& queries) {
   // Candidates run one at a time in rank order until one verifies the vuln.
   // The candidates ranked after the winner never start and are reported as
   // cancelled. A candidate's events carry its 1-based rank as their lane;
   // the outer lane comes back once it finishes.
   obs::TraceBuffer* trace = tracer_ != nullptr ? &tracer_->buffer() : nullptr;
   const std::uint32_t outer_lane = trace != nullptr ? trace->lane() : 0;
-  for (std::size_t ci = 0; ci < n_try && !res.found; ++ci) {
+  std::optional<symexec::VulnPath> vuln;
+  for (std::size_t ci = 0; ci < n_try && !vuln.has_value(); ++ci) {
     ++res.candidates_tried;
     if (trace != nullptr) trace->set_lane(static_cast<std::uint32_t>(ci + 1));
     symexec::ExecResult er;
@@ -329,8 +299,7 @@ void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
       // the way (a second bug in a multi-vulnerability program) end their
       // paths without ending the hunt (§III-C).
       if (exec_opts.target_function.empty()) {
-        exec_opts.target_function =
-            m_.function(monitor::loc_function(failure)).name;
+        exec_opts.target_function = target;
       }
       // The engine handles exhausted guidance by marking the candidate path
       // infeasible and moving to the next one (§VII-C2), not by degrading
@@ -341,7 +310,7 @@ void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
       ex.set_guidance(&guidance);
       ex.set_searcher(std::make_unique<GuidedSearcher>());
       ex.set_shared_budget(&budget);
-      ex.set_shared_solver_cache(&shared_queries);
+      ex.set_shared_solver_cache(&queries);
       if (trace != nullptr) {
         trace->emit(obs::EventKind::kExecBegin,
                     static_cast<std::int64_t>(ci + 1));
@@ -349,31 +318,33 @@ void StatSymEngine::run_candidates(EngineResult& res, monitor::LocId failure,
       }
       er = ex.run();
     }
-    res.paths_explored += er.stats.paths_explored;
-    res.instructions += er.stats.instructions;
-    res.solver_stats += er.solver_stats;
+    lane.paths_explored += er.stats.paths_explored;
+    lane.instructions += er.stats.instructions;
+    lane.solver_stats += er.solver_stats;
     res.last_exec_stats = er.stats;
     if (trace != nullptr) trace->set_lane(outer_lane);
     if (er.termination == symexec::Termination::kFoundFault &&
         er.vuln.has_value()) {
-      res.found = true;
-      res.vuln = std::move(er.vuln);
+      vuln = std::move(er.vuln);
       res.winning_candidate = ci + 1;
     }
   }
   res.candidates_cancelled = n_try - res.candidates_tried;
+  lane.termination = vuln.has_value() ? symexec::Termination::kFoundFault
+                                      : symexec::Termination::kExhausted;
+  return vuln;
 }
 
 void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
-                                std::size_t n_try,
-                                const std::vector<EngineKind>& lanes) {
+                                std::size_t n_try) {
+  const std::vector<EngineKind>& lanes = opts_.engines;
   const std::size_t nlanes = lanes.size();
   const std::string target =
       m_.function(monitor::loc_function(failure)).name;
 
-  // One instruction budget across the race. The guided lane brings one
-  // instruction-budget unit per candidate it may try; every other lane
-  // brings one.
+  // One instruction budget across the race (Table IV "Failed" semantics).
+  // The guided lane brings one instruction-budget unit per candidate it may
+  // try; every other lane brings one.
   std::size_t units = nlanes;
   for (const EngineKind k : lanes) {
     if (k == EngineKind::kGuided) units += n_try > 0 ? n_try - 1 : 0;
@@ -384,10 +355,12 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
                                 ? ~0ull
                                 : opts_.exec.max_instructions * units;
 
-  // One query cache for everything: a concolic negation solve warms a
+  // One query cache for everything: a candidate's canonical solver results
+  // warm its successors' lookups, and a concolic negation solve warms a
   // symbolic lane's fork probe and vice versa (fingerprints are
-  // pool-independent, results pure functions of the slice). In service mode
-  // the session's persistent cache takes its place and outlives the race.
+  // pool-independent, results pure functions of the slice; DESIGN.md
+  // §"Solver"). In service mode the session's persistent cache takes its
+  // place and outlives the race.
   solver::SharedQueryCache own_queries;
   solver::SharedQueryCache& shared_queries =
       external_queries_ != nullptr ? *external_queries_ : own_queries;
@@ -416,26 +389,9 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
     std::optional<symexec::VulnPath> vuln;
     Stopwatch sw;
     switch (kind) {
-      case EngineKind::kGuided: {
-        EngineResult gres;
-        gres.construction = res.construction;
-        gres.predicates = res.predicates;
-        run_candidates(gres, failure, n_try,
-                       {.budget = &budget, .shared_queries = &shared_queries});
-        L.found = gres.found;
-        L.termination = L.found ? symexec::Termination::kFoundFault
-                                : symexec::Termination::kExhausted;
-        vuln = std::move(gres.vuln);
-        L.paths_explored = gres.paths_explored;
-        L.instructions = gres.instructions;
-        L.solver_stats = gres.solver_stats;
-        res.candidates_tried = gres.candidates_tried;
-        res.candidates_cancelled = gres.candidates_cancelled;
-        res.candidates_pruned = gres.candidates_pruned;
-        res.winning_candidate = gres.winning_candidate;
-        res.last_exec_stats = gres.last_exec_stats;
+      case EngineKind::kGuided:
+        vuln = run_candidates(res, L, target, n_try, budget, shared_queries);
         break;
-      }
       case EngineKind::kPure: {
         symexec::ExecOptions eo = opts_.exec;
         eo.max_seconds = opts_.candidate_timeout_seconds;
@@ -452,8 +408,6 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
           ex.set_trace(trace);
         }
         symexec::ExecResult er = ex.run();
-        L.found = er.termination == symexec::Termination::kFoundFault &&
-                  er.vuln.has_value();
         L.termination = er.termination;
         vuln = std::move(er.vuln);
         L.paths_explored = er.stats.paths_explored;
@@ -480,8 +434,6 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         ce.set_shared_solver_cache(&shared_queries);
         if (trace != nullptr) ce.set_trace(trace);
         concolic::ConcolicResult cr = ce.run();
-        L.found = cr.termination == symexec::Termination::kFoundFault &&
-                  cr.vuln.has_value();
         L.termination = cr.termination;
         vuln = std::move(cr.vuln);
         L.paths_explored = cr.stats.runs;  // one followed path per run
@@ -491,6 +443,8 @@ void StatSymEngine::run_engines(EngineResult& res, monitor::LocId failure,
         break;
       }
     }
+    L.found = L.termination == symexec::Termination::kFoundFault &&
+              vuln.has_value();
     L.seconds = sw.elapsed_seconds();
     res.paths_explored += L.paths_explored;
     res.instructions += L.instructions;

@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -69,11 +70,11 @@ struct EngineOptions {
   std::size_t candidate_portfolio_width{4};
 
   // --- engine race --------------------------------------------------------
-  // Phase-3 lanes in priority order (`--engines` in the CLI). The default —
-  // a single guided lane — runs the classic candidate loop unchanged. With
-  // more than one lane the engines run one at a time in priority order; the
+  // Phase-3 lanes in priority order (`--engines` in the CLI). Every Phase 3
+  // is a race over this list, and the default is a one-lane race: the guided
+  // candidate loop alone. The lanes run one at a time in priority order; the
   // first lane that verifies the vuln wins and the lanes after it never
-  // start (reported as cancelled).
+  // start (reported as cancelled). An empty list runs no lane.
   std::vector<EngineKind> engines{EngineKind::kGuided};
 
   // --- static analysis ----------------------------------------------------
@@ -124,12 +125,14 @@ struct EngineResult {
   std::size_t num_correct_logs{0};
   std::size_t num_faulty_logs{0};
 
-  // Symbolic-execution accounting, summed over the candidates tried: those
-  // ranked at or before the winner.
+  // Symbolic-execution accounting, summed over the lanes that ran; the guided
+  // lane's share is summed over the candidates tried, those ranked at or
+  // before the winner.
   std::uint64_t paths_explored{0};
   std::uint64_t instructions{0};
   // Solver-layer accounting (queries, per-level cache hits, slices, solve
-  // wall time), summed over the same candidate set as the fields above.
+  // wall time), summed over the same lanes and candidates as the fields
+  // above.
   solver::SolverStats solver_stats;
   std::size_t candidates_tried{0};
   std::size_t winning_candidate{0};  // 1-based index; 0 when not found
@@ -141,8 +144,10 @@ struct EngineResult {
   std::size_t candidates_pruned{0};
   symexec::ExecStats last_exec_stats;
 
-  // Engine-race accounting; empty when Phase 3 ran the default single
-  // guided lane. `winning_engine` is meaningful only when `found`.
+  // Engine-race accounting, one entry per EngineOptions::engines lane; empty
+  // only when the analysis stopped before Phase 3 (no failure node or no
+  // candidate construction). `winning_engine` is meaningful only when
+  // `found`.
   std::vector<EngineLaneResult> lanes;
   EngineKind winning_engine{EngineKind::kGuided};
 
@@ -218,25 +223,20 @@ class StatSymEngine {
   // Phases 2–3 from sufficient statistics.
   EngineResult run_on(const stats::SuffStats& suff);
 
-  // External resources a run_candidates call inherits when it executes as a
-  // lane of the engine race; all-null (the value-initialised `{}`) means the
-  // loop owns its own (the classic single-engine Phase 3).
-  struct CandidateEnv {
-    symexec::SharedBudget* budget;  // race-wide budget
-    solver::SharedQueryCache* shared_queries;
-  };
-
-  // Phase 3: runs the top n_try candidates one at a time in rank order,
-  // stopping at the first that verifies the vuln. Fills the
-  // symbolic-execution fields of `res`.
-  void run_candidates(EngineResult& res, monitor::LocId failure,
-                      std::size_t n_try, const CandidateEnv& env = {});
-
-  // Phase 3 with multiple lanes (lanes.size() >= 2 or a single non-guided
-  // lane): lanes run in priority order until one wins; accounting covers
-  // the lanes at or before the winner.
+  // Phase 3: runs the lanes of EngineOptions::engines one at a time in
+  // priority order until one wins, on one instruction budget and one query
+  // cache; accounting covers the lanes at or before the winner.
   void run_engines(EngineResult& res, monitor::LocId failure,
-                   std::size_t n_try, const std::vector<EngineKind>& lanes);
+                   std::size_t n_try);
+
+  // The guided lane: runs the top n_try candidates one at a time in rank
+  // order, stopping at the first that verifies the vuln, on the race's
+  // budget and cache. Writes the candidate fields of `res` and the lane's
+  // totals into `lane`; returns the verified vuln, if any.
+  std::optional<symexec::VulnPath> run_candidates(
+      EngineResult& res, EngineLaneResult& lane, const std::string& target,
+      std::size_t n_try, symexec::SharedBudget& budget,
+      solver::SharedQueryCache& queries);
 
   // Renders the result + ingestion accounting into res.metrics.
   void fill_metrics(EngineResult& res, const stats::SuffStats& suff) const;

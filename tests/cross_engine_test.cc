@@ -69,8 +69,8 @@ TEST(CrossEngine, HealthyBenignProgramPasses) {
 }
 
 TEST(CrossEngine, GuidedOnlyEnginesSkipTheOracle) {
-  // Default single guided engine: verdicts stay byte-identical with the
-  // classic three-oracle campaign (no standalone pure/concolic runs).
+  // Default single guided engine: the oracle is skipped, so the campaign
+  // makes no standalone pure/concolic runs.
   const CorpusEntry e = load_corpus("oob-basic.corpus");
   DiffOptions opts;
   opts.gen = e.gen;

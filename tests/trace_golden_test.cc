@@ -103,9 +103,10 @@ TEST(TraceGolden, Ctree) { run_case("ctree", apps::make_ctree(), 0.3); }
 TEST(TraceGolden, Grep) { run_case("grep", apps::make_grep(), 0.3); }
 
 // --- engine-race cases ---------------------------------------------------
-// The multi-lane race adds engine-lane-begin/-end brackets and, when the
-// concolic lane runs, concolic-run/concolic-negation events. Lanes after the
-// winner never start and leave no events.
+// Every lane that runs is bracketed by engine-lane-begin/-end (the default
+// one-lane race above has one pair) and, when the concolic lane runs, emits
+// concolic-run/concolic-negation events. Lanes after the winner never start
+// and leave no events.
 
 void run_race_case(const std::string& name, const apps::AppSpec& app,
                    double sampling, const std::vector<EngineKind>& engines) {
