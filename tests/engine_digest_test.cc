@@ -24,7 +24,12 @@
 //  * both race traces when the per-slice solver events were folded into
 //    one event per query (fold: drop each per-slice line, give the next
 //    query event the count of those lines and of their local-cache ones,
-//    renumber seq). The polymorph race now fits the default ring.
+//    renumber seq). The polymorph race now fits the default ring;
+//  * the guided fleet and the five guided app rows when every Phase 3
+//    became a lane race: each render gained one guided lane entry (the
+//    result's own totals) and the engine.* counters (lanes 1,
+//    lanes_cancelled 0, winner_priority = found, concolic_runs 0), and
+//    nothing else moved.
 // The deterministic trace JSONL of two paper apps is pinned the same way.
 //
 // The digests fold 150 generated fault-planted programs (chains and segments
@@ -152,7 +157,7 @@ TEST(EngineDigest, GeneratedFleetConcolic) {
 
 TEST(EngineDigest, GeneratedFleetGuided) {
   EXPECT_EQ(fleet_digest(EngineKind::kGuided, kPrograms),
-            0x1b8a796ce96c7b52ULL);
+            0x394bde561f1188beULL);
 }
 
 TEST(EngineDigest, GeneratedFleetPure) {
@@ -178,19 +183,19 @@ struct AppCase {
 TEST(EngineDigest, PaperApps) {
   const AppCase cases[] = {
       {"fig2", EngineKind::kConcolic, 0x431ea944d73722c5ULL},
-      {"fig2", EngineKind::kGuided, 0x99fa9cc4f4bd6e4cULL},
+      {"fig2", EngineKind::kGuided, 0x8c291af75a7d572eULL},
       {"fig2", EngineKind::kPure, 0x3eaa322f648d6de2ULL},
       {"polymorph", EngineKind::kConcolic, 0x31d965caa3b46f79ULL},
-      {"polymorph", EngineKind::kGuided, 0x3e5b8bc184be7ca9ULL},
+      {"polymorph", EngineKind::kGuided, 0x269fa85886b85b87ULL},
       {"polymorph", EngineKind::kPure, 0x23b377fdd7ec5794ULL},
       {"ctree", EngineKind::kConcolic, 0x58c00edef857c739ULL},
-      {"ctree", EngineKind::kGuided, 0xe7fc1b7f5bbd1c30ULL},
+      {"ctree", EngineKind::kGuided, 0xc4cafd83b132ecf8ULL},
       {"ctree", EngineKind::kPure, 0xb2b72d821e288f6bULL},
       {"grep", EngineKind::kConcolic, 0xee8331cec79563cfULL},
-      {"grep", EngineKind::kGuided, 0x8cf56a8b27c3abdeULL},
+      {"grep", EngineKind::kGuided, 0x0d04ae9f73a744baULL},
       {"grep", EngineKind::kPure, 0xee756cf70b45b5feULL},
       {"thttpd", EngineKind::kConcolic, 0x55355396c5a9e5daULL},
-      {"thttpd", EngineKind::kGuided, 0x016f7d8085d98beeULL},
+      {"thttpd", EngineKind::kGuided, 0x038d0715ed98c611ULL},
       {"thttpd", EngineKind::kPure, 0xc405e16e38d5fa25ULL},
   };
   for (const AppCase& c : cases) {
