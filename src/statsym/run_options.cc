@@ -21,9 +21,14 @@ std::string RunOptions::set(std::string_view key, std::string_view value,
   const char* want = nullptr;
   if (key == "seed") {
     if (!parse_u64(value, o.seed)) want = "an unsigned 64-bit integer";
-  } else if (key == "jobs" || key == "mem") {
-    if (!parse_count(value, key == "jobs" ? o.jobs : o.mem_mb)) {
-      want = "a non-negative integer";
+  } else if (key == "jobs") {
+    if (!parse_count(value, o.jobs)) want = "a non-negative integer";
+  } else if (key == "mem") {
+    // to_engine_options() shifts by 20: 0 MB, or 2^44 MB and up (which wrap
+    // to 0 bytes), would leave the executor no memory at all.
+    if (!parse_count(value, o.mem_mb) || o.mem_mb == 0 ||
+        o.mem_mb >= (std::size_t{1} << 44)) {
+      want = "megabytes in [1, 2^44)";
     }
   } else if (key == "sampling") {
     if (!parse_double(value, o.sampling) ||

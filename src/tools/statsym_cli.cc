@@ -3,13 +3,14 @@
 //   statsym list
 //       List the bundled target applications.
 //   statsym run <app> [--sampling R] [--seed N] [--logs FILE] [--all]
+//               [--engines LIST] [--time S] [--mem MB]
 //       Collect sampled logs (or read them from FILE), run statistical
 //       analysis + guided symbolic execution, print predicates, candidate
 //       paths and the discovered vulnerable path, and replay the generated
 //       input. --all hunts every fault cluster (multi-vulnerability mode).
 //   statsym pure <app> [--searcher dfs|bfs|random|coverage] [--mem MB]
 //       The unguided baseline under the given budgets.
-//   statsym collect <app> <out-file> [--sampling R] [--seed N] [--runs N]
+//   statsym collect <app> <out-file> [--sampling R] [--seed N]
 //       Only collect logs and write them in the monitor's text format.
 //   statsym dump <app>
 //       Print the application's mini-IR and its Table-I statistics.
@@ -46,7 +47,7 @@ int usage() {
                "  statsym list\n"
                "  statsym run <app> [--sampling R] [--seed N] [--logs FILE] "
                "[--all]\n"
-               "             [--engines LIST]\n"
+               "             [--engines LIST] [--time S] [--mem MB]\n"
                "  statsym pure <app> [--searcher dfs|bfs|random|coverage] "
                "[--mem MB] [--time S]\n"
                "  statsym collect <app> <out-file> [--sampling R] [--seed N]\n"

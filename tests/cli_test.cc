@@ -85,6 +85,11 @@ TEST(Cli, MalformedNumericValuesNameTheFlag) {
   expect_rejected("run fig2 -j 2x", "-j: bad value '2x'");
   expect_rejected("run fig2 --seed -3", "--seed: bad value '-3'");
   expect_rejected("pure fig2 --mem -1", "--mem: bad value '-1'");
+  expect_rejected("run ctree --mem 0",
+                  "--mem: bad value '0' (want megabytes in [1, 2^44))");
+  expect_rejected("run ctree --mem 17592186044416",
+                  "--mem: bad value '17592186044416' (want megabytes in "
+                  "[1, 2^44))");
   expect_rejected("pure fig2 --time 0", "--time: bad value '0'");
   expect_rejected("serve --sampling 2", "--sampling: bad value '2'");
   expect_rejected("run fig2 --engines guided,fast",
