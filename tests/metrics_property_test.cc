@@ -125,6 +125,26 @@ TEST(MetricsProperty, EngineMetricsMatchResultAndTrace) {
     EXPECT_EQ(m.counter("symexec.instructions"), res.instructions);
     EXPECT_EQ(m.counter("symexec.found"), res.found ? 1u : 0u);
 
+    // Every Phase 3 is a lane race (the default has one guided lane): each
+    // lane that ran is bracketed once in the trace, and the lanes' totals
+    // are the result's.
+    EXPECT_EQ(m.counter("engine.lanes"), res.lanes.size());
+    std::uint64_t lanes_run = 0;
+    std::uint64_t lane_paths = 0;
+    std::uint64_t lane_instrs = 0;
+    std::uint64_t lane_queries = 0;
+    for (const EngineLaneResult& l : res.lanes) {
+      if (l.termination != symexec::Termination::kCancelled) ++lanes_run;
+      lane_paths += l.paths_explored;
+      lane_instrs += l.instructions;
+      lane_queries += l.solver_stats.queries;
+    }
+    EXPECT_EQ(n[obs::EventKind::kEngineLaneBegin], lanes_run);
+    EXPECT_EQ(n[obs::EventKind::kEngineLaneEnd], lanes_run);
+    EXPECT_EQ(lane_paths, res.paths_explored);
+    EXPECT_EQ(lane_instrs, res.instructions);
+    EXPECT_EQ(lane_queries, res.solver_stats.queries);
+
     const solver::SolverStats& ss = res.solver_stats;
     EXPECT_EQ(m.counter("solver.queries"), ss.queries);
     EXPECT_EQ(n[obs::EventKind::kSolverQuery], ss.queries);
