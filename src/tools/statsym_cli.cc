@@ -18,6 +18,9 @@
 //       Run the whole-program static analysis and print every definite-bug
 //       diagnostic (provable OOB, division by zero, failing assert,
 //       use-before-def). Exits non-zero when anything is found.
+//   statsym serve [--store FILE] [--socket PATH] [--jobs N] [--seed N]
+//       Answer run requests from one long-lived session whose solver cache
+//       warms across requests (DESIGN.md §14).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
