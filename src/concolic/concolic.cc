@@ -120,7 +120,6 @@ ConcolicResult ConcolicExecutor::run() {
     symexec::SymExecutor ex(m_, spec_, eo, &pool);
     ex.set_follow_input(item.input);
     if (budget_ != nullptr) ex.set_shared_budget(budget_);
-    if (shared_cache_ != nullptr) ex.set_shared_solver_cache(shared_cache_);
     if (trace_ != nullptr) ex.set_trace(trace_);
 
     const std::uint64_t run_idx = cs.runs;

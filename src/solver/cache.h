@@ -2,13 +2,16 @@
 //
 // Two layers with different keys and lifetimes:
 //
-//  * QueryCache — per-solver (one executor), keyed on the *sorted constraint
-//    id vector* of a sliced sub-query. Hash-consing makes ExprIds canonical
+//  * QueryCache — one solver's own (today only the concolic negation
+//    solver's, one per followed run), keyed on the *sorted constraint id
+//    vector* of a sliced sub-query. Hash-consing makes ExprIds canonical
 //    within a pool, so the sorted vector is a canonical key there. Entries
 //    store the full id vector and verify it on lookup: a 64-bit hash
-//    collision returns a miss, never another query's result.
+//    collision returns a miss, never another query's result. Keys carry no
+//    budget-tier salt, so one QueryCache must never serve two solvers of
+//    different tiers.
 //
-//  * SharedQueryCache — one instance shared by every executor of an
+//  * SharedQueryCache — one instance shared by every solver of an
 //    analysis (its candidates and engine lanes) and, in service mode, by
 //    every request for the same program, which the serve pool may run
 //    concurrently. ExprIds are pool-local, so keys are 128-bit *structural

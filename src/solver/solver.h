@@ -12,12 +12,14 @@
 // A query-optimization layer sits between check()/check_with() and that
 // decision procedure: independence slicing (solver/slicer.h) partitions each
 // query into variable-disjoint sub-queries, and every slice probes the
-// per-owner local cache, then the cross-worker shared cache (both
-// solver/cache.h), before the procedure is invoked. Canonical solves are pure
-// functions of the slice structure (RNG seeded from the slice digest), so
-// any cache hit is bit-identical to the solve it replaces and a slice's
-// answer never depends on the solver's query history; see DESIGN.md
-// §"Solver" for the determinism argument.
+// owner's local cache (only the concolic negation solver has one), then the
+// cross-worker shared cache (both solver/cache.h), before the procedure is
+// invoked. The fork-time and fault-validation solvers of an executor use the
+// shared cache alone; DESIGN.md §"Solver" counts which level answers which
+// caller. Canonical solves are pure functions of the slice structure (RNG
+// seeded from the slice digest), so any cache hit is bit-identical to the
+// solve it replaces and a slice's answer never depends on the solver's query
+// history; see DESIGN.md §"Solver" for the determinism argument.
 #pragma once
 
 #include <memory>
@@ -246,7 +248,8 @@ class Solver {
   explicit Solver(ExprPool& pool, SolverOptions opts = {});
 
   // Optional per-owner query cache (see solver/cache.h). Entries record
-  // this solver's own returned results; safe for any single-threaded owner.
+  // this solver's own returned results; its keys carry no tier salt, so it
+  // must not be shared with a solver of another budget tier.
   void set_cache(QueryCache* cache) { cache_ = cache; }
   // Optional cross-worker cache. Receives only canonical solve results and
   // must outlive the solver; safe to share across threads.
@@ -287,8 +290,8 @@ class Solver {
   SolveResult finish_query(SolveResult r, std::uint64_t slices0,
                            std::uint64_t local0);
 
-  // Decides one independence slice: local cache, then shared cache, then
-  // canonical solve. Every step returns the canonical answer, so the result
+  // Decides one independence slice: local cache (if any), then shared cache
+  // (if any), then canonical solve. Every step returns the canonical answer, so the result
   // is a pure function of the slice (DESIGN.md §"Solver").
   SolveResult solve_slice(const Slice& slice);
 

@@ -42,7 +42,6 @@ SymExecutor::SymExecutor(const ir::Module& m, SymInputSpec spec,
       pool_(pool != nullptr ? *pool : *own_pool_),
       solver_(pool_, opts_.solver_opts),
       rng_(opts.seed) {
-  solver_.set_cache(&cache_);
   searcher_ = make_searcher(opts_.searcher, rng_.split());
 }
 
@@ -223,15 +222,13 @@ SymExecutor::StepResult SymExecutor::fault_state(State& st,
     // Validate the path end-to-end with the full solver; an unsatisfiable
     // constraint set means the optimistic quick checks walked an infeasible
     // path — discard rather than report a false positive. Uses the dedicated
-    // high-budget validation solver (sharing the slice's query caches).
+    // high-budget validation solver, which shares only the injected
+    // tier-salted cache, so the model is the fault tier's own answer.
     solver::SolverOptions fault_opts = opts_.solver_opts;
     fault_opts.max_search_nodes = kFaultSearchNodes;
     fault_opts.max_query_seconds = kFaultQuerySeconds;
     solver::Solver validator(pool_, fault_opts);
-    validator.set_cache(&cache_);
-    solver::SharedQueryCache* sc =
-        shared_cache_ != nullptr ? shared_cache_ : own_shared_cache_.get();
-    if (sc != nullptr) validator.set_shared_cache(sc);
+    if (shared_cache_ != nullptr) validator.set_shared_cache(shared_cache_);
     if (trace_ != nullptr) validator.set_trace(trace_);
     const auto res = validator.check(st.pc.list());
     validator_stats_ += validator.stats();
@@ -879,8 +876,6 @@ void SymExecutor::destroy_state(State* st) {
 
 void SymExecutor::run_slice(State* st, ExecResult& result, Termination& term,
                             bool& done) {
-  // Every slice starts with an empty local cache, as a fresh solver would.
-  cache_.clear();
   StepResult last = StepResult::kContinue;
   for (std::uint32_t k = 0; k < opts_.slice && last == StepResult::kContinue;
        ++k) {
@@ -963,15 +958,6 @@ void SymExecutor::run_slice(State* st, ExecResult& result, Termination& term,
 }
 
 ExecResult SymExecutor::run() {
-  // Without an engine-provided shared cache, create a run-local shared
-  // cache: local caches start every slice empty, so this is what lets slices
-  // reuse each other's canonical solves (hits are bit-identical to the
-  // solves they replace, so reuse never perturbs determinism).
-  if (shared_cache_ == nullptr && own_shared_cache_ == nullptr) {
-    own_shared_cache_ = std::make_unique<solver::SharedQueryCache>();
-    solver_.set_shared_cache(own_shared_cache_.get());
-  }
-
   build_initial_state();
 
   ExecResult result;

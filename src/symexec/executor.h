@@ -231,11 +231,10 @@ class SymExecutor {
   // Opt this executor into an analysis-wide budget (must outlive the run).
   void set_shared_budget(SharedBudget* budget) { budget_ = budget; }
   // Opt this executor's solvers (fork-time and fault validation) into a
-  // query cache shared across executors (must outlive the run). Only
-  // canonical solve results are shared, so sharing never perturbs per-run
-  // determinism — see DESIGN.md §"Solver". Without one, run() creates a
-  // run-local shared cache, so slices reuse each other's canonical solves
-  // even though each slice starts with empty local caches.
+  // query cache shared across executors (must outlive the run). It is the
+  // executor's only cache: its keys are salted by budget tier and it holds
+  // only canonical solve results, so a hit is the solve it replaces — see
+  // DESIGN.md §"Solver". Without one, every query solves canonically.
   void set_shared_solver_cache(solver::SharedQueryCache* cache);
   // Opt this executor into structured tracing (must outlive the run): state
   // fork/suspend/wake/terminate events plus the solvers' query events land
@@ -342,13 +341,7 @@ class SymExecutor {
   std::unique_ptr<solver::ExprPool> own_pool_;  // null when the caller owns it
   solver::ExprPool& pool_;
   solver::SharedQueryCache* shared_cache_{nullptr};
-  // Run-local fallback shared cache (created by run() when no shared cache
-  // was injected) so slices still reuse each other's solves.
-  std::unique_ptr<solver::SharedQueryCache> own_shared_cache_;
-  // Fork-time solver and its local query cache. The cache starts every slice
-  // empty, so which of a slice's queries hit it (trace level 0) rather than
-  // the canonical layer (level 2) depends only on that slice.
-  solver::QueryCache cache_;
+  // Fork-time solver.
   solver::Solver solver_;
   // Fault-validation solver counters and static prunes.
   solver::SolverStats validator_stats_;

@@ -440,6 +440,46 @@ TEST(SymExec, VulnTraceEndsAtFaultFunction) {
             monitor::enter_loc(m.find_function("boom")));
 }
 
+// A fault's witness is the fault tier's own answer. The path constraint
+// {a + b == 300, a != b} is first decided at the fork tier, when `x & 1`
+// concretizes a fresh symbolic x, and then again by the fault validator; the
+// two tiers' budgets pick different models for it. The witness must be the
+// one a fresh fault-tier solver (400,000 nodes, 10 s) picks, never a model a
+// fork-tier query left behind.
+TEST(SymExec, FaultWitnessComesFromTheFaultTier) {
+  ModuleBuilder mb("tiers");
+  auto f = mb.func("main", {});
+  const Reg a = f.reg();
+  const Reg b = f.reg();
+  const Reg x = f.reg();
+  f.make_sym_int(a, "a", 0, 255);
+  f.make_sym_int(b, "b", 0, 255);
+  f.make_sym_int(x, "x", 0, 255);
+  const auto bad = f.block();
+  const auto ok = f.block();
+  f.br(f.land(f.eqi(f.add(a, b), 300), f.ne(a, b)), bad, ok);
+  f.at(bad);
+  f.bini(BinOp::kAnd, x, 1);
+  f.assert_true(f.ci(0));
+  f.ret();
+  f.at(ok);
+  f.ret(f.ci(0));
+  const ir::Module m = mb.build();
+
+  solver::ExprPool pool;
+  SymExecutor ex(m, {}, {}, &pool);
+  const auto r = ex.run();
+  ASSERT_EQ(r.termination, Termination::kFoundFault);
+  ASSERT_TRUE(r.vuln.has_value());
+  ASSERT_TRUE(r.vuln->model_valid);
+
+  solver::Solver fault_tier(
+      pool, {.max_search_nodes = 400'000, .max_query_seconds = 10.0});
+  const auto fresh = fault_tier.check(r.vuln->constraints);
+  ASSERT_EQ(fresh.sat, solver::Sat::kSat);
+  EXPECT_EQ(r.vuln->input.sym_ints, ex.input_from_model(fresh.model).sym_ints);
+}
+
 }  // namespace
 }  // namespace statsym::symexec
 
