@@ -55,14 +55,9 @@ std::uint64_t MetricsRegistry::counter(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-void MetricsRegistry::set_gauge(const std::string& name, double v,
-                                GaugeMerge merge) {
-  gauges_[name] = Gauge{v, merge};
-}
-
 double MetricsRegistry::gauge(const std::string& name) const {
   auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second.value;
+  return it == gauges_.end() ? 0.0 : it->second;
 }
 
 const Histogram* MetricsRegistry::histogram(const std::string& name) const {
@@ -72,17 +67,7 @@ const Histogram* MetricsRegistry::histogram(const std::string& name) const {
 
 void MetricsRegistry::merge(const MetricsRegistry& o) {
   for (const auto& [name, v] : o.counters_) counters_[name] += v;
-  for (const auto& [name, g] : o.gauges_) {
-    auto [it, inserted] = gauges_.try_emplace(name, g);
-    if (inserted) continue;
-    switch (g.merge) {
-      case GaugeMerge::kSum: it->second.value += g.value; break;
-      case GaugeMerge::kMax:
-        it->second.value = std::max(it->second.value, g.value);
-        break;
-      case GaugeMerge::kLast: it->second.value = g.value; break;
-    }
-  }
+  for (const auto& [name, v] : o.gauges_) gauges_[name] += v;
   for (const auto& [name, h] : o.hists_) hists_[name].merge(h);
 }
 
@@ -97,9 +82,9 @@ std::string MetricsRegistry::to_json() const {
   os << (first ? "},\n" : "\n  },\n");
   os << "  \"gauges\": {";
   first = true;
-  for (const auto& [name, g] : gauges_) {
+  for (const auto& [name, v] : gauges_) {
     os << (first ? "\n" : ",\n") << "    \"" << name
-       << "\": " << fmt_double(g.value, 6);
+       << "\": " << fmt_double(v, 6);
     first = false;
   }
   os << (first ? "},\n" : "\n  },\n");

@@ -4,8 +4,7 @@
 // one pipeline run. Counters and histograms are pure sums, so merging
 // per-worker registries is commutative and the totals are schedule-invariant
 // — the same guarantee SolverStats gives, generalised to arbitrary names.
-// Gauges carry their merge policy (sum / max / last) so cross-worker merges
-// stay well-defined.
+// Gauges are point-in-time doubles; merging sums them too.
 //
 // Everything renders deterministically: names iterate in sorted order and
 // to_json() emits a byte-stable document for any fixed set of values
@@ -35,13 +34,6 @@ struct Histogram {
   void merge(const Histogram& o);
 };
 
-enum class GaugeMerge : std::uint8_t { kSum, kMax, kLast };
-
-struct Gauge {
-  double value{0.0};
-  GaugeMerge merge{GaugeMerge::kSum};
-};
-
 class MetricsRegistry {
  public:
   // Counters: monotone sums (merge adds).
@@ -50,9 +42,8 @@ class MetricsRegistry {
   }
   std::uint64_t counter(const std::string& name) const;
 
-  // Gauges: point-in-time doubles with an explicit merge policy.
-  void set_gauge(const std::string& name, double v,
-                 GaugeMerge merge = GaugeMerge::kSum);
+  // Gauges: point-in-time doubles (merge adds).
+  void set_gauge(const std::string& name, double v) { gauges_[name] = v; }
   double gauge(const std::string& name) const;
   bool has_gauge(const std::string& name) const {
     return gauges_.contains(name);
@@ -62,8 +53,7 @@ class MetricsRegistry {
   void observe(const std::string& name, double v) { hists_[name].observe(v); }
   const Histogram* histogram(const std::string& name) const;
 
-  // Merges another registry in: counters and histograms sum (commutative —
-  // schedule-invariant across workers), gauges follow their stored policy.
+  // Merges another registry in: counters, gauges and histograms sum.
   void merge(const MetricsRegistry& o);
 
   bool empty() const {
@@ -73,7 +63,7 @@ class MetricsRegistry {
   const std::map<std::string, std::uint64_t>& counters() const {
     return counters_;
   }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
+  const std::map<std::string, double>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const { return hists_; }
 
   // Deterministic JSON document (sorted keys; doubles via fmt_double(.,6)).
@@ -81,7 +71,7 @@ class MetricsRegistry {
 
  private:
   std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Gauge> gauges_;
+  std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> hists_;
 };
 

@@ -125,8 +125,8 @@ std::string format_metrics(const obs::MetricsRegistry& m) {
   for (const auto& [name, v] : m.counters()) {
     t.add_row({name, std::to_string(v)});
   }
-  for (const auto& [name, g] : m.gauges()) {
-    t.add_row({name, fmt_double(g.value, 3)});
+  for (const auto& [name, v] : m.gauges()) {
+    t.add_row({name, fmt_double(v, 3)});
   }
   for (const auto& [name, h] : m.histograms()) {
     std::ostringstream cell;

@@ -587,7 +587,7 @@ TEST(Report, FormatsSolverStats) {
 TEST(Report, FormatsMetricsTable) {
   obs::MetricsRegistry reg;
   reg.add("engine.states_forked", 42);
-  reg.set_gauge("engine.exec_wall_s", 1.25, obs::GaugeMerge::kSum);
+  reg.set_gauge("engine.exec_wall_s", 1.25);
   reg.observe("solver.query_s", 0.5);
   reg.observe("solver.query_s", 1.5);
   const std::string out = format_metrics(reg);
