@@ -329,15 +329,9 @@ void Interpreter::execute() {
         break;
       }
       case ir::Opcode::kCallExt: {
-        Value res = Value::make_int(0);
-        if (extern_model_) {
-          std::vector<Value> args;
-          args.reserve(static_cast<std::size_t>(in.c));
-          const ir::Reg* regs = p_.call_args() + in.y;
-          for (std::int32_t i = 0; i < in.c; ++i) args.push_back(r[regs[i]]);
-          res = extern_model_(p_.source(pc).str, args);
-        }
-        if (in.dst != ir::kNoReg) r[in.dst] = res;
+        // External calls (libc/syscall stand-ins) are logged structure, not
+        // behaviour: each returns 0, as in the symbolic executor.
+        if (in.dst != ir::kNoReg) r[in.dst] = Value::make_int(0);
         ++pc;
         break;
       }

@@ -11,7 +11,6 @@
 // sampled runtime logs that feed statistical analysis.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -97,12 +96,6 @@ class InterpListener {
   }
 };
 
-// Models external calls (libc/syscall stand-ins). Returns the call's result;
-// the default model is a pure function returning 0 so external calls are
-// logged structure, not behaviour.
-using ExternModel =
-    std::function<Value(const std::string& name, std::span<const Value> args)>;
-
 struct InterpOptions {
   std::int64_t max_steps{50'000'000};
   std::int32_t max_call_depth{256};
@@ -118,7 +111,6 @@ class Interpreter {
   Interpreter(const Program& p, RuntimeInput input, InterpOptions opts = {});
 
   void set_listener(InterpListener* l) { listener_ = l; }
-  void set_extern_model(ExternModel em) { extern_model_ = std::move(em); }
 
   // Executes main() to completion. May be called once per Interpreter.
   RunResult run();
@@ -180,7 +172,6 @@ class Interpreter {
   std::vector<Value> regs_;
   std::vector<Value> params_;  // only filled while a listener is attached
   InterpListener* listener_{nullptr};
-  ExternModel extern_model_;
   RunResult result_;
   bool done_{false};
 };

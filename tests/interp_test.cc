@@ -321,20 +321,6 @@ TEST(Interp, StepLimitStopsRun) {
   EXPECT_GE(r.steps, 1000);
 }
 
-TEST(Interp, ExternModelSuppliesResults) {
-  ModuleBuilder mb("t");
-  auto f = mb.func("main", {});
-  f.ret(f.call_ext("magic", {f.ci(20)}));
-  const ir::Module m = mb.build();
-  Interpreter it(m, {});
-  it.set_extern_model([](const std::string& name, std::span<const Value> args) {
-    EXPECT_EQ(name, "magic");
-    return Value::make_int(args[0].i + 1);
-  });
-  const auto r = it.run();
-  EXPECT_EQ(r.main_ret->i, 21);
-}
-
 TEST(Interp, DefaultExternReturnsZero) {
   ModuleBuilder mb("t");
   auto f = mb.func("main", {});
