@@ -262,6 +262,10 @@ std::optional<symexec::VulnPath> StatSymEngine::run_candidates(
   obs::TraceBuffer* trace = tracer_ != nullptr ? &tracer_->buffer() : nullptr;
   const std::uint32_t outer_lane = trace != nullptr ? trace->lane() : 0;
   std::optional<symexec::VulnPath> vuln;
+  // Without a verified candidate the lane ends as the first tried candidate
+  // (in rank order) that did not exhaust its search; a pruned candidate
+  // counts as exhausted.
+  symexec::Termination stop = symexec::Termination::kExhausted;
   for (std::size_t ci = 0; ci < n_try && !vuln.has_value(); ++ci) {
     ++res.candidates_tried;
     if (trace != nullptr) trace->set_lane(static_cast<std::uint32_t>(ci + 1));
@@ -322,6 +326,7 @@ std::optional<symexec::VulnPath> StatSymEngine::run_candidates(
     lane.instructions += er.stats.instructions;
     lane.solver_stats += er.solver_stats;
     res.last_exec_stats = er.stats;
+    if (stop == symexec::Termination::kExhausted) stop = er.termination;
     if (trace != nullptr) trace->set_lane(outer_lane);
     if (er.termination == symexec::Termination::kFoundFault &&
         er.vuln.has_value()) {
@@ -330,8 +335,8 @@ std::optional<symexec::VulnPath> StatSymEngine::run_candidates(
     }
   }
   res.candidates_cancelled = n_try - res.candidates_tried;
-  lane.termination = vuln.has_value() ? symexec::Termination::kFoundFault
-                                      : symexec::Termination::kExhausted;
+  lane.termination =
+      vuln.has_value() ? symexec::Termination::kFoundFault : stop;
   return vuln;
 }
 

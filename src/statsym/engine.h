@@ -232,7 +232,9 @@ class StatSymEngine {
   // The guided lane: runs the top n_try candidates one at a time in rank
   // order, stopping at the first that verifies the vuln, on the race's
   // budget and cache. Writes the candidate fields of `res` and the lane's
-  // totals into `lane`; returns the verified vuln, if any.
+  // totals into `lane`; returns the verified vuln, if any. The lane's
+  // termination is found-fault on a verified candidate, else that of the
+  // first tried candidate that did not end exhausted, else exhausted.
   std::optional<symexec::VulnPath> run_candidates(
       EngineResult& res, EngineLaneResult& lane, const std::string& target,
       std::size_t n_try, symexec::SharedBudget& budget,

@@ -29,7 +29,12 @@
 //    became a lane race: each render gained one guided lane entry (the
 //    result's own totals) and the engine.* counters (lanes 1,
 //    lanes_cancelled 0, winner_priority = found, concolic_runs 0), and
-//    nothing else moved.
+//    nothing else moved;
+//  * the polymorph guided row and the polymorph race trace when a guided
+//    lane that verifies no candidate began reporting the first candidate
+//    termination other than exhausted: only the guided lane's termination
+//    (exhausted -> instr-limit, in the render and in the trace's
+//    engine-lane-end event) moved.
 // The deterministic trace JSONL of two paper apps is pinned the same way.
 //
 // The digests fold 150 generated fault-planted programs (chains and segments
@@ -186,7 +191,7 @@ TEST(EngineDigest, PaperApps) {
       {"fig2", EngineKind::kGuided, 0x8c291af75a7d572eULL},
       {"fig2", EngineKind::kPure, 0x3eaa322f648d6de2ULL},
       {"polymorph", EngineKind::kConcolic, 0x31d965caa3b46f79ULL},
-      {"polymorph", EngineKind::kGuided, 0x269fa85886b85b87ULL},
+      {"polymorph", EngineKind::kGuided, 0x26b18f1ecc76bf96ULL},
       {"polymorph", EngineKind::kPure, 0x23b377fdd7ec5794ULL},
       {"ctree", EngineKind::kConcolic, 0x58c00edef857c739ULL},
       {"ctree", EngineKind::kGuided, 0xc4cafd83b132ecf8ULL},
@@ -232,14 +237,15 @@ TEST(EngineDigest, Fig2Trace) {
 
 TEST(EngineDigest, PolymorphTrace) {
   EngineResult res;
-  EXPECT_EQ(trace_digest("polymorph", &res), 0x3a4c3607e3ab4eeeULL);
+  EXPECT_EQ(trace_digest("polymorph", &res), 0xf521fd815e884859ULL);
   // No lane finds the fault, so all three run, and the race's shared
-  // instruction budget binds: pure gets what concolic and guided left.
+  // instruction budget binds: both guided candidates stop on it, and pure
+  // gets what concolic and guided left.
   EXPECT_FALSE(res.found);
   ASSERT_EQ(res.lanes.size(), 3u);
   EXPECT_EQ(res.lanes[0].termination, symexec::Termination::kRunLimit);
   EXPECT_EQ(res.lanes[0].concolic_runs, 512u);
-  EXPECT_EQ(res.lanes[1].termination, symexec::Termination::kExhausted);
+  EXPECT_EQ(res.lanes[1].termination, symexec::Termination::kInstrLimit);
   EXPECT_EQ(res.lanes[2].termination, symexec::Termination::kInstrLimit);
 }
 

@@ -151,6 +151,23 @@ TEST(Engine, LowSamplingStillFinds) {
   EXPECT_GE(found, 6);
 }
 
+// A guided lane that verifies no candidate reports why its search stopped:
+// here a one-instruction cap ends every candidate after its first slice, so
+// the lane reads instr-limit, as a pure lane under the same cap does, not
+// exhausted.
+TEST(Engine, GuidedLaneReportsTheBudgetStopOfItsCandidates) {
+  const apps::AppSpec app = apps::make_fig2();
+  EngineOptions o = fast_opts();
+  o.exec.max_instructions = 1;
+  StatSymEngine engine(app.module, app.sym_spec, o);
+  engine.collect_logs(app.workload);
+  const EngineResult res = engine.run();
+  EXPECT_FALSE(res.found);
+  ASSERT_GE(res.candidates_tried, 1u);
+  ASSERT_EQ(res.lanes.size(), 1u);
+  EXPECT_EQ(res.lanes[0].termination, symexec::Termination::kInstrLimit);
+}
+
 TEST(Engine, PureBaselineAlsoFindsFig2) {
   const apps::AppSpec app = apps::make_fig2();
   symexec::ExecOptions opts;
