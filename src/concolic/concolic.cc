@@ -165,14 +165,6 @@ ConcolicResult ConcolicExecutor::run() {
       const std::size_t plen = std::min(decs[i].pc_prefix, path.size());
       const auto res = neg.check_with(
           std::span<const solver::ExprId>(path.data(), plen), decs[i].negated);
-      if (trace_ != nullptr) {
-        trace_->emit(obs::EventKind::kConcolicNegation,
-                     static_cast<std::int64_t>(run_idx),
-                     static_cast<std::int64_t>(i),
-                     res.sat == solver::Sat::kSat     ? 0
-                     : res.sat == solver::Sat::kUnsat ? 1
-                                                      : 2);
-      }
       if (res.sat == solver::Sat::kSat) {
         ++cs.negations_sat;
         interp::RuntimeInput next = ex.input_from_model(res.model);

@@ -26,10 +26,11 @@
 // Resource integration mirrors SymExecutor: a SharedBudget bounds the
 // lane's instructions together with the lanes before it (each follow run
 // checks and adds to it like any executor, and the lane checks it before
-// every run), the SharedQueryCache is shared with the symbolic lanes
-// (negation solves warm their lookups and vice versa), and an
-// obs::TraceBuffer receives kConcolicRun / kConcolicNegation events plus the
-// per-run executor and solver events.
+// every run), the SharedQueryCache serves the negation solver (follow runs
+// issue no query) and is shared with the symbolic lanes, and an
+// obs::TraceBuffer receives one kConcolicRun event per run, the per-run
+// executor events and one kSolverQuery event per negation, which carries its
+// verdict.
 #pragma once
 
 #include <optional>

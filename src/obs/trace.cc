@@ -24,7 +24,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kEngineLaneBegin: return "engine-lane-begin";
     case EventKind::kEngineLaneEnd: return "engine-lane-end";
     case EventKind::kConcolicRun: return "concolic-run";
-    case EventKind::kConcolicNegation: return "concolic-negation";
     case EventKind::kStaticPrune: return "static-prune";
     case EventKind::kNote: return "note";
   }
@@ -117,8 +116,6 @@ FieldNames fields_of(EventKind k) {
     case EventKind::kEngineLaneEnd:
       return {"priority", "found", "termination", true};
     case EventKind::kConcolicRun: return {"run", "decisions", "faulted", false};
-    case EventKind::kConcolicNegation:
-      return {"run", "decision", "verdict", false};
     case EventKind::kStaticPrune: return {"func", "block", "dir", true};
     case EventKind::kNote: return {"a", "b", "c", true};
   }

@@ -50,8 +50,6 @@ enum class EventKind : std::uint8_t {
   kEngineLaneEnd,    // a = priority, b = found, c = termination code;
                      // name = engine name
   kConcolicRun,      // a = run index, b = decisions recorded, c = faulted
-  kConcolicNegation, // a = run index, b = decision index,
-                     // c = verdict (0 sat, 1 unsat, 2 unknown)
   kStaticPrune,      // a = function id, b = block (-1 for candidate drops),
                      // c = direction taken / candidate rank;
                      // name = "branch" or "candidate"

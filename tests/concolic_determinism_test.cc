@@ -9,6 +9,7 @@
 // a worker pool; each analysis now runs on one thread.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -49,18 +50,25 @@ EngineOptions race_opts() {
 
 struct RaceRun {
   EngineResult res;
-  std::string concolic_schedule;  // concolic-run/-negation events, in order
+  std::string concolic_schedule;  // concolic-run/solver-query events, in order
 };
 
 // The negation schedule is read off the trace: the exact sequence of
-// concolic-run and concolic-negation events the concolic lane emitted (a
-// lane after the winner never starts and contributes nothing).
-std::string concolic_lines(const std::string& jsonl) {
+// concolic-run and solver-query events the concolic lane (trace lane
+// `lane`) emitted. Follow runs issue no solver query, so the lane's queries
+// are exactly its negations (a lane after the winner never starts and
+// contributes nothing).
+std::string concolic_lines(const std::string& jsonl, std::size_t lane) {
+  const std::string tag = "\"lane\": " + std::to_string(lane) + ",";
   std::istringstream is(jsonl);
   std::ostringstream os;
   std::string line;
   while (std::getline(is, line)) {
-    if (line.find("concolic-") != std::string::npos) os << line << '\n';
+    if (line.find(tag) == std::string::npos) continue;
+    if (line.find("\"concolic-run\"") != std::string::npos ||
+        line.find("\"solver-query\"") != std::string::npos) {
+      os << line << '\n';
+    }
   }
   return os.str();
 }
@@ -72,7 +80,10 @@ RaceRun run_race(const apps::AppSpec& app, const EngineOptions& o) {
   engine.collect_logs(app.workload);
   RaceRun out;
   out.res = engine.run();
-  out.concolic_schedule = concolic_lines(tracer.to_jsonl());
+  const std::size_t priority =
+      std::find(o.engines.begin(), o.engines.end(), EngineKind::kConcolic) -
+      o.engines.begin();
+  out.concolic_schedule = concolic_lines(tracer.to_jsonl(), 100 + priority);
   return out;
 }
 

@@ -34,7 +34,11 @@
 //    lane that verifies no candidate began reporting the first candidate
 //    termination other than exhausted: only the guided lane's termination
 //    (exhausted -> instr-limit, in the render and in the trace's
-//    engine-lane-end event) moved.
+//    engine-lane-end event) moved;
+//  * both race traces when the concolic-negation event was deleted (it
+//    repeated the verdict of the solver-query event just before it): each
+//    new trace is the old one with every concolic-negation line dropped
+//    and seq renumbered from 0.
 // The deterministic trace JSONL of two paper apps is pinned the same way.
 //
 // The digests fold 150 generated fault-planted programs (chains and segments
@@ -210,8 +214,8 @@ TEST(EngineDigest, PaperApps) {
 }
 
 // The deterministic JSONL (no wall stamps) of a three-lane engine race. The
-// concolic lane at priority 0 always runs, so its per-run executor and
-// negation events are in the stream.
+// concolic lane at priority 0 always runs, so its per-run executor events
+// and its negation queries are in the stream.
 std::uint64_t trace_digest(const std::string& name,
                            EngineResult* result = nullptr) {
   const apps::AppSpec app = apps::make_app(name);
@@ -232,12 +236,12 @@ std::uint64_t trace_digest(const std::string& name,
 }
 
 TEST(EngineDigest, Fig2Trace) {
-  EXPECT_EQ(trace_digest("fig2"), 0x8a3791b425a282d4ULL);
+  EXPECT_EQ(trace_digest("fig2"), 0xa58f012f7de7e7eaULL);
 }
 
 TEST(EngineDigest, PolymorphTrace) {
   EngineResult res;
-  EXPECT_EQ(trace_digest("polymorph", &res), 0xf521fd815e884859ULL);
+  EXPECT_EQ(trace_digest("polymorph", &res), 0xb6f1a9b377166a8fULL);
   // No lane finds the fault, so all three run, and the race's shared
   // instruction budget binds: both guided candidates stop on it, and pure
   // gets what concolic and guided left.

@@ -206,8 +206,8 @@ TEST(Tracer, EventKindNamesAreUnique) {
       EventKind::kStateWake,       EventKind::kStateTerminate,
       EventKind::kSolverQuery,     EventKind::kExecEnd,
       EventKind::kEngineLaneBegin, EventKind::kEngineLaneEnd,
-      EventKind::kConcolicRun,     EventKind::kConcolicNegation,
-      EventKind::kStaticPrune,     EventKind::kNote,
+      EventKind::kConcolicRun,     EventKind::kStaticPrune,
+      EventKind::kNote,
   };
   std::set<std::string> names;
   for (EventKind k : kinds) names.insert(event_kind_name(k));

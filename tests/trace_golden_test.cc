@@ -105,8 +105,8 @@ TEST(TraceGolden, Grep) { run_case("grep", apps::make_grep(), 0.3); }
 // --- engine-race cases ---------------------------------------------------
 // Every lane that runs is bracketed by engine-lane-begin/-end (the default
 // one-lane race above has one pair) and, when the concolic lane runs, emits
-// concolic-run/concolic-negation events. Lanes after the winner never start
-// and leave no events.
+// concolic-run events and one solver-query event per negation. Lanes after
+// the winner never start and leave no events.
 
 void run_race_case(const std::string& name, const apps::AppSpec& app,
                    double sampling, const std::vector<EngineKind>& engines) {
