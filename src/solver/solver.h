@@ -291,8 +291,8 @@ class Solver {
                            std::uint64_t local0);
 
   // Decides one independence slice: local cache (if any), then shared cache
-  // (if any), then canonical solve. Every step returns the canonical answer, so the result
-  // is a pure function of the slice (DESIGN.md §"Solver").
+  // (if any), then canonical solve. Every step returns the canonical answer,
+  // so the result is a pure function of the slice (DESIGN.md §"Solver").
   SolveResult solve_slice(const Slice& slice);
 
   // The canonical decision procedure on one slice: constraints in
