@@ -71,6 +71,10 @@ void Interpreter::init() {
   }
 }
 
+void InterpListener::stop(const Interpreter& interp) {
+  interp.stop_requested_ = true;
+}
+
 std::int64_t Interpreter::string_length(const Value& v) const {
   if (!v.is_ref() || v.is_null_ref()) return 0;
   return mem_.c_strlen(v.obj, v.off);
@@ -133,7 +137,7 @@ void Interpreter::enter_function(ir::FuncId callee, const ir::Reg* args,
   if constexpr (kListen) {
     const ir::Function& fn = module().function(callee);
     listener_->on_enter(*this, fn, frame_params(frames_.back()));
-    listener_->on_block(*this, fn, 0);
+    if (!stop_requested_) listener_->on_block(*this, fn, 0);
   }
 }
 
@@ -190,6 +194,16 @@ void Interpreter::execute() {
   auto current_fn = [&]() -> const ir::Function& {
     return module().function(frames_.back().func);
   };
+  // Checked after every listener callback.
+  auto stopped = [&] {
+    if (!stop_requested_) return false;
+    result_.steps = steps;
+    result_.outcome = RunOutcome::kStopped;
+    return true;
+  };
+  if constexpr (kListen) {
+    if (stopped()) return;  // main's on_enter asked to stop
+  }
 
   for (;;) {
     if (steps >= max_steps) {
@@ -304,16 +318,19 @@ void Interpreter::execute() {
         pc = in.x;
         if constexpr (kListen) {
           listener_->on_block(*this, current_fn(), p_.where(pc).block);
+          if (stopped()) return;
         }
         break;
       case ir::Opcode::kBr: {
         const bool taken = r[in.a].truthy();
         if constexpr (kListen) {
           listener_->on_branch(*this, current_fn(), p_.where(pc).block, taken);
+          if (stopped()) return;
         }
         pc = taken ? in.x : in.y;
         if constexpr (kListen) {
           listener_->on_block(*this, current_fn(), p_.where(pc).block);
+          if (stopped()) return;
         }
         break;
       }
@@ -326,6 +343,9 @@ void Interpreter::execute() {
                                 frames_.back().regs_base, pc + 1, in.dst);
         pc = p_.func(callee).entry_pc;
         r = regs_.data() + frames_.back().regs_base;
+        if constexpr (kListen) {
+          if (stopped()) return;
+        }
         break;
       }
       case ir::Opcode::kCallExt: {
@@ -344,6 +364,9 @@ void Interpreter::execute() {
           return;
         }
         r = regs_.data() + frames_.back().regs_base;
+        if constexpr (kListen) {
+          if (stopped()) return;
+        }
         break;
       }
       case ir::Opcode::kArgc:

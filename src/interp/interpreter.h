@@ -53,7 +53,8 @@ struct FaultInfo {
   std::string detail;     // human-readable specifics (object, index, ...)
 };
 
-enum class RunOutcome : std::uint8_t { kOk, kFault, kStepLimit };
+// kStopped: a listener ended the run (InterpListener::stop).
+enum class RunOutcome : std::uint8_t { kOk, kFault, kStepLimit, kStopped };
 
 struct RunResult {
   RunOutcome outcome{RunOutcome::kOk};
@@ -94,6 +95,12 @@ class InterpListener {
     (void)block;
     (void)taken;
   }
+
+ protected:
+  // Ends the run of `interp`, the interpreter whose callback is running:
+  // once the callback returns, no listener callback fires again and run()
+  // returns with outcome kStopped.
+  static void stop(const Interpreter& interp);
 };
 
 struct InterpOptions {
@@ -174,6 +181,10 @@ class Interpreter {
   InterpListener* listener_{nullptr};
   RunResult result_;
   bool done_{false};
+  // Set by InterpListener::stop, which reaches the interpreter only through
+  // the const reference its callbacks receive.
+  friend class InterpListener;
+  mutable bool stop_requested_{false};
 };
 
 }  // namespace statsym::interp

@@ -103,6 +103,7 @@ std::string outcome_name(const RunResult& r) {
     case RunOutcome::kOk: return "ok";
     case RunOutcome::kStepLimit: return "step-limit";
     case RunOutcome::kFault: return fault_kind_name(r.fault.kind);
+    case RunOutcome::kStopped: return "stopped";
   }
   return "?";
 }

@@ -2,6 +2,8 @@
 // all fault kinds, inputs, globals, listeners and budgets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "interp/interpreter.h"
 #include "ir/builder.h"
 
@@ -407,6 +409,87 @@ TEST(Interp, FaultTruncatesLeaveEvents) {
   // faulty runs lack the fault function's return record.
   const std::vector<std::string> want{"main:enter", "crash:enter"};
   EXPECT_EQ(probe.events, want);
+}
+
+// Records every callback and calls stop() in the named function's on_enter.
+class StoppingListener : public InterpListener {
+ public:
+  explicit StoppingListener(std::string stop_at)
+      : stop_at_(std::move(stop_at)) {}
+  std::vector<std::string> events;
+  void on_enter(const Interpreter& interp, const ir::Function& fn,
+                std::span<const Value>) override {
+    events.push_back(fn.name + ":enter");
+    if (fn.name == stop_at_) stop(interp);
+  }
+  void on_leave(const Interpreter&, const ir::Function& fn,
+                std::span<const Value>,
+                const std::optional<Value>&) override {
+    events.push_back(fn.name + ":leave");
+  }
+  void on_block(const Interpreter&, const ir::Function& fn,
+                ir::BlockId block) override {
+    events.push_back(fn.name + ":block" + std::to_string(block));
+  }
+  void on_branch(const Interpreter&, const ir::Function& fn, ir::BlockId,
+                 bool) override {
+    events.push_back(fn.name + ":branch");
+  }
+
+ private:
+  std::string stop_at_;
+};
+
+ir::Module branchy_module() {
+  ModuleBuilder mb("t");
+  {
+    auto f = mb.func("inner", {"x"});
+    const ir::BlockId yes = f.block();
+    const ir::BlockId no = f.block();
+    f.br(f.gti(f.param(0), 1), yes, no);
+    f.at(yes);
+    f.ret();
+    f.at(no);
+    f.ret();
+  }
+  {
+    auto f = mb.func("main", {});
+    f.call_void("inner", {f.ci(2)});
+    f.call_void("inner", {f.ci(0)});
+    f.ret(f.ci(0));
+  }
+  return mb.build();
+}
+
+TEST(Interp, ListenerStopEndsTheRunWithNoFurtherCallback) {
+  const ir::Module m = branchy_module();
+  {
+    Interpreter it(m, {});
+    StoppingListener l("inner");
+    it.set_listener(&l);
+    const RunResult r = it.run();
+    EXPECT_EQ(r.outcome, RunOutcome::kStopped);
+    // main's entry block fired; inner's did not, nor anything after it.
+    const std::vector<std::string> want{"main:enter", "main:block0",
+                                        "inner:enter"};
+    EXPECT_EQ(l.events, want);
+  }
+  {
+    Interpreter it(m, {});
+    StoppingListener l("main");
+    it.set_listener(&l);
+    EXPECT_EQ(it.run().outcome, RunOutcome::kStopped);
+    EXPECT_EQ(l.events, std::vector<std::string>{"main:enter"});
+  }
+  {
+    // A listener that never stops sees the whole run.
+    Interpreter it(m, {});
+    StoppingListener l("nowhere");
+    it.set_listener(&l);
+    EXPECT_EQ(it.run().outcome, RunOutcome::kOk);
+    EXPECT_EQ(l.events.back(), "main:leave");
+    EXPECT_EQ(std::count(l.events.begin(), l.events.end(), "inner:branch"), 2);
+  }
 }
 
 }  // namespace
