@@ -56,19 +56,6 @@ void VarSuff::merge(const VarSuff& o) {
   faulty_runs += o.faulty_runs;
 }
 
-void TransSuff::ingest(const monitor::RunLog& log) {
-  if (log.records.empty()) return;
-  ++logs;
-  ++first_counts[log.records.front().loc];
-  ++last_counts[log.records.back().loc];
-  for (std::size_t i = 0; i < log.records.size(); ++i) {
-    ++occ[log.records[i].loc];
-    if (i + 1 < log.records.size()) {
-      ++pairs[{log.records[i].loc, log.records[i + 1].loc}];
-    }
-  }
-}
-
 void TransSuff::merge(const TransSuff& o) {
   for (const auto& [p, n] : o.pairs) pairs[p] += n;
   for (const auto& [l, n] : o.occ) occ[l] += n;
@@ -77,8 +64,61 @@ void TransSuff::merge(const TransSuff& o) {
   logs += o.logs;
 }
 
+SuffStats::FoldCache::Var& SuffStats::FoldCache::Loc::var(
+    std::size_t j, const VarKeyView& key, VarTable& table) {
+  if (pos.size() <= j) pos.resize(j + 1, 0);
+  std::size_t& slot = pos[j];
+  if (slot != 0 && VarKeyLess::view(vars[slot - 1].it->first) == key) {
+    return vars[slot - 1];
+  }
+  // The position meets another statistic than last time (a flipped is_len,
+  // a record with other variables): one this location met before, else
+  // the table's.
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    if (VarKeyLess::view(vars[i].it->first) == key) {
+      slot = i + 1;
+      return vars[i];
+    }
+  }
+  auto it = table.find(key);
+  if (it == table.end()) {
+    VarSuff vs;
+    vs.loc = key.loc;
+    vs.var = monitor::var_key(key.name, key.kind, key.is_len);
+    vs.kind = key.kind;
+    vs.is_len = key.is_len;
+    it = table
+             .emplace(VarKey{key.loc, key.kind, key.is_len,
+                             std::string(key.name)},
+                      std::move(vs))
+             .first;
+  }
+  vars.push_back({it, 0});
+  slot = vars.size();
+  return vars.back();
+}
+
+SuffStats::FoldCache::Loc& SuffStats::FoldCache::step(Loc& at,
+                                                      std::size_t cls,
+                                                      monitor::LocId from,
+                                                      monitor::LocId to,
+                                                      TransSuff& trans) {
+  for (const Next& n : at.next[cls]) {
+    if (n.to == to) {
+      ++*n.pairs;
+      return *n.at;
+    }
+  }
+  // Element references survive rehashing, so `at` stays valid.
+  Next n{to, &trans.pairs[{from, to}], &locs[to]};
+  at.next[cls].push_back(n);
+  ++*n.pairs;
+  return *n.at;
+}
+
 void SuffStats::ingest(const monitor::RunLog& log) {
-  if (log.faulty) {
+  const bool faulty = log.faulty;
+  if (faulty) {
     ++num_faulty_;
     if (!log.fault_function.empty()) ++fault_fn_counts_[log.fault_function];
   } else {
@@ -86,45 +126,47 @@ void SuffStats::ingest(const monitor::RunLog& log) {
   }
   log_bytes_ += monitor::serialized_size(log);
   records_considered_ += static_cast<std::uint64_t>(log.records_considered);
-  (log.faulty ? faulty_trans_ : correct_trans_).ingest(log);
+  if (log.records.empty()) return;
 
-  // Per-run presence counts each location and (location, variable) once,
-  // however many records of this run mention it. Map nodes never move, so
-  // the touched statistics are collected by address and deduplicated.
-  std::vector<monitor::LocId> seen_locs;
-  std::vector<VarSuff*> seen_vars;
-  seen_locs.reserve(log.records.size());
-  for (const auto& rec : log.records) {
-    seen_locs.push_back(rec.loc);
-    for (const auto& v : rec.vars) {
-      const VarKeyView key{rec.loc, v.kind, v.is_len, v.name};
-      auto it = vars_.find(key);
-      if (it == vars_.end()) {
-        VarSuff vs;
-        vs.loc = rec.loc;
-        vs.var = monitor::var_key(v.name, v.kind, v.is_len);
-        vs.kind = v.kind;
-        vs.is_len = v.is_len;
-        it = vars_.emplace(VarKey{rec.loc, v.kind, v.is_len, v.name},
-                           std::move(vs))
-                 .first;
-      }
-      it->second.add(log.faulty, v.value);
-      seen_vars.push_back(&it->second);
+  TransSuff& trans = faulty ? faulty_trans_ : correct_trans_;
+  ++trans.logs;
+  ++trans.first_counts[log.records.front().loc];
+  ++trans.last_counts[log.records.back().loc];
+
+  // Every entry a record touches is reached through the fold cache; a map
+  // is searched only when a location or sample position meets an entry it
+  // has not met before. Per-run presence counts each location and
+  // (location, variable) once however many records mention it: the cached
+  // entry remembers the last run that counted it.
+  const std::size_t cls = faulty ? 1 : 0;
+  const std::uint64_t run = ++fold_.runs;
+  FoldCache::Loc* prev = nullptr;
+  for (std::size_t i = 0; i < log.records.size(); ++i) {
+    const monitor::LogRecord& rec = log.records[i];
+    FoldCache::Loc& at =
+        prev == nullptr
+            ? fold_.locs[rec.loc]
+            : fold_.step(*prev, cls, log.records[i - 1].loc, rec.loc, trans);
+    prev = &at;
+    if (at.runs == nullptr) at.runs = &loc_runs_[rec.loc];
+    if (at.run != run) {
+      at.run = run;
+      ++(faulty ? at.runs->second : at.runs->first);
     }
-  }
-  std::sort(seen_vars.begin(), seen_vars.end());
-  seen_vars.erase(std::unique(seen_vars.begin(), seen_vars.end()),
-                  seen_vars.end());
-  for (VarSuff* vs : seen_vars) {
-    ++(log.faulty ? vs->faulty_runs : vs->correct_runs);
-  }
-  std::sort(seen_locs.begin(), seen_locs.end());
-  seen_locs.erase(std::unique(seen_locs.begin(), seen_locs.end()),
-                  seen_locs.end());
-  for (monitor::LocId loc : seen_locs) {
-    auto& [c, f] = loc_runs_[loc];
-    ++(log.faulty ? f : c);
+    if (at.occ[cls] == nullptr) at.occ[cls] = &trans.occ[rec.loc];
+    ++*at.occ[cls];
+
+    for (std::size_t j = 0; j < rec.vars.size(); ++j) {
+      const monitor::VarSample& v = rec.vars[j];
+      FoldCache::Var& var =
+          at.var(j, {rec.loc, v.kind, v.is_len, v.name}, vars_);
+      VarSuff& vs = var.it->second;
+      vs.add(faulty, v.value);
+      if (var.run != run) {
+        var.run = run;
+        ++(faulty ? vs.faulty_runs : vs.correct_runs);
+      }
+    }
   }
 }
 

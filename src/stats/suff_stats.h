@@ -26,6 +26,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -110,6 +111,7 @@ using VarTable = std::map<VarKey, VarSuff, VarKeyLess>;
 // Transition-mining tallies for one run class (correct or faulty): the
 // counts Eq. 3's µ(ei,ej) = o(ei→ej)/o(ei) is computed from, plus the
 // first/last-record tallies the entry and failure pickers use.
+// SuffStats::ingest folds runs in.
 struct TransSuff {
   std::map<std::pair<monitor::LocId, monitor::LocId>, std::uint64_t> pairs;
   std::map<monitor::LocId, std::uint64_t> occ;
@@ -117,7 +119,6 @@ struct TransSuff {
   std::map<monitor::LocId, std::uint64_t> last_counts;
   std::uint64_t logs{0};  // non-empty logs tallied
 
-  void ingest(const monitor::RunLog& log);
   void merge(const TransSuff& o);
 };
 
@@ -165,8 +166,77 @@ class SuffStats {
   std::uint64_t records_considered() const { return records_considered_; }
 
  private:
+  using LocRuns = std::pair<std::uint64_t, std::uint64_t>;  // (correct, faulty)
+
+  // Where each location's samples folded last time (DESIGN.md §10). The
+  // monitor writes the same variables in the same order at every record of
+  // a location, so a sample almost always folds into the entry its
+  // position did before; the cached entry's full key is checked before it
+  // is used. The cache points into this object's own maps, so copies and
+  // moves never carry it: the destination and the moved-from source start
+  // with an empty one.
+  class FoldCache {
+   public:
+    // One statistic met at this location and the last run (1-based fold
+    // ordinal) whose presence it counted.
+    struct Var {
+      VarTable::iterator it;
+      std::uint64_t run{0};
+    };
+    struct Loc;
+    // A successor met after a location: its tally of the pair and its own
+    // entry, so consecutive records need no location lookup.
+    struct Next {
+      monitor::LocId to{monitor::kNoLoc};
+      std::uint64_t* pairs{nullptr};
+      Loc* at{nullptr};
+    };
+    // Everything one location's records fold into; class index 1 is faulty.
+    struct Loc {
+      std::uint64_t run{0};  // last run whose presence this location counted
+      LocRuns* runs{nullptr};
+      std::uint64_t* occ[2]{nullptr, nullptr};
+      std::vector<Next> next[2];
+      // The statistics met at this location, each once, and per sample
+      // position the one that position folded into last (index + 1; 0 for
+      // none yet).
+      std::vector<Var> vars;
+      std::vector<std::size_t> pos;
+
+      // The statistic sample position `j` with key `key` folds into.
+      Var& var(std::size_t j, const VarKeyView& key, VarTable& table);
+    };
+
+    // The entry of location `to`, recorded next after `from` (whose entry
+    // is `at`), with the pair's tally counted.
+    Loc& step(Loc& at, std::size_t cls, monitor::LocId from,
+              monitor::LocId to, TransSuff& trans);
+
+    FoldCache() = default;
+    FoldCache(const FoldCache& /*o*/) {}
+    FoldCache(FoldCache&& o) noexcept { o.clear(); }
+    FoldCache& operator=(const FoldCache& /*o*/) {
+      clear();
+      return *this;
+    }
+    FoldCache& operator=(FoldCache&& o) noexcept {
+      clear();
+      o.clear();
+      return *this;
+    }
+    ~FoldCache() = default;
+
+    void clear() {
+      locs.clear();
+      runs = 0;
+    }
+
+    std::unordered_map<monitor::LocId, Loc> locs;
+    std::uint64_t runs{0};  // runs folded since the cache was last empty
+  };
+
   VarTable vars_;
-  std::map<monitor::LocId, std::pair<std::uint64_t, std::uint64_t>> loc_runs_;
+  std::map<monitor::LocId, LocRuns> loc_runs_;
   TransSuff correct_trans_;
   TransSuff faulty_trans_;
   std::map<std::string, std::uint64_t> fault_fn_counts_;
@@ -174,6 +244,7 @@ class SuffStats {
   std::uint64_t num_faulty_{0};
   std::uint64_t log_bytes_{0};
   std::uint64_t records_considered_{0};
+  FoldCache fold_;
 };
 
 }  // namespace statsym::stats
