@@ -32,11 +32,81 @@ std::optional<double> gate_score_lcb(const stats::Predicate& p,
   return p.score_lcb;
 }
 
+namespace {
+
+// Samples the ranker's probes during one replay and lowers each
+// predicate's gap; stops the run once every probed gap is 0.
+class GapSampler final : public interp::InterpListener {
+ public:
+  GapSampler(const ir::Module& m, const std::vector<stats::Predicate>& preds,
+             const std::vector<std::vector<FrontierRanker::Probe>>& probes,
+             std::size_t open, std::vector<double>& out)
+      : m_(m), preds_(preds), probes_(probes), open_(open), out_(out) {}
+
+  void on_enter(const interp::Interpreter& interp, const ir::Function& fn,
+                std::span<const interp::Value> params) override {
+    sample(interp, monitor::enter_loc(id(fn)), params, nullptr);
+  }
+  void on_leave(const interp::Interpreter& interp, const ir::Function& fn,
+                std::span<const interp::Value> params,
+                const std::optional<interp::Value>& ret) override {
+    sample(interp, monitor::leave_loc(id(fn)), params,
+           ret.has_value() ? &*ret : nullptr);
+  }
+
+ private:
+  // `fn` is always an element of m_.functions(), so its id is its offset.
+  ir::FuncId id(const ir::Function& fn) const {
+    return static_cast<ir::FuncId>(&fn - m_.functions().data());
+  }
+
+  void sample(const interp::Interpreter& interp, monitor::LocId loc,
+              std::span<const interp::Value> params,
+              const interp::Value* ret) {
+    for (const FrontierRanker::Probe& probe :
+         probes_[static_cast<std::size_t>(loc)]) {
+      double& gap = out_[probe.pred];
+      if (gap == 0.0) continue;
+      const stats::Predicate& p = preds_[probe.pred];
+      auto take = [&](const interp::Value& v) {
+        // Strings are recorded by length, as Monitor::record does.
+        if (v.is_ref() != p.is_len) return;
+        const double x = v.is_ref()
+                             ? static_cast<double>(interp.string_length(v))
+                             : static_cast<double>(v.i);
+        gap = p.holds(x) ? 0.0 : std::min(gap, 1.0 + std::abs(x - p.threshold));
+      };
+      switch (probe.kind) {
+        case monitor::VarKind::kGlobal:
+          for (const std::size_t g : probe.slots) take(interp.globals()[g]);
+          break;
+        case monitor::VarKind::kParam:
+          for (const std::size_t k : probe.slots) {
+            if (k < params.size()) take(params[k]);
+          }
+          break;
+        case monitor::VarKind::kReturn:
+          if (ret != nullptr) take(*ret);
+          break;
+      }
+      if (gap == 0.0 && --open_ == 0) stop(interp);
+    }
+  }
+
+  const ir::Module& m_;
+  const std::vector<stats::Predicate>& preds_;
+  const std::vector<std::vector<FrontierRanker::Probe>>& probes_;
+  std::size_t open_;  // probed gaps not yet 0
+  std::vector<double>& out_;
+};
+
+}  // namespace
+
 FrontierRanker::FrontierRanker(const ir::Module& m,
                                const stats::CandidatePath& path,
                                const std::vector<stats::Predicate>& predicates,
                                const GuidanceOptions& opts)
-    : program_(m) {
+    : program_(m), probes_(monitor::num_locations(m)) {
   std::vector<std::pair<double, const stats::Predicate*>> gated;
   for (const stats::Predicate& p : predicates) {
     if (std::find(path.nodes.begin(), path.nodes.end(), p.loc) ==
@@ -51,11 +121,38 @@ FrontierRanker::FrontierRanker(const ir::Module& m,
     return a.second->score > b.second->score;
   });
   preds_.reserve(gated.size());
-  names_.reserve(gated.size());
   for (const auto& [lcb, p] : gated) {
+    const std::size_t i = preds_.size();
     preds_.push_back(*p);
+    // Resolve where the monitor records this variable at p->loc; a
+    // predicate it never records keeps a gap of +∞ and gets no probe.
+    if (p->loc < 0 || static_cast<std::size_t>(p->loc) >= probes_.size()) {
+      continue;
+    }
+    const ir::Function& fn = m.function(monitor::loc_function(p->loc));
     const auto name = monitor::var_key_name(p->var, p->kind, p->is_len);
-    names_.push_back(name ? std::optional<std::string>(*name) : std::nullopt);
+    if (ir::is_library_function(fn.name) || !name) continue;
+    Probe probe{i, p->kind, {}};
+    switch (p->kind) {
+      case monitor::VarKind::kGlobal:
+        for (std::size_t g = 0; g < m.globals().size(); ++g) {
+          if (m.globals()[g].name == *name) probe.slots.push_back(g);
+        }
+        break;
+      case monitor::VarKind::kParam:
+        for (std::size_t k = 0; k < fn.param_names.size(); ++k) {
+          if (fn.param_names[k] == *name) probe.slots.push_back(k);
+        }
+        break;
+      case monitor::VarKind::kReturn:
+        if (monitor::loc_is_leave(p->loc) && *name == "ret") {
+          probe.slots.push_back(0);
+        }
+        break;
+    }
+    if (probe.slots.empty()) continue;
+    probes_[static_cast<std::size_t>(p->loc)].push_back(std::move(probe));
+    ++num_probed_;
   }
 }
 
@@ -63,24 +160,11 @@ std::vector<double> FrontierRanker::gaps(
     const interp::RuntimeInput& in) const {
   std::vector<double> out(preds_.size(),
                           std::numeric_limits<double>::infinity());
-  if (preds_.empty()) return out;
-  const monitor::RunLog log =
-      monitor::run_monitored(program_, in, {.sampling_rate = 1.0}, Rng(0), 0)
-          .log;
-  for (const monitor::LogRecord& rec : log.records) {
-    for (std::size_t i = 0; i < preds_.size(); ++i) {
-      const stats::Predicate& p = preds_[i];
-      if (p.loc != rec.loc || out[i] == 0.0 || !names_[i]) continue;
-      for (const monitor::VarSample& v : rec.vars) {
-        if (v.kind != p.kind || v.is_len != p.is_len || v.name != *names_[i]) {
-          continue;
-        }
-        out[i] = p.holds(v.value)
-                     ? 0.0
-                     : std::min(out[i], 1.0 + std::abs(v.value - p.threshold));
-      }
-    }
-  }
+  if (num_probed_ == 0) return out;
+  GapSampler sampler(program_.module(), preds_, probes_, num_probed_, out);
+  interp::Interpreter replay(program_, in);
+  replay.set_listener(&sampler);
+  replay.run();
   return out;
 }
 

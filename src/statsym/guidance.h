@@ -46,11 +46,14 @@ std::optional<double> gate_score_lcb(const stats::Predicate& p,
 // Orders the concolic lane's frontier by the statistics (DESIGN.md §11).
 // Holds the gated predicates at locations on the candidate path, highest
 // score_lcb first (ties by score, then by the input order). gaps() replays an
-// input concretely, on the module decoded once at construction, under a
-// monitor at sampling rate 1, and returns one gap per predicate: 0 when
-// the predicate holds for some value observed at its location, else
-// 1 + |v − σ| for the closest value v, and +∞ when the location never
-// records the variable.
+// input concretely, on the module decoded once at construction, and returns
+// one gap per predicate: 0 when the predicate holds for some value observed
+// at its location, else 1 + |v − σ| for the closest value v, and +∞ when the
+// location never records the variable. Each predicate is resolved once to
+// where the monitor would record its variable — the global slot, the
+// parameters of that name, or the return value at its location — and the
+// replay samples only those values, as Monitor::record extracts them. It
+// stops once every gap a sample could still lower is 0: a 0 never moves.
 class FrontierRanker final : public concolic::FrontierRanker {
  public:
   // `m` must outlive the ranker.
@@ -61,12 +64,22 @@ class FrontierRanker final : public concolic::FrontierRanker {
   std::vector<double> gaps(const interp::RuntimeInput& in) const override;
   const std::vector<stats::Predicate>& predicates() const { return preds_; }
 
+  // Where one predicate's variable is recorded at its location: global
+  // slots or parameter indices holding its name, or (kReturn) the return
+  // value.
+  struct Probe {
+    std::size_t pred{0};  // index into predicates()
+    monitor::VarKind kind{monitor::VarKind::kGlobal};
+    std::vector<std::size_t> slots;
+  };
+
  private:
   interp::Program program_;
   std::vector<stats::Predicate> preds_;
-  // Variable name each predicate's display key was built from (nullopt when
-  // its key names no variable), so samples match by name.
-  std::vector<std::optional<std::string>> names_;
+  // Probes by LocId; library functions' locations hold none, as the monitor
+  // records nothing there.
+  std::vector<std::vector<Probe>> probes_;
+  std::size_t num_probed_{0};  // predicates with a probe
 };
 
 class CandidateGuidance final : public symexec::GuidanceHook {

@@ -7,8 +7,11 @@
 
 #include <limits>
 
+#include "apps/registry.h"
 #include "apps/stdlib.h"
+#include "fuzz/program_gen.h"
 #include "ir/builder.h"
+#include "statsym/engine.h"
 #include "statsym/guidance.h"
 #include "statsym/guided_searcher.h"
 #include "statsym/report.h"
@@ -469,6 +472,177 @@ TEST(FrontierRanker, GapsPerPredicateInScoreOrder) {
   EXPECT_EQ(gaps[1], 1.0 + (30.5 - 17.0));  // closest observation wins
   EXPECT_EQ(gaps[2], 1.0 + (12.0 - 3.5));
   EXPECT_EQ(gaps[3], std::numeric_limits<double>::infinity());
+}
+
+// The gaps as the ranker computed them before it sampled its probes
+// directly: a replay under the monitor at sampling rate 1, whose whole log
+// is then searched for samples of each predicate's variable by name.
+std::vector<double> monitored_gaps(const ir::Module& m,
+                                   const std::vector<stats::Predicate>& preds,
+                                   const interp::RuntimeInput& in) {
+  std::vector<double> out(preds.size(),
+                          std::numeric_limits<double>::infinity());
+  if (preds.empty()) return out;
+  const monitor::RunLog log =
+      monitor::run_monitored(m, in, {.sampling_rate = 1.0}, Rng(0), 0).log;
+  for (const monitor::LogRecord& rec : log.records) {
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      const stats::Predicate& p = preds[i];
+      const auto name = monitor::var_key_name(p.var, p.kind, p.is_len);
+      if (p.loc != rec.loc || out[i] == 0.0 || !name) continue;
+      for (const monitor::VarSample& v : rec.vars) {
+        if (v.kind != p.kind || v.is_len != p.is_len || v.name != *name) {
+          continue;
+        }
+        out[i] = p.holds(v.value)
+                     ? 0.0
+                     : std::min(out[i], 1.0 + std::abs(v.value - p.threshold));
+      }
+    }
+  }
+  return out;
+}
+
+// Ranks with a FrontierRanker and checks every input it is asked about
+// against monitored_gaps.
+class CheckedRanker final : public concolic::FrontierRanker {
+ public:
+  CheckedRanker(const ir::Module& m, const core::FrontierRanker& ranker)
+      : m_(m), ranker_(ranker) {}
+
+  std::vector<double> gaps(const interp::RuntimeInput& in) const override {
+    std::vector<double> got = ranker_.gaps(in);
+    EXPECT_EQ(got, monitored_gaps(m_, ranker_.predicates(), in))
+        << concolic::input_key(in);
+    ++checked_;
+    return got;
+  }
+  std::size_t checked() const { return checked_; }
+
+ private:
+  const ir::Module& m_;
+  const core::FrontierRanker& ranker_;
+  mutable std::size_t checked_{0};
+};
+
+// Runs `app`'s concolic lane as the engine's one-lane concolic race does,
+// its frontier ordered through a CheckedRanker; returns the inputs checked.
+std::size_t check_concolic_lane(const apps::AppSpec& app, EngineOptions o) {
+  o.engines = {};  // statistics and candidates only
+  StatSymEngine engine(app.module, app.sym_spec, o);
+  engine.collect_logs(app.workload);
+  const EngineResult res = engine.run();
+  if (res.construction.candidates.empty()) return 0;
+  const FrontierRanker ranker(app.module, res.construction.candidates[0],
+                              res.predicates, o.guidance);
+  const CheckedRanker checked(app.module, ranker);
+  concolic::ConcolicOptions co;
+  co.exec = o.exec;
+  co.exec.max_seconds = o.candidate_timeout_seconds;
+  co.exec.target_function =
+      app.module.function(monitor::loc_function(res.construction.failure))
+          .name;
+  co.seed = derive_seed(o.exec.seed, 2000);
+  symexec::SharedBudget budget;
+  budget.max_instructions = o.exec.max_instructions;
+  solver::SharedQueryCache queries;
+  concolic::ConcolicExecutor ce(app.module, app.sym_spec, co);
+  ce.set_ranker(&checked);
+  ce.set_shared_budget(&budget);
+  ce.set_shared_solver_cache(&queries);
+  ce.run();
+  return checked.checked();
+}
+
+// The concolic-fleet benchmark's settings: 100 + 100 logs at 30% sampling.
+EngineOptions fleet_options(std::uint64_t seed) {
+  EngineOptions o;
+  o.monitor.sampling_rate = 0.3;
+  o.target_correct_logs = 100;
+  o.target_faulty_logs = 100;
+  o.candidate_timeout_seconds = 60.0;
+  o.exec.max_memory_bytes = 256ull << 20;
+  o.exec.max_instructions = 400'000'000;
+  o.seed = seed;
+  return o;
+}
+
+TEST(FrontierRanker, GapsEqualTheMonitoredReplayOnEveryDerivedInput) {
+  fuzz::GenOptions g;
+  g.max_chain = 8;
+  g.max_segments = 8;
+  g.fault_probability = 1.0;
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < 50; ++i) {
+    const std::uint64_t s = derive_seed(0xfa57, i);
+    const fuzz::GeneratedProgram p = fuzz::generate_program(s, g);
+    checked += check_concolic_lane(p.app, fleet_options(derive_seed(s, 1)));
+  }
+  for (const char* name : {"fig2", "ctree"}) {
+    checked += check_concolic_lane(apps::make_app(name), fleet_options(7));
+  }
+  EXPECT_GT(checked, 500u);
+}
+
+// main calls f(a) and f(a + 5), then g(a, 40) with both parameters named x.
+ir::Module repeated_param_module() {
+  ModuleBuilder mb("repeated");
+  {
+    auto f = mb.func("f", {"a"});
+    f.ret();
+  }
+  {
+    auto f = mb.func("g", {"x", "x"});
+    f.ret(f.ci(1));
+  }
+  auto f = mb.func("main", {});
+  const Reg a = f.reg();
+  f.make_sym_int(a, "a", 0, 100);
+  f.call_void("f", {a});
+  f.call_void("f", {f.addi(a, 5)});
+  f.call("g", {a, f.ci(40)});
+  f.ret(f.ci(0));
+  return mb.build();
+}
+
+TEST(FrontierRanker, GapsEqualTheMonitoredReplayWhenTheRunStopsEarly) {
+  const ir::Module m = repeated_param_module();
+  using stats::PredKind;
+  const monitor::LocId f_enter = enter(m, "f");
+  // Both hold at the first call of f, so the replay stops there.
+  const std::vector<stats::Predicate> preds = {
+      param_pred(f_enter, "a", PredKind::kGt, 10.5, 0.9, 0.9),
+      param_pred(f_enter, "a", PredKind::kLt, 50.5, 0.8, 0.8)};
+  const FrontierRanker ranker(m, {.nodes = {f_enter}}, preds, {});
+  interp::RuntimeInput in;
+  in.sym_ints["a"] = 12;
+  EXPECT_EQ(ranker.gaps(in), (std::vector<double>{0.0, 0.0}));
+  EXPECT_EQ(ranker.gaps(in), monitored_gaps(m, ranker.predicates(), in));
+  in.sym_ints["a"] = 3;  // the first holds only at the second call of f
+  EXPECT_EQ(ranker.gaps(in), monitored_gaps(m, ranker.predicates(), in));
+}
+
+TEST(FrontierRanker, GapsEqualTheMonitoredReplayOverARepeatedParamName) {
+  const ir::Module m = repeated_param_module();
+  using stats::PredKind;
+  const monitor::LocId g_enter = enter(m, "g");
+  const monitor::LocId g_leave = monitor::leave_loc(m.find_function("g"));
+  std::vector<stats::Predicate> preds = {
+      param_pred(g_enter, "x", PredKind::kGt, 30.5, 0.9, 0.9),
+      param_pred(g_enter, "x", PredKind::kLt, 2.5, 0.8, 0.8),
+      param_pred(g_leave, "x", PredKind::kLt, 1.5, 0.7, 0.7)};
+  stats::Predicate ret = param_pred(g_leave, "ret", PredKind::kGt, 4.5, 0.6,
+                                    0.6);
+  ret.var = "ret RETURN";
+  ret.kind = monitor::VarKind::kReturn;
+  preds.push_back(ret);
+  const FrontierRanker ranker(m, {.nodes = {g_enter, g_leave}}, preds, {});
+  interp::RuntimeInput in;
+  in.sym_ints["a"] = 3;
+  const std::vector<double> gaps = ranker.gaps(in);
+  // x > 30.5 holds for the second x (40); x < 2.5 is closest at the first.
+  EXPECT_EQ(gaps, (std::vector<double>{0.0, 1.5, 2.5, 4.5}));
+  EXPECT_EQ(gaps, monitored_gaps(m, ranker.predicates(), in));
 }
 
 TEST(FrontierRanker, NoPredicatesWithoutInjection) {
