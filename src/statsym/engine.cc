@@ -84,8 +84,9 @@ void StatSymEngine::fill_metrics(EngineResult& res,
 
   add_solver_metrics(m, res.solver_stats);
 
-  // Static-analysis counters appear only when the analysis ran, so
-  // analysis-off metric renderings are byte-identical to before.
+  // Static-analysis counters appear only when the analysis ran: with it
+  // off, or when no lane of the race reads its facts (a concolic-only
+  // race), the rendering has no analysis.* counter.
   if (facts_.has_value()) {
     m.add("analysis.unreachable_blocks", facts_->num_unreachable_blocks());
     m.add("analysis.decided_branches", facts_->num_decided_branches());
@@ -231,7 +232,12 @@ EngineResult StatSymEngine::run_on(const stats::SuffStats& suff) {
   // run of this engine. The facts are sound over-approximations: consulting
   // them skips work (branch feasibility queries, dead candidates) without
   // ever changing a verdict, witness, or trace-visible ordering decision.
-  if (opts_.static_analysis && !facts_.has_value()) {
+  // Only the guided and pure lanes read them, so a race of concolic lanes
+  // alone computes none.
+  const bool facts_read =
+      std::any_of(opts_.engines.begin(), opts_.engines.end(),
+                  [](EngineKind k) { return k != EngineKind::kConcolic; });
+  if (opts_.static_analysis && facts_read && !facts_.has_value()) {
     facts_ = analysis::analyze(m_);
   }
 

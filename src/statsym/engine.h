@@ -247,7 +247,8 @@ class StatSymEngine {
   symexec::SymInputSpec spec_;
   EngineOptions opts_;
   // Whole-program facts, computed lazily before the first Phase-3 run when
-  // EngineOptions::static_analysis is on (pure function of the module).
+  // EngineOptions::static_analysis is on and a lane that reads them (guided
+  // or pure) is in EngineOptions::engines (pure function of the module).
   std::optional<analysis::ProgramFacts> facts_;
   // Per-cluster sufficient statistics: correct runs in one accumulator,
   // faulty runs keyed by fault function ("" for runs without a fault tag).

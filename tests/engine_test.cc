@@ -168,6 +168,35 @@ TEST(Engine, GuidedLaneReportsTheBudgetStopOfItsCandidates) {
   EXPECT_EQ(res.lanes[0].termination, symexec::Termination::kInstrLimit);
 }
 
+// Only the guided and pure lanes read the static analysis's facts, so a
+// race of the concolic lane alone computes none and reports no analysis.*
+// counter; any race holding a reader reports all four.
+TEST(Engine, ConcolicOnlyRunSkipsTheStaticAnalysis) {
+  const apps::AppSpec app = apps::make_fig2();
+  const std::vector<std::string> kCounters = {
+      "analysis.unreachable_blocks", "analysis.decided_branches",
+      "analysis.findings", "analysis.candidates_pruned"};
+  const std::vector<std::pair<const char*, std::size_t>> cases = {
+      {"concolic", 0}, {"guided", 4}, {"guided,pure,concolic", 4}};
+  for (const auto& [engines, expected] : cases) {
+    EngineOptions o = fast_opts();
+    o.engines = *parse_engines(engines);
+    StatSymEngine engine(app.module, app.sym_spec, o);
+    engine.collect_logs(app.workload);
+    const EngineResult res = engine.run();
+    ASSERT_FALSE(res.lanes.empty()) << engines;
+    std::size_t analysis = 0;
+    for (const auto& [name, v] : res.metrics.counters()) {
+      if (name.starts_with("analysis.")) ++analysis;
+    }
+    EXPECT_EQ(analysis, expected) << engines;
+    for (const std::string& name : kCounters) {
+      EXPECT_EQ(res.metrics.counters().contains(name), expected > 0)
+          << engines << " " << name;
+    }
+  }
+}
+
 TEST(Engine, PureBaselineAlsoFindsFig2) {
   const apps::AppSpec app = apps::make_fig2();
   symexec::ExecOptions opts;
