@@ -39,6 +39,10 @@
 //    repeated the verdict of the solver-query event just before it): each
 //    new trace is the old one with every concolic-negation line dropped
 //    and seq renumbered from 0.
+//  * the concolic fleet and the five concolic app rows when a race of the
+//    concolic lane alone stopped computing the static-analysis facts that
+//    no concolic lane reads: each new render is the old one with every
+//    ` analysis.<name>=<n>` counter token deleted.
 // The deterministic trace JSONL of two paper apps is pinned the same way.
 //
 // The digests fold 150 generated fault-planted programs (chains and segments
@@ -161,7 +165,7 @@ constexpr std::size_t kPrograms = 150;
 
 TEST(EngineDigest, GeneratedFleetConcolic) {
   EXPECT_EQ(fleet_digest(EngineKind::kConcolic, kPrograms),
-            0xf6635aaea3352159ULL);
+            0x3277f243fe29f112ULL);
 }
 
 TEST(EngineDigest, GeneratedFleetGuided) {
@@ -191,19 +195,19 @@ struct AppCase {
 
 TEST(EngineDigest, PaperApps) {
   const AppCase cases[] = {
-      {"fig2", EngineKind::kConcolic, 0x431ea944d73722c5ULL},
+      {"fig2", EngineKind::kConcolic, 0xc1284d7bdf3fff2bULL},
       {"fig2", EngineKind::kGuided, 0x8c291af75a7d572eULL},
       {"fig2", EngineKind::kPure, 0x3eaa322f648d6de2ULL},
-      {"polymorph", EngineKind::kConcolic, 0x31d965caa3b46f79ULL},
+      {"polymorph", EngineKind::kConcolic, 0xe0e5b48d7702dfb8ULL},
       {"polymorph", EngineKind::kGuided, 0x26b18f1ecc76bf96ULL},
       {"polymorph", EngineKind::kPure, 0x23b377fdd7ec5794ULL},
-      {"ctree", EngineKind::kConcolic, 0x58c00edef857c739ULL},
+      {"ctree", EngineKind::kConcolic, 0x35463f8d8397f455ULL},
       {"ctree", EngineKind::kGuided, 0xc4cafd83b132ecf8ULL},
       {"ctree", EngineKind::kPure, 0xb2b72d821e288f6bULL},
-      {"grep", EngineKind::kConcolic, 0xee8331cec79563cfULL},
+      {"grep", EngineKind::kConcolic, 0xe36a6ff041e413f2ULL},
       {"grep", EngineKind::kGuided, 0x0d04ae9f73a744baULL},
       {"grep", EngineKind::kPure, 0xee756cf70b45b5feULL},
-      {"thttpd", EngineKind::kConcolic, 0x55355396c5a9e5daULL},
+      {"thttpd", EngineKind::kConcolic, 0x19e1905e64b64f23ULL},
       {"thttpd", EngineKind::kGuided, 0x038d0715ed98c611ULL},
       {"thttpd", EngineKind::kPure, 0xc405e16e38d5fa25ULL},
   };
