@@ -175,8 +175,7 @@ class SuffStats {
   // is used. The cache points into this object's own maps, so copies and
   // moves never carry it: the destination and the moved-from source start
   // with an empty one.
-  class FoldCache {
-   public:
+  struct FoldCache {
     // One statistic met at this location and the last run (1-based fold
     // ordinal) whose presence it counted.
     struct Var {
@@ -224,7 +223,6 @@ class SuffStats {
       o.clear();
       return *this;
     }
-    ~FoldCache() = default;
 
     void clear() {
       locs.clear();
