@@ -32,16 +32,16 @@ std::optional<double> gate_score_lcb(const stats::Predicate& p,
   return p.score_lcb;
 }
 
-namespace {
-
 // Samples the ranker's probes during one replay and lowers each
 // predicate's gap; stops the run once every probed gap is 0.
-class GapSampler final : public interp::InterpListener {
+class FrontierRanker::Sampler final : public interp::InterpListener {
  public:
-  GapSampler(const ir::Module& m, const std::vector<stats::Predicate>& preds,
-             const std::vector<std::vector<FrontierRanker::Probe>>& probes,
-             std::size_t open, std::vector<double>& out)
-      : m_(m), preds_(preds), probes_(probes), open_(open), out_(out) {}
+  Sampler(const FrontierRanker& ranker, std::vector<double>& out)
+      : m_(ranker.program_.module()),
+        preds_(ranker.preds_),
+        probes_(ranker.probes_),
+        open_(ranker.num_probed_),
+        out_(out) {}
 
   void on_enter(const interp::Interpreter& interp, const ir::Function& fn,
                 std::span<const interp::Value> params) override {
@@ -63,8 +63,7 @@ class GapSampler final : public interp::InterpListener {
   void sample(const interp::Interpreter& interp, monitor::LocId loc,
               std::span<const interp::Value> params,
               const interp::Value* ret) {
-    for (const FrontierRanker::Probe& probe :
-         probes_[static_cast<std::size_t>(loc)]) {
+    for (const Probe& probe : probes_[static_cast<std::size_t>(loc)]) {
       double& gap = out_[probe.pred];
       if (gap == 0.0) continue;
       const stats::Predicate& p = preds_[probe.pred];
@@ -95,12 +94,10 @@ class GapSampler final : public interp::InterpListener {
 
   const ir::Module& m_;
   const std::vector<stats::Predicate>& preds_;
-  const std::vector<std::vector<FrontierRanker::Probe>>& probes_;
+  const std::vector<std::vector<Probe>>& probes_;
   std::size_t open_;  // probed gaps not yet 0
   std::vector<double>& out_;
 };
-
-}  // namespace
 
 FrontierRanker::FrontierRanker(const ir::Module& m,
                                const stats::CandidatePath& path,
@@ -161,7 +158,7 @@ std::vector<double> FrontierRanker::gaps(
   std::vector<double> out(preds_.size(),
                           std::numeric_limits<double>::infinity());
   if (num_probed_ == 0) return out;
-  GapSampler sampler(program_.module(), preds_, probes_, num_probed_, out);
+  Sampler sampler(*this, out);
   interp::Interpreter replay(program_, in);
   replay.set_listener(&sampler);
   replay.run();

@@ -64,16 +64,17 @@ class FrontierRanker final : public concolic::FrontierRanker {
   std::vector<double> gaps(const interp::RuntimeInput& in) const override;
   const std::vector<stats::Predicate>& predicates() const { return preds_; }
 
+ private:
   // Where one predicate's variable is recorded at its location: global
   // slots or parameter indices holding its name, or (kReturn) the return
   // value.
   struct Probe {
-    std::size_t pred{0};  // index into predicates()
+    std::size_t pred{0};  // index into preds_
     monitor::VarKind kind{monitor::VarKind::kGlobal};
     std::vector<std::size_t> slots;
   };
+  class Sampler;  // the replay's listener
 
- private:
   interp::Program program_;
   std::vector<stats::Predicate> preds_;
   // Probes by LocId; library functions' locations hold none, as the monitor
