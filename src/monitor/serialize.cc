@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "support/strings.h"
@@ -122,7 +123,10 @@ bool deserialize(const std::string& text, std::vector<RunLog>& out) {
     } else if (starts_with(line, "rec ")) {
       if (cur == nullptr) return false;
       std::int64_t loc = 0;
-      if (!parse_i64(trim(line.substr(4)), loc) || loc < 0) return false;
+      if (!parse_i64(trim(line.substr(4)), loc) || loc < 0 ||
+          loc > std::numeric_limits<LocId>::max()) {
+        return false;
+      }
       cur->records.push_back({static_cast<LocId>(loc), {}});
       cur_rec = &cur->records.back();
     } else if (starts_with(line, "var ")) {

@@ -282,6 +282,19 @@ int cmd_run(const std::string& name, const Flags& f) {
       std::fprintf(stderr, "malformed log file %s\n", f.logs_file.c_str());
       return 1;
     }
+    const std::size_t num_locs = monitor::num_locations(app.module);
+    for (const monitor::RunLog& log : logs) {
+      for (const monitor::LogRecord& rec : log.records) {
+        if (static_cast<std::size_t>(rec.loc) >= num_locs) {
+          std::fprintf(stderr,
+                       "log file %s: run %d records location %d, but %s has "
+                       "%zu locations\n",
+                       f.logs_file.c_str(), log.run_id, rec.loc,
+                       name.c_str(), num_locs);
+          return 1;
+        }
+      }
+    }
     engine.use_logs(std::move(logs));
     std::printf("loaded %zu logs from %s\n", engine.num_logs_collected(),
                 f.logs_file.c_str());

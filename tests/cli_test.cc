@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "serve/protocol.h"
@@ -217,6 +218,33 @@ TEST(Cli, WellFormedNumericValuesRun) {
   EXPECT_NE(r.output.find("collected 200 logs at 100% sampling"),
             std::string::npos)
       << r.output;
+}
+
+TEST(Cli, LogFileLocationOutsideTheModuleIsRejected) {
+  // fig2 has far fewer than 1000 locations; a record there names no
+  // function of the program and must not reach the statistics.
+  const std::string path = ::testing::TempDir() + "cli_test_bad_loc.logs";
+  {
+    std::ofstream out(path);
+    out << "run 0 faulty\nrec 0\nrun 3 ok\nrec 1000\n";
+  }
+  const CliRun r = run_cli("run fig2 --logs " + path);
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("run 3 records location 1000"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("loaded"), std::string::npos) << r.output;
+  std::remove(path.c_str());
+}
+
+TEST(Cli, CollectedLogFileLoads) {
+  const std::string path = ::testing::TempDir() + "cli_test_good.logs";
+  const CliRun c = run_cli("collect fig2 " + path + " --seed 7");
+  ASSERT_EQ(c.status, 0) << c.output;
+  const CliRun r = run_cli("run fig2 --logs " + path);
+  EXPECT_EQ(r.status, 0) << r.output;
+  EXPECT_NE(r.output.find("loaded 200 logs from " + path), std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
 }
 
 }  // namespace

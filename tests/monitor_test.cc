@@ -215,6 +215,18 @@ TEST_P(CorruptedLogs, DeserializeFails) {
   EXPECT_FALSE(deserialize(GetParam(), out));
 }
 
+TEST(Serialize, LocationsBeyondLocIdAreRejected) {
+  // 2^32 - 1 would wrap to kNoLoc and 2^32 to location 0.
+  std::vector<RunLog> out;
+  EXPECT_FALSE(deserialize("run 1 ok\nrec 4294967295", out));
+  EXPECT_FALSE(deserialize("run 1 ok\nrec 4294967296", out));
+  EXPECT_FALSE(deserialize("run 1 ok\nrec 2147483648", out));
+  ASSERT_TRUE(deserialize("run 1 ok\nrec 2147483647", out));
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out[0].records.size(), 1u);
+  EXPECT_EQ(out[0].records[0].loc, std::numeric_limits<LocId>::max());
+}
+
 TEST(Serialize, EmptyInputYieldsNoLogs) {
   std::vector<RunLog> out;
   EXPECT_TRUE(deserialize("", out));
