@@ -46,23 +46,48 @@ std::vector<monitor::LocId> PathBuilder::find_skeleton(
   // Bounded DFS enumerating acyclic entry→failure paths, keeping the best
   // average-score one. Falls back to *all* nodes as potential starts when no
   // entry (in-degree 0) node reaches the failure point.
+  const std::vector<monitor::LocId> starts = graph_.entry_candidates();
+
+  // Dense tables indexed by LocId, filled once: successor lists and node
+  // scores. The size covers every node, start and the failure point, and
+  // grows while filling to cover each successor list's targets.
+  std::size_t n = 0;
+  auto cover = [&n](monitor::LocId id) {
+    if (id >= 0) n = std::max(n, static_cast<std::size_t>(id) + 1);
+  };
+  for (monitor::LocId v : graph_.nodes()) cover(v);
+  for (monitor::LocId s : starts) cover(s);
+  cover(failure);
+  std::vector<const std::vector<Edge>*> succ;
+  std::vector<double> score;
+  for (std::size_t id = 0; id < n; ++id) {
+    const auto loc = static_cast<monitor::LocId>(id);
+    succ.push_back(&graph_.successors(loc));
+    score.push_back(preds_.loc_score(loc));
+    for (const Edge& e : *succ.back()) cover(e.to);
+  }
+  std::vector<char> on_path(n, 0);
+
   std::vector<monitor::LocId> best;
   double best_score = -1.0;
   std::size_t enumerated = 0;
   std::size_t steps = 0;  // global work budget over all starts
 
   std::vector<monitor::LocId> path;
-  std::set<monitor::LocId> on_path;
 
-  auto dfs = [&](auto&& self, monitor::LocId cur) -> void {
+  // `prefix` is the score sum of the path before `cur`, added left to right
+  // as avg_score adds, so a found path's average equals avg_score(path).
+  auto dfs = [&](auto&& self, monitor::LocId cur, double prefix) -> void {
     if (enumerated >= kMaxSkeletonPaths) return;
     if (++steps >= kMaxDfsSteps) return;
     if (path.size() >= kMaxSkeletonLen) return;
+    const auto idx = static_cast<std::size_t>(cur);
+    const double sum = prefix + score[idx];
     path.push_back(cur);
-    on_path.insert(cur);
+    on_path[idx] = 1;
     if (cur == failure) {
       ++enumerated;
-      const double s = avg_score(path);
+      const double s = sum / static_cast<double>(path.size());
       if (s > best_score ||
           (s == best_score &&
            (best.empty() || path.size() < best.size()))) {
@@ -70,21 +95,20 @@ std::vector<monitor::LocId> PathBuilder::find_skeleton(
         best = path;
       }
     } else {
-      for (const Edge& e : graph_.successors(cur)) {
-        if (on_path.contains(e.to)) continue;
-        self(self, e.to);
+      for (const Edge& e : *succ[idx]) {
+        if (on_path[static_cast<std::size_t>(e.to)] != 0) continue;
+        self(self, e.to, sum);
       }
     }
-    on_path.erase(cur);
+    on_path[idx] = 0;
     path.pop_back();
   };
 
-  std::vector<monitor::LocId> starts = graph_.entry_candidates();
-  for (monitor::LocId s : starts) dfs(dfs, s);
+  for (monitor::LocId s : starts) dfs(dfs, s, 0.0);
   if (best.empty()) {
     for (monitor::LocId s : graph_.nodes()) {
       if (s == failure) continue;
-      dfs(dfs, s);
+      dfs(dfs, s, 0.0);
     }
   }
   if (best.empty() && graph_.occurrences(failure) > 0) {
