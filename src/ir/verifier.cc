@@ -1,5 +1,7 @@
 #include "ir/verifier.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 namespace statsym::ir {
@@ -110,22 +112,35 @@ std::string verify_dataflow(const Function& fn) {
   }
 
   // Forward union (may) dataflow: defined-at-entry[b] = ∪ defined-at-exit of
-  // predecessors; parameters seed the entry block. Monotone, so the loop
-  // terminates in O(blocks²) set unions at worst.
-  const auto nregs = static_cast<std::size_t>(fn.num_regs);
-  std::vector<std::vector<bool>> in_def(nblocks,
-                                        std::vector<bool>(nregs, false));
-  for (std::int32_t p = 0; p < fn.num_params; ++p) {
-    in_def[0][static_cast<std::size_t>(p)] = true;
+  // predecessors; parameters seed the entry block. Each block's
+  // defined-at-entry and def (gen) sets are rows of 64-bit words, so a union
+  // is one OR per word. Monotone, so the loop terminates in O(blocks²) set
+  // unions at worst.
+  const std::size_t words = (static_cast<std::size_t>(fn.num_regs) + 63) / 64;
+  auto test_bit = [](const std::uint64_t* row, Reg r) {
+    const auto i = static_cast<std::size_t>(r);
+    return ((row[i / 64] >> (i % 64)) & 1) != 0;
+  };
+  auto set_bit = [](std::uint64_t* row, Reg r) {
+    const auto i = static_cast<std::size_t>(r);
+    row[i / 64] |= std::uint64_t{1} << (i % 64);
+  };
+  std::vector<std::uint64_t> in_def(nblocks * words, 0);
+  std::vector<std::uint64_t> gen(nblocks * words, 0);
+  for (Reg p = 0; p < fn.num_params; ++p) set_bit(in_def.data(), p);
+  for (std::size_t bi = 0; bi < nblocks; ++bi) {
+    for (const Instr& in : fn.blocks[bi].instrs) {
+      const Reg d = def_reg(in);
+      if (d != kNoReg) set_bit(gen.data() + bi * words, d);
+    }
   }
+  std::vector<std::uint64_t> out(words);
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t bi = 0; bi < nblocks; ++bi) {
-      std::vector<bool> out = in_def[bi];
-      for (const Instr& in : fn.blocks[bi].instrs) {
-        const Reg d = def_reg(in);
-        if (d != kNoReg) out[static_cast<std::size_t>(d)] = true;
+      for (std::size_t w = 0; w < words; ++w) {
+        out[w] = in_def[bi * words + w] | gen[bi * words + w];
       }
       const Instr& t = fn.blocks[bi].instrs.back();
       const BlockId succs[2] = {
@@ -133,10 +148,11 @@ std::string verify_dataflow(const Function& fn) {
           t.op == Opcode::kBr ? t.t1 : kNoBlock};
       for (const BlockId s : succs) {
         if (s == kNoBlock) continue;
-        std::vector<bool>& dst = in_def[static_cast<std::size_t>(s)];
-        for (std::size_t r = 0; r < nregs; ++r) {
-          if (out[r] && !dst[r]) {
-            dst[r] = true;
+        std::uint64_t* dst =
+            in_def.data() + static_cast<std::size_t>(s) * words;
+        for (std::size_t w = 0; w < words; ++w) {
+          if ((out[w] & ~dst[w]) != 0) {
+            dst[w] |= out[w];
             changed = true;
           }
         }
@@ -145,21 +161,22 @@ std::string verify_dataflow(const Function& fn) {
   }
 
   std::vector<Reg> uses;
+  std::vector<std::uint64_t> defined(words);
   for (std::size_t bi = 0; bi < nblocks; ++bi) {
-    std::vector<bool> defined = in_def[bi];
+    std::copy_n(in_def.data() + bi * words, words, defined.begin());
     for (std::size_t ii = 0; ii < fn.blocks[bi].instrs.size(); ++ii) {
       const Instr& in = fn.blocks[bi].instrs[ii];
       uses.clear();
       use_regs(in, uses);
       for (const Reg r : uses) {
-        if (!defined[static_cast<std::size_t>(r)]) {
+        if (!test_bit(defined.data(), r)) {
           return where(fn, bi, ii) + "use of r" + std::to_string(r) +
                  " which no path from entry defines (" + opcode_name(in.op) +
                  ")";
         }
       }
       const Reg d = def_reg(in);
-      if (d != kNoReg) defined[static_cast<std::size_t>(d)] = true;
+      if (d != kNoReg) set_bit(defined.data(), d);
     }
   }
   return "";

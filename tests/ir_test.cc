@@ -267,6 +267,109 @@ TEST(Verifier, ParametersCountAsDefined) {
   EXPECT_EQ(verify(m), "");
 }
 
+// A 130-register main shaped as a diamond: the entry defines every register
+// except r63, r64 and r127, then branches; arm 1 defines `arm1`, arm 2
+// defines `arm2`, and the join reads r63, r64 and r127 before returning.
+// The defined-register sets span three 64-bit words.
+Module wide_diamond(const std::vector<Reg>& arm1,
+                    const std::vector<Reg>& arm2) {
+  Module m;
+  Function f;
+  f.name = "main";
+  f.num_regs = 130;
+  Block entry;
+  for (Reg r = 0; r < f.num_regs; ++r) {
+    if (r == 63 || r == 64 || r == 127) continue;
+    entry.instrs.push_back({.op = Opcode::kConst, .dst = r, .imm = r});
+  }
+  entry.instrs.push_back({.op = Opcode::kBr, .a = 0, .t0 = 1, .t1 = 2});
+  Block left;
+  for (const Reg r : arm1) {
+    left.instrs.push_back({.op = Opcode::kConst, .dst = r, .imm = 1});
+  }
+  left.instrs.push_back({.op = Opcode::kJmp, .t0 = 3});
+  Block right;
+  for (const Reg r : arm2) {
+    right.instrs.push_back({.op = Opcode::kConst, .dst = r, .imm = 2});
+  }
+  right.instrs.push_back({.op = Opcode::kJmp, .t0 = 3});
+  Block join;  // r0 = r63 + r64; r0 = r0 + r127; ret r0
+  join.instrs.push_back({.op = Opcode::kBin, .dst = 0, .a = 63, .b = 64});
+  join.instrs.push_back({.op = Opcode::kBin, .dst = 0, .a = 0, .b = 127});
+  join.instrs.push_back({.op = Opcode::kRet, .a = 0});
+  f.blocks.push_back(std::move(entry));
+  f.blocks.push_back(std::move(left));
+  f.blocks.push_back(std::move(right));
+  f.blocks.push_back(std::move(join));
+  m.add_function(std::move(f));
+  return m;
+}
+
+TEST(Verifier, WordBoundaryRegistersUndefinedOnEveryPath) {
+  // Each of r63 (last bit of word 0), r64 (first of word 1) and r127 (last
+  // of word 1) in turn is left undefined on both arms; the error names it.
+  EXPECT_EQ(verify(wide_diamond({64}, {127})),
+            "main block 3 instr 0: use of r63 which no path from entry "
+            "defines (bin)");
+  EXPECT_EQ(verify(wide_diamond({63}, {127})),
+            "main block 3 instr 0: use of r64 which no path from entry "
+            "defines (bin)");
+  EXPECT_EQ(verify(wide_diamond({63, 64}, {64})),
+            "main block 3 instr 1: use of r127 which no path from entry "
+            "defines (bin)");
+}
+
+TEST(Verifier, WordBoundaryRegistersDefinedOnOnePathAreLegal) {
+  // Each register is defined on exactly one arm: a may-defined read.
+  EXPECT_EQ(verify(wide_diamond({63, 127}, {64})), "");
+  EXPECT_EQ(verify(wide_diamond({}, {63, 64, 127})), "");
+}
+
+// A loop whose body is laid out before its header, so r70's definition
+// reaches the header only in the second fixpoint round:
+//   0: r0 = 1; jmp 3
+//   1: jmp 3              (latch; sees r70 only after block 2's round)
+//   2: r70 = 7; jmp 1     (body)
+//   3: br r0, 2, 4        (header)
+//   4: r1 = r70 + r<read>; ret r1
+Module late_loop_def(Reg read) {
+  Module m;
+  Function f;
+  f.name = "main";
+  f.num_regs = 128;
+  Block entry;
+  entry.instrs.push_back({.op = Opcode::kConst, .dst = 0, .imm = 1});
+  entry.instrs.push_back({.op = Opcode::kJmp, .t0 = 3});
+  Block latch;
+  latch.instrs.push_back({.op = Opcode::kJmp, .t0 = 3});
+  Block body;
+  body.instrs.push_back({.op = Opcode::kConst, .dst = 70, .imm = 7});
+  body.instrs.push_back({.op = Opcode::kJmp, .t0 = 1});
+  Block header;
+  header.instrs.push_back({.op = Opcode::kBr, .a = 0, .t0 = 2, .t1 = 4});
+  Block exit;
+  exit.instrs.push_back({.op = Opcode::kBin, .dst = 1, .a = 70, .b = read});
+  exit.instrs.push_back({.op = Opcode::kRet, .a = 1});
+  f.blocks.push_back(std::move(entry));
+  f.blocks.push_back(std::move(latch));
+  f.blocks.push_back(std::move(body));
+  f.blocks.push_back(std::move(header));
+  f.blocks.push_back(std::move(exit));
+  m.add_function(std::move(f));
+  return m;
+}
+
+TEST(Verifier, LoopDefinitionReachingTheHeaderLateIsLegal) {
+  EXPECT_EQ(verify(late_loop_def(70)), "");
+}
+
+TEST(Verifier, LoopExitReadingAnUndefinedRegisterNamesIt) {
+  // r70 counts as defined (second round); r127 is defined nowhere.
+  EXPECT_EQ(verify(late_loop_def(127)),
+            "main block 4 instr 0: use of r127 which no path from entry "
+            "defines (bin)");
+}
+
 TEST(EvalBinop, BasicArithmetic) {
   EXPECT_EQ(eval_binop(BinOp::kAdd, 2, 3), 5);
   EXPECT_EQ(eval_binop(BinOp::kSub, 2, 3), -1);
