@@ -210,7 +210,7 @@ constexpr std::size_t kMaxSkeletonLen = 256;
 struct ReferenceSearch {
   std::vector<monitor::LocId> skeleton;
   std::size_t enumerated{0};  // entry→failure paths found
-  std::size_t steps{0};       // visits, counting the one that hit a budget
+  std::size_t steps{0};       // calls, counting those a spent budget refused
 };
 
 // The skeleton search as it was before its dense tables: std::set on-path
